@@ -41,7 +41,6 @@ from .rate_models import (
     CIRParams,
     HullWhiteParams,
     PiecewiseLinear,
-    RateQuadrature,
     RegimeRateModel,
     VasicekParams,
     cir_joint_laplace,
@@ -74,7 +73,6 @@ __all__ = [
     "NumericsError",
     "PathRecord",
     "PiecewiseLinear",
-    "RateQuadrature",
     "RegimeRateModel",
     "RenewalPath",
     "RngStream",

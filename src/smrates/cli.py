@@ -39,6 +39,7 @@ from .moment_engine import (
     solve_zcb_moment,
 )
 from .monte_carlo import (
+    EstimatorReport,
     RngStream,
     estimate_rate_moments,
     estimate_state_occupancy,
@@ -250,17 +251,13 @@ def cmd_validate(cfg: ExperimentConfig, out: Path) -> int:
     checks = []
     seed_counter = cfg.seed
 
-    def add(name, analytic, estimate, se):
-        nonlocal seed_counter
-        if se == 0.0:
-            z = 0.0 if abs(estimate - analytic) < 1e-12 else float("inf")
-        else:
-            z = (estimate - analytic) / se
+    def add(name, analytic, rep: EstimatorReport):
+        z = rep.z_score(analytic)
         checks.append({
             "check": name,
             "analytic": float(analytic),
-            "estimate": float(estimate),
-            "std_error": float(se),
+            "estimate": float(rep.estimate),
+            "std_error": float(rep.std_error),
             "z": float(z),
             "pass": bool(abs(z) <= z_max),
         })
@@ -277,7 +274,8 @@ def cmd_validate(cfg: ExperimentConfig, out: Path) -> int:
             k = grid.index_of(t)
             for j in range(cfg.kernel.m):
                 add(f"occupancy[age={age},t={t},to={cfg.kernel.states[j]}]",
-                    aged[k, start_state, j], freqs[j], ses[j])
+                    aged[k, start_state, j],
+                    EstimatorReport(freqs[j], ses[j], reps_occupancy, seed_counter))
 
     ws = LatticeWorkspace(cfg.kernel, cfg.model, cfg.solver)
     rate_surface = solve_rate_mean(cfg.kernel, cfg.model, cfg.solver, workspace=ws)
@@ -291,8 +289,7 @@ def cmd_validate(cfg: ExperimentConfig, out: Path) -> int:
                                           n, s, reps_zcb, seed_counter, step=mc_step)
                 analytic = evaluate_zcb_moment(surf, cfg.kernel, cfg.model,
                                                start_state, age, r0, s)
-                add(f"zcb_moment[n={n},age={age},s={s}]",
-                    analytic, rep.estimate, rep.std_error)
+                add(f"zcb_moment[n={n},age={age},s={s}]", analytic, rep)
     for lag in lags:
         xi = solve_product_moment(lag, cfg.kernel, cfg.model, cfg.solver,
                                   rate_mean_surface=rate_surface, workspace=ws)
@@ -306,10 +303,8 @@ def cmd_validate(cfg: ExperimentConfig, out: Path) -> int:
                                              start_state, age, r0, s)
                 prod_an = evaluate_product_moment(xi, rate_surface, cfg.kernel,
                                                   cfg.model, start_state, age, r0, s)
-                add(f"rate_mean[age={age},s={s},lag={lag}]",
-                    mean_an, mean_rep.estimate, mean_rep.std_error)
-                add(f"product_moment[age={age},s={s},lag={lag}]",
-                    prod_an, prod_rep.estimate, prod_rep.std_error)
+                add(f"rate_mean[age={age},s={s},lag={lag}]", mean_an, mean_rep)
+                add(f"product_moment[age={age},s={s},lag={lag}]", prod_an, prod_rep)
 
     all_pass = all(c["pass"] for c in checks)
     write_json(out / "validation.json", {

@@ -174,6 +174,22 @@ class ExperimentConfig:
                     raise ConfigError(
                         f"field {key}: maturity {s} exceeds the solver horizon {horizon}"
                     )
+        # lags and occupancy times index the solver grid
+        grid = self.solver.time_grid()
+        targets = self.simulate.get("targets", [])
+        for path, values in (
+            ("moments.lags", self.moments.get("lags", [])),
+            ("validate.lags", self.validate.get("lags", [])),
+            ("validate.occupancy_times", self.validate.get("occupancy_times", [])),
+            ("simulate.targets[].lag", [tgt["lag"] for tgt in targets if "lag" in tgt]),
+        ):
+            for value in values:
+                try:
+                    grid.index_of(float(value))
+                except (TypeError, ValueError) as exc:
+                    raise ConfigError(
+                        f"field {path}: {exc} within horizon {horizon}"
+                    ) from exc
         for block in (self.phi, self.moments, self.simulate, self.validate):
             for age_key in ("age", "ages"):
                 ages = block.get(age_key)

@@ -18,14 +18,16 @@ rate use the model's transition-law quadratures, scattered onto the
 lattice as linear-interpolation weights ("transfer operators") that are
 prebuilt per (state, elapsed time) and shared across quantities.
 
-Evaluating at a positive initial age u is a single quadrature pass over
-the stored backward-zero surface that mirrors the solver's
-discretization term by term, so the u = 0 case reproduces lattice
-values exactly.
+Each quantity is written down once, as a small spec (_Spec), and every
+spec runs through the same two evaluations: the lattice march and the
+aged pass.  Evaluating at a positive initial age u is a single
+quadrature pass over the stored backward-zero surface that mirrors the
+march term by term, so the u = 0 case reproduces lattice values.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -137,14 +139,8 @@ class MomentSurface:
     def value(self, i: int, s: float, x: float) -> float:
         """Bilinear lattice read at (state, maturity, start rate)."""
         self.check_rate(x)
-        if s < -1e-12 or s > self.s_nodes[-1] + 1e-9:
-            raise ValueError(f"maturity {s} outside the solved horizon")
-        h = self.step
-        k = min(max(int(np.floor(s / h)), 0), self.s_nodes.size - 2)
-        w = (s - self.s_nodes[k]) / h
-        lo = float(np.interp(x, self.x_nodes, self.values[i, k]))
-        hi = float(np.interp(x, self.x_nodes, self.values[i, k + 1]))
-        return (1.0 - w) * lo + w * hi
+        return float(sum(w * np.interp(x, self.x_nodes, self.values[i, k])
+                         for k, w in _node_pair(self, s)))
 
 
 # ---------------------------------------------------------------------------
@@ -187,9 +183,9 @@ def build_rate_grid(model: RegimeRateModel, config: SolverConfig) -> np.ndarray:
     return np.linspace(lo, hi, config.rate_nodes)
 
 
-def _law_nodes_weights(model: RegimeRateModel, i: int, r0, t: float, order: int,
+def _law_nodes_weights(model: RegimeRateModel, i: int, r0, t, order: int,
                        tilt: int = 0):
-    """Quadrature of the transition law r(t) | r(0)=r0, one rule per r0.
+    """Quadrature of the transition law r(t) | r(0)=r0.
 
     ``tilt`` = n > 0 asks for the law under the discount change of
     measure exp(-n int_0^t r): for the Gaussian kinds the terminal-rate
@@ -199,19 +195,27 @@ def _law_nodes_weights(model: RegimeRateModel, i: int, r0, t: float, order: int,
     matches the joint law of the accumulated discount and the arriving
     rate; at tilt 0 this is the plain transition law.
 
-    Returns (nodes, weights) of shape (len(r0), order): a point mass at
-    the start rate when t = 0 and at the deterministic flow for a
-    noise-free regime; Gauss-Hermite through mean/std for the Gaussian
-    kinds; for CIR a Gauss-Legendre rule against the chi-square density
-    (order floored at 48 so the rule resolves the density), or
-    equal-probability quantile stratification when the origin is
-    attainable and the density is unbounded.  The lattice solvers and
-    the scalar evaluators both come through here, so their
-    discretizations coincide.
+    One rule per start rate when t is a scalar (the lattice transfer
+    build), or per elapsed time when r0 is one rate and t an array (the
+    aged pass).  Returns (nodes, weights) with the rules along the first
+    axis and ``order`` columns: a point mass at the start rate when
+    t = 0 and at the deterministic flow for a noise-free regime;
+    Gauss-Hermite through mean/std for the Gaussian kinds; for CIR a
+    Gauss-Legendre rule against the chi-square density (order floored
+    at 48 so the rule resolves the density), or equal-probability
+    quantile stratification when the origin is attainable and the
+    density is unbounded.  Both evaluations of a renewal spec come
+    through here, so their discretizations coincide.
     """
+    t = np.asarray(t, dtype=float)
+    if t.ndim and not model.gaussian_transition:
+        # the chi-square constants take one elapsed time at a time
+        rules = [_law_nodes_weights(model, i, r0, tj, order, tilt=tilt) for tj in t]
+        return (np.concatenate([nd for nd, _ in rules]),
+                np.concatenate([wt for _, wt in rules]))
     r0 = np.atleast_1d(np.asarray(r0, dtype=float))
     n = r0.size
-    if t <= 0.0:
+    if t.ndim == 0 and t <= 0.0:
         nodes = np.repeat(r0[:, None], order, axis=1)
         weights = np.zeros((n, order))
         weights[:, 0] = 1.0
@@ -372,8 +376,114 @@ class LatticeWorkspace:
 
 
 # ---------------------------------------------------------------------------
-# Backward-zero marches
+# Renewal specs and their two evaluations
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _Spec:
+    """One renewal equation, described once for both evaluations:
+
+      V_i(s, x) = S_i(s + shift) f_i(x, s)
+                + int_0^s sum_j qdot_ij(theta) w_i(x, theta)
+                    E^tilt[V_j(s - theta, r(theta)) | r(0) = x] dtheta
+                + window term.
+
+    table(i, r, thetas)  the no-switch moment f_i, broadcast over rates
+                         and times.  With tilt = n > 0 the history runs
+                         under the discount-tilted law and f is also its
+                         row weight w (the discount accumulated before
+                         the switch); otherwise w = 1.
+    initial(ctx)         (rows, rates) block at s = 0.
+    endpoint(ctx, k)     sum_j qdot_ij(s_k) times the inner integral of
+                         the known initial condition, the far end of the
+                         convolution, supplied so it is never clamped.
+    shift                survival read at s + shift (the product
+                         moment's lag: no switch before s + lag).
+    window(ctx, k)       optional additive known block reading ``reach``
+                         steps of kernel density past s (the product
+                         moment's first switch inside (s, s + lag]).
+    """
+
+    quantity: str
+    table: Callable
+    initial: Callable
+    endpoint: Callable
+    tilt: int = 0
+    shift: float = 0.0
+    window: Callable | None = None
+    reach: int = 0
+
+
+class _Lattice:
+    """Where _march evaluates a spec: every state, every lattice rate,
+    age 0."""
+
+    def __init__(self, ws: LatticeWorkspace, spec: _Spec):
+        self.ws = ws
+        self.h = ws.config.step
+        self.rows = range(ws.m)
+        self.rates = ws.x_nodes
+        self.table = np.empty((ws.m, ws.thetas.size, self.rates.size))
+        for i in self.rows:
+            self.table[i] = np.asarray(spec.table(i, self.rates[:, None], ws.thetas)).T
+        self.surv = (ws.kernel.survival_matrix(ws.thetas + spec.shift)
+                     if spec.shift else ws.survival)
+        self.qd = (ws.kernel.density_matrix(np.arange(ws.thetas.size + spec.reach) * self.h)
+                   if spec.reach else ws.qdot)
+
+    def law_m1(self, l: int, vs: np.ndarray) -> np.ndarray:
+        """E[r(theta_l) vhat(r(theta_l))] from every lattice rate, one
+        lattice vector per row."""
+        stack = self.ws.transfer_first_moment()
+        return np.stack([stack[i, l] @ vs[i] for i in self.rows])
+
+    def start(self, spec: _Spec, surface: MomentSurface, k: int) -> np.ndarray:
+        """The surface's quantity at s_k, started where this context is."""
+        return surface.values[:, k, :]
+
+
+class _Point:
+    """Where the aged pass evaluates a spec: state i entered u years
+    ago, one start rate r, maturities up to s_{k_top}.  Kernel
+    densities and survival are read at theta + u and divided by the
+    aged front 1 - H_i(u); the transition-law rules for elapsed times
+    1..k_top are built once and their prefixes serve shorter nodes."""
+
+    def __init__(self, ws: LatticeWorkspace, spec: _Spec, i: int, u: float, r: float,
+                 k_top: int):
+        self.ws, self.i, self.u, self.r = ws, i, u, float(r)
+        self.h = ws.config.step
+        self.rows = [i]
+        self.rates = np.array([self.r])
+        if k_top == 0:
+            return  # s = 0 reads the initial block only
+        denom = _aged_front(ws.kernel, i, u)
+        thetas = ws.thetas[: k_top + 1]
+        self.table = np.asarray(spec.table(i, self.rates[:, None], thetas)).T[None]
+        self.surv = ws.kernel.survival_matrix(thetas + spec.shift + u)[:, [i]] / denom
+        self.qd = ws.kernel.density_matrix(
+            np.arange(k_top + 1 + spec.reach) * self.h + u)[:, [i], :] / denom
+        self.nodes, self.weights = _law_nodes_weights(
+            ws.model, i, self.r, thetas[1:], ws.config.quad_order, tilt=spec.tilt)
+
+    def law_m1(self, l: int, vs: np.ndarray) -> np.ndarray:
+        first_moment_rule = self.weights[l - 1] * self.nodes[l - 1]
+        return np.array([[first_moment_rule
+                          @ np.interp(self.nodes[l - 1], self.ws.x_nodes, vs[0])]])
+
+    def start(self, spec: _Spec, surface: MomentSurface, k: int) -> np.ndarray:
+        return np.array([[_aged(self.ws, spec, surface, self.i, self.u, self.r,
+                                [(k, 1.0)])]])
+
+
+def _known(spec: _Spec, ctx, k: int) -> np.ndarray:
+    """Known blocks at s_k: no-switch survival term, far endpoint (with
+    its trapezoid weight h/2), and the optional window."""
+    rhs = ctx.surv[k][:, None] * ctx.table[:, k, :] + 0.5 * ctx.h * spec.endpoint(ctx, k)
+    if spec.window is not None:
+        rhs = rhs + spec.window(ctx, k)
+    return rhs
+
 
 def _pack_transfer(transfer: np.ndarray, weight=None) -> np.ndarray:
     """Flatten a (m, K+1, Nx, Nx) transfer stack into per-state matrices
@@ -391,34 +501,27 @@ def _pack_transfer(transfer: np.ndarray, weight=None) -> np.ndarray:
     return out
 
 
-def _march(ws: LatticeWorkspace, initial, free_term, endpoint_term,
-           packed, extra_term=None) -> np.ndarray:
-    """Shared trapezoidal forward march over the time lattice.
+def _march(ws: LatticeWorkspace, spec: _Spec) -> np.ndarray:
+    """Trapezoidal forward march of a spec over the whole lattice.
 
-    initial          (m, Nx): values at s = 0.
-    free_term(k)     (m, Nx): no-jump survival contribution at s_k.
-    endpoint_term(k) (m, Nx): sum_j Qdot_ij(s_k) * (inner integral of
-                     the initial condition), supplied analytically so
-                     the known end of the convolution is never clamped.
-    packed           per-state packed transfer stack (see
-                     _pack_transfer), possibly weight-folded; its
-                     elapsed-time-0 block must act as the identity times
-                     a unit weight because the implicit step matrix
-                     absorbs that endpoint.
-    extra_term(k)    (m, Nx) additive known block (the product-moment
-                     mid-window term), optional.
+    The unknown at s_k enters the elapsed-time-0 end of the convolution
+    with weight h/2, where the transfer block is the identity and the
+    row weight is 1, so the implicit step matrix absorbs it; the history
+    l = 1..k-1 is one matrix-vector product per state against the
+    packed transfer stack, weight-folded when the spec tilts.
     """
-    h = ws.config.step
+    ctx = _Lattice(ws, spec)
+    h = ctx.h
     k_max = ws.grid.n_steps
     m = ws.m
     nx = ws.x_nodes.size
     qd = ws.qdot
+    packed = (_pack_transfer(ws.transfer(spec.tilt), weight=ctx.table)
+              if spec.tilt else ws.packed_plain())
     vals = np.empty((k_max + 1, m, nx))
-    vals[0] = initial
+    vals[0] = spec.initial(ctx)
     for k in range(1, k_max + 1):
-        rhs = free_term(k) + 0.5 * h * endpoint_term(k)
-        if extra_term is not None:
-            rhs = rhs + extra_term(k)
+        rhs = _known(spec, ctx, k)
         if k >= 2:
             for i in range(m):
                 # state-mix the known history, then one matrix-vector
@@ -429,218 +532,37 @@ def _march(ws: LatticeWorkspace, initial, free_term, endpoint_term,
     return vals
 
 
-def solve_zcb_moment(n: int, kernel: SemiMarkovKernel, model: RegimeRateModel,
-                     config: SolverConfig,
-                     workspace: LatticeWorkspace | None = None) -> MomentSurface:
-    """n-th moment of the discount factor, backward-zero, on the lattice.
+def _aged(ws: LatticeWorkspace, spec: _Spec, surface: MomentSurface, i: int,
+          u: float, r: float, pairs) -> float:
+    """Aged pass: the spec at (state i, age u, rate r), read linearly
+    between the maturity nodes ``pairs`` = [(k, weight), ...].
 
-    The no-switch part carries the regime's integrated-rate Laplace
-    transform over the whole interval; a first switch at elapsed time
-    theta contributes the transform up to theta times the surface
-    restarted from the arriving rate and regime.  The accumulated
-    discount over [0, theta] and the arriving rate r(theta) are
-    dependent, so the restart is integrated against the discount-tilted
-    transition law (for which all three model kinds stay closed form);
-    with that pairing the single-regime case collapses to the plain
-    integrated-rate Laplace transform identically.
+    Mirrors _march term by term over the stored lattice, except that the
+    value at s_k is known, so the elapsed-time-0 end is explicit: a
+    point mass at r.  At u = 0 it reproduces the lattice values.
     """
-    if n < 1 or int(n) != n:
-        raise ValueError("moment order n must be a positive integer")
-    ws = workspace or LatticeWorkspace(kernel, model, config)
-    x = ws.x_nodes
-    m, k_max = ws.m, ws.grid.n_steps
-
-    bond = np.empty((m, k_max + 1, x.size))
-    for i in range(m):
-        bond[i] = np.asarray(model.bond_laplace(i, x[:, None], n, ws.thetas)).T
-
-    def free_term(k):
-        return ws.survival[k][:, None] * bond[:, k, :]
-
-    def endpoint_term(k):
-        # initial condition is identically 1 and the tilted law has
-        # mass 1, so the inner integral at the far endpoint is exactly 1
-        return ws.qdot[k].sum(axis=1)[:, None] * bond[:, k, :]
-
-    packed = _pack_transfer(ws.transfer(tilt=int(n)), weight=bond)
-    vals = _march(ws, np.ones((m, x.size)), free_term, endpoint_term, packed)
-    return MomentSurface(
-        ZCB_MOMENT, ws.thetas.copy(), x.copy(), vals.transpose(1, 0, 2).copy(),
-        order=int(n), meta=ws.meta(), workspace=ws,
-    )
-
-
-def solve_rate_mean(kernel: SemiMarkovKernel, model: RegimeRateModel,
-                    config: SolverConfig,
-                    workspace: LatticeWorkspace | None = None) -> MomentSurface:
-    """First moment of the modulated rate, backward-zero, on the lattice."""
-    ws = workspace or LatticeWorkspace(kernel, model, config)
-    x = ws.x_nodes
-    m, k_max = ws.m, ws.grid.n_steps
-
-    mean_tab = np.empty((m, k_max + 1, x.size))
-    for i in range(m):
-        mean_tab[i] = np.asarray(model.mean(i, x[:, None], ws.thetas)).T
-
-    def free_term(k):
-        return ws.survival[k][:, None] * mean_tab[:, k, :]
-
-    def endpoint_term(k):
-        # inner integral of the initial condition R(0, y) = y is the
-        # exact transition mean
-        return ws.qdot[k].sum(axis=1)[:, None] * mean_tab[:, k, :]
-
-    vals = _march(ws, np.broadcast_to(x, (m, x.size)).copy(), free_term,
-                  endpoint_term, ws.packed_plain())
-    return MomentSurface(
-        RATE_MEAN, ws.thetas.copy(), x.copy(), vals.transpose(1, 0, 2).copy(),
-        meta=ws.meta(), workspace=ws,
-    )
-
-
-def _lag_index(grid: TimeGrid, lag: float) -> int:
-    idx = round(lag / grid.step)
-    if idx < 0 or abs(idx * grid.step - lag) > 1e-9:
-        raise ValueError(
-            f"lag {lag} must be a nonnegative multiple of the solver step {grid.step}"
-        )
-    return idx
-
-
-def _require_companion(surface: MomentSurface, quantity: str, ws: LatticeWorkspace):
-    if surface is None:
-        raise ValueError(f"this operation needs the {quantity} surface on matching grids")
-    if surface.quantity != quantity:
-        raise ValueError(f"companion surface is {surface.quantity}, expected {quantity}")
-    if (surface.s_nodes.size != ws.grid.n_steps + 1
-            or not np.allclose(surface.s_nodes, ws.thetas)
-            or not np.allclose(surface.x_nodes, ws.x_nodes)):
-        raise ValueError(f"{quantity} surface grids do not match the solver config")
-
-
-def solve_product_moment(h_lag: float, kernel: SemiMarkovKernel,
-                         model: RegimeRateModel, config: SolverConfig,
-                         rate_mean_surface: MomentSurface,
-                         workspace: LatticeWorkspace | None = None) -> MomentSurface:
-    """Lagged product moment E[delta(s) delta(s+h)], backward-zero.
-
-    Marched in s for one fixed lag; three blocks per step.  No switch
-    before s+h: the regime's own two-point moment.  First switch inside
-    (s, s+h]: couples the rate at s with the rate-mean surface
-    restarted at the switch; evaluated with the exact two-stage
-    quadrature E[r(s) * Rhat(arriving rate)] because the rate at s and
-    the arriving rate are correlated (a factorized m(s) * E[Rhat] form
-    drops that covariance, which Monte Carlo resolves at cross-check
-    precision).  First switch before s: restarts the product moment
-    itself, the recursive part handled by the shared march.
-    """
-    ws = workspace or LatticeWorkspace(kernel, model, config)
-    lag_idx = _lag_index(ws.grid, h_lag)
-    _require_companion(rate_mean_surface, RATE_MEAN, ws)
-    x = ws.x_nodes
-    m, k_max = ws.m, ws.grid.n_steps
-    h = ws.config.step
-    rate_vals = rate_mean_surface.values                   # (m, K+1, Nx)
-
-    surv_lag = ws.kernel.survival_matrix(ws.thetas + h_lag)   # (K+1, m)
-    rho = np.empty((m, k_max + 1, x.size))
-    for i in range(m):
-        rho[i] = np.asarray(model.product_mean(i, x[:, None], ws.thetas, h_lag)).T
-
-    theta_ext = np.arange(k_max + lag_idx + 1) * h
-    qd_ext = ws.kernel.density_matrix(theta_ext)           # (K+L+1, m, m)
-    transfer = ws.transfer()
-    transfer_m1 = ws.transfer_first_moment()
-
-    # delta(0) is the lattice rate itself: Xi(0, lag) = x * R(lag, x)
-    initial = x[None, :] * rate_vals[:, lag_idx, :]
-
-    # window slices: index l' -> R at remaining time lag - theta_{l'}
-    rate_window = rate_vals[:, lag_idx::-1, :]             # (m, L+1, Nx)
-
-    if lag_idx == 0:
-        extra_term = None
-    else:
-        win_w = np.ones(lag_idx + 1)
-        win_w[0] = win_w[-1] = 0.5
-
-        def extra_term(k):
-            out = np.empty((m, x.size))
-            for i in range(m):
-                mixed = np.einsum(
-                    "lj,jlx->lx", qd_ext[k:k + lag_idx + 1, i, :], rate_window
-                )
-                inner = np.matmul(
-                    transfer[i, :lag_idx + 1], mixed[:, :, None]
-                )[:, :, 0]
-                out[i] = transfer_m1[i, k] @ (h * (win_w[:, None] * inner).sum(axis=0))
-            return out
-
-    def free_term(k):
-        return surv_lag[k][:, None] * rho[:, k, :]
-
-    def endpoint_term(k):
-        # inner integral of Xi(0, y) = y * R(lag, y) through the
-        # first-moment transfer at elapsed time s_k
-        out = np.empty((m, x.size))
-        for i in range(m):
-            restart = np.einsum("j,jy->y", ws.qdot[k, i, :], rate_vals[:, lag_idx, :])
-            out[i] = transfer_m1[i, k] @ restart
-        return out
-
-    vals = _march(ws, initial, free_term, endpoint_term, ws.packed_plain(),
-                  extra_term=extra_term)
-    return MomentSurface(
-        PRODUCT_MOMENT, ws.thetas.copy(), x.copy(), vals.transpose(1, 0, 2).copy(),
-        lag=float(h_lag), meta=ws.meta(), workspace=ws,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Evaluation with a positive initial age
-# ---------------------------------------------------------------------------
-
-def _workspace_for(surface: MomentSurface, kernel: SemiMarkovKernel,
-                   model: RegimeRateModel) -> LatticeWorkspace:
-    ws = surface.workspace
-    if ws is not None and ws.kernel is kernel and ws.model is model:
-        return ws
-    cfg = surface.meta.get("config")
-    if cfg is None:
-        raise ValueError("surface carries neither a workspace nor a config snapshot")
-    ws = LatticeWorkspace(kernel, model, SolverConfig(**cfg))
-    surface.workspace = ws
-    return ws
-
-
-def _aged_front(kernel: SemiMarkovKernel, i: int, age: float) -> float:
-    if age < 0:
-        raise ValueError("age must be nonnegative")
-    h_u = float(kernel.holding_cdf(i, age))
-    if h_u >= 1.0 - 1e-12:
-        raise DegenerateBackwardError(
-            f"state {i} at age {age}: no surviving mass to condition on"
-        )
-    return 1.0 - h_u
-
-
-def _law_rules_along(model: RegimeRateModel, i: int, r: float, ts: np.ndarray,
-                     order: int, tilt: int = 0):
-    """Transition-law rules from one start rate at many elapsed times
-    (all positive); nodes/weights stacked over the times."""
-    if model.gaussian_transition:
-        means = np.atleast_1d(model.mean(i, r, ts))
-        if tilt:
-            means = means - tilt * np.atleast_1d(model.integrated_rate_cov(i, r, ts))
-        stds = np.sqrt(np.atleast_1d(model.variance(i, r, ts)))
-        return gaussian_quadrature_batch(means, stds, order)
-    rules = [
-        _law_nodes_weights(model, i, np.array([r]), float(t), order, tilt=tilt)
-        for t in ts
-    ]
-    nodes = np.vstack([nd for nd, _ in rules])
-    weights = np.vstack([wt for _, wt in rules])
-    return nodes, weights
+    ctx = _Point(ws, spec, i, u, r, max(k for k, _ in pairs))
+    h, x, vals = ctx.h, ws.x_nodes, surface.values
+    total = 0.0
+    for k, w in pairs:
+        if k == 0:
+            total += w * float(spec.initial(ctx)[0, 0])
+            continue
+        acc = float(_known(spec, ctx, k)[0, 0])
+        point = np.array([np.interp(ctx.r, x, vals[j, k]) for j in range(ws.m)])
+        acc += 0.5 * h * float(ctx.qd[0, 0] @ point)
+        if k >= 2:
+            inner = np.zeros(k - 1)
+            for j in range(ws.m):
+                tab = vals[j, k - 1:0:-1]                      # row l-1 -> surface at k-l
+                inner += ctx.qd[1:k, 0, j] * (
+                    ctx.weights[:k - 1] * _interp_rows(x, tab, ctx.nodes[:k - 1])
+                ).sum(axis=1)
+            if spec.tilt:
+                inner = inner * ctx.table[0, 1:k, 0]
+            acc += h * float(inner.sum())
+        total += w * acc
+    return total
 
 
 def _interp_rows(x_nodes: np.ndarray, table: np.ndarray, pts: np.ndarray) -> np.ndarray:
@@ -664,173 +586,207 @@ def _node_pair(surface: MomentSurface, s: float):
     return [(k0, 1.0 - w), (k0 + 1, w)]
 
 
+# ---------------------------------------------------------------------------
+# The three quantities
+# ---------------------------------------------------------------------------
+
+def _closed_endpoint(ctx, k: int) -> np.ndarray:
+    # the inner integral of the initial condition is the no-switch table
+    # itself: mass 1 under the tilted law for the discount moments, the
+    # exact transition mean for the rate mean
+    return ctx.qd[k].sum(axis=1)[:, None] * ctx.table[:, k, :]
+
+
+def _zcb_spec(ws: LatticeWorkspace, n: int) -> _Spec:
+    model = ws.model
+    return _Spec(
+        ZCB_MOMENT,
+        table=lambda i, r, t: model.bond_laplace(i, r, n, t),
+        initial=lambda ctx: np.ones((len(ctx.rows), ctx.rates.size)),
+        endpoint=_closed_endpoint,
+        tilt=n,
+    )
+
+
+def _rate_spec(ws: LatticeWorkspace) -> _Spec:
+    return _Spec(
+        RATE_MEAN,
+        table=ws.model.mean,
+        initial=lambda ctx: np.broadcast_to(ctx.rates, (len(ctx.rows), ctx.rates.size)).copy(),
+        endpoint=_closed_endpoint,
+    )
+
+
+def _product_spec(ws: LatticeWorkspace, lag: float, rate_surface: MomentSurface) -> _Spec:
+    lag_idx = ws.grid.index_of(lag)
+    h = ws.config.step
+    model = ws.model
+    r_lag = rate_surface.values[:, lag_idx, :]
+    # window slices: index l' -> R at remaining time lag - theta_{l'}
+    rate_window = rate_surface.values[:, lag_idx::-1, :]      # (m, L+1, Nx)
+    win_w = np.ones(lag_idx + 1)
+    win_w[0] = win_w[-1] = 0.5
+
+    def initial(ctx):
+        # delta(0) is the start rate itself: Xi(0, lag) = r * R(lag, r)
+        return ctx.rates[None, :] * ctx.start(_rate_spec(ws), rate_surface, lag_idx)
+
+    def endpoint(ctx, k):
+        # inner integral of Xi(0, y) = y * R(lag, y) through the
+        # first-moment law at elapsed time s_k
+        return ctx.law_m1(k, np.stack([np.einsum("j,jy->y", q, r_lag) for q in ctx.qd[k]]))
+
+    def window(ctx, k):
+        transfer = ws.transfer()
+        restarts = []
+        for row, i in enumerate(ctx.rows):
+            mixed = np.einsum("lj,jlx->lx", ctx.qd[k:k + lag_idx + 1, row, :], rate_window)
+            inner = np.matmul(transfer[i, :lag_idx + 1], mixed[:, :, None])[:, :, 0]
+            restarts.append(h * (win_w[:, None] * inner).sum(axis=0))
+        return ctx.law_m1(k, np.stack(restarts))
+
+    return _Spec(
+        PRODUCT_MOMENT,
+        table=lambda i, r, t: model.product_mean(i, r, t, lag),
+        initial=initial,
+        endpoint=endpoint,
+        shift=lag,
+        window=window if lag_idx else None,
+        reach=lag_idx,
+    )
+
+
+def _solve(ws: LatticeWorkspace, spec: _Spec, **labels) -> MomentSurface:
+    vals = _march(ws, spec)
+    return MomentSurface(
+        spec.quantity, ws.thetas.copy(), ws.x_nodes.copy(), vals.transpose(1, 0, 2).copy(),
+        meta=ws.meta(), workspace=ws, **labels,
+    )
+
+
+def solve_zcb_moment(n: int, kernel: SemiMarkovKernel, model: RegimeRateModel,
+                     config: SolverConfig,
+                     workspace: LatticeWorkspace | None = None) -> MomentSurface:
+    """n-th moment of the discount factor, backward-zero, on the lattice.
+
+    The no-switch part carries the regime's integrated-rate Laplace
+    transform over the whole interval; a first switch at elapsed time
+    theta contributes the transform up to theta times the surface
+    restarted from the arriving rate and regime.  The accumulated
+    discount over [0, theta] and the arriving rate r(theta) are
+    dependent, so the restart is integrated against the discount-tilted
+    transition law (for which all three model kinds stay closed form);
+    with that pairing the single-regime case collapses to the plain
+    integrated-rate Laplace transform identically.
+    """
+    if n < 1 or int(n) != n:
+        raise ValueError("moment order n must be a positive integer")
+    ws = workspace or LatticeWorkspace(kernel, model, config)
+    return _solve(ws, _zcb_spec(ws, int(n)), order=int(n))
+
+
+def solve_rate_mean(kernel: SemiMarkovKernel, model: RegimeRateModel,
+                    config: SolverConfig,
+                    workspace: LatticeWorkspace | None = None) -> MomentSurface:
+    """First moment of the modulated rate, backward-zero, on the lattice."""
+    ws = workspace or LatticeWorkspace(kernel, model, config)
+    return _solve(ws, _rate_spec(ws))
+
+
+def _require_companion(surface: MomentSurface, quantity: str, ws: LatticeWorkspace):
+    if surface is None:
+        raise ValueError(f"this operation needs the {quantity} surface on matching grids")
+    if surface.quantity != quantity:
+        raise ValueError(f"companion surface is {surface.quantity}, expected {quantity}")
+    if (surface.s_nodes.size != ws.grid.n_steps + 1
+            or not np.allclose(surface.s_nodes, ws.thetas)
+            or not np.allclose(surface.x_nodes, ws.x_nodes)):
+        raise ValueError(f"{quantity} surface grids do not match the solver config")
+
+
+def solve_product_moment(h_lag: float, kernel: SemiMarkovKernel,
+                         model: RegimeRateModel, config: SolverConfig,
+                         rate_mean_surface: MomentSurface,
+                         workspace: LatticeWorkspace | None = None) -> MomentSurface:
+    """Lagged product moment E[delta(s) delta(s+h)], backward-zero.
+
+    Marched in s for one fixed lag, which must be a node of the solver
+    grid; three blocks per step.  No switch before s+h: the regime's own
+    two-point moment.  First switch inside (s, s+h]: couples the rate at
+    s with the rate-mean surface restarted at the switch; evaluated with
+    the exact two-stage quadrature E[r(s) * Rhat(arriving rate)] because
+    the rate at s and the arriving rate are correlated (a factorized
+    m(s) * E[Rhat] form drops that covariance, which Monte Carlo
+    resolves at cross-check precision).  First switch before s:
+    restarts the product moment itself, the recursive part handled by
+    the shared march.
+    """
+    ws = workspace or LatticeWorkspace(kernel, model, config)
+    _require_companion(rate_mean_surface, RATE_MEAN, ws)
+    return _solve(ws, _product_spec(ws, h_lag, rate_mean_surface), lag=float(h_lag))
+
+
+# ---------------------------------------------------------------------------
+# Evaluation with a positive initial age
+# ---------------------------------------------------------------------------
+
+def _workspace_for(surface: MomentSurface, quantity: str, kernel: SemiMarkovKernel,
+                   model: RegimeRateModel, r: float) -> LatticeWorkspace:
+    if surface.quantity != quantity:
+        raise ValueError(f"need a {quantity} surface, got {surface.quantity}")
+    surface.check_rate(r)
+    ws = surface.workspace
+    if ws is not None and ws.kernel is kernel and ws.model is model:
+        return ws
+    cfg = surface.meta.get("config")
+    if cfg is None:
+        raise ValueError("surface carries neither a workspace nor a config snapshot")
+    ws = LatticeWorkspace(kernel, model, SolverConfig(**cfg))
+    surface.workspace = ws
+    return ws
+
+
+def _aged_front(kernel: SemiMarkovKernel, i: int, age: float) -> float:
+    if age < 0:
+        raise ValueError("age must be nonnegative")
+    h_u = float(kernel.holding_cdf(i, age))
+    if h_u >= 1.0 - 1e-12:
+        raise DegenerateBackwardError(
+            f"state {i} at age {age}: no surviving mass to condition on"
+        )
+    return 1.0 - h_u
+
+
 def evaluate_zcb_moment(surface: MomentSurface, kernel: SemiMarkovKernel,
                         model: RegimeRateModel, i: int, u: float, r: float,
                         s: float) -> float:
     """Discount-factor moment for a start state already u years old.
 
-    One aged front-end pass over the backward-zero surface: survival
-    and switch densities are tilted by the age; everything under the
-    integral comes from the stored lattice with the same quadratures
-    the solver used, so u = 0 reproduces lattice values exactly.
+    One aged pass over the backward-zero surface: survival and switch
+    densities are tilted by the age; everything under the integral
+    comes from the stored lattice with the same quadratures the solver
+    used, so u = 0 reproduces lattice values exactly.
     """
-    if surface.quantity != ZCB_MOMENT:
-        raise ValueError(f"need a {ZCB_MOMENT} surface, got {surface.quantity}")
-    surface.check_rate(r)
-    ws = _workspace_for(surface, kernel, model)
-    return float(sum(
-        w * _eval_zcb_node(surface, ws, i, u, r, k) for k, w in _node_pair(surface, s)
-    ))
-
-
-def _eval_zcb_node(surface, ws, i, u, r, k):
-    if k == 0:
-        return 1.0
-    model, kernel = ws.model, ws.kernel
-    n = surface.order
-    h = ws.config.step
-    thetas = ws.thetas[: k + 1]
-    denom = _aged_front(kernel, i, u)
-    qdu = kernel.density_matrix(thetas + u)[:, i, :]       # (k+1, m)
-    bond_r = np.atleast_1d(model.bond_laplace(i, r, n, thetas))
-    s_k = float(thetas[k])
-    vals = surface.values                                  # (m, K+1, Nx)
-
-    acc = (1.0 - float(kernel.holding_cdf(i, s_k + u))) / denom * bond_r[k]
-    # elapsed time 0: the arriving-rate law is a point mass at r
-    point = np.array([np.interp(r, surface.x_nodes, vals[j, k]) for j in range(ws.m)])
-    acc += 0.5 * h / denom * bond_r[0] * float(qdu[0] @ point)
-    # far endpoint: the initial condition is identically 1
-    acc += 0.5 * h / denom * bond_r[k] * float(qdu[k].sum())
-    if k >= 2:
-        nodes, weights = _law_rules_along(
-            model, i, r, thetas[1:k], ws.config.quad_order, tilt=int(n)
-        )
-        inner = np.zeros(k - 1)
-        for j in range(ws.m):
-            tab = vals[j, k - 1:0:-1]                      # row l-1 -> surface at k-l
-            inner += qdu[1:k, j] * (
-                weights * _interp_rows(surface.x_nodes, tab, nodes)
-            ).sum(axis=1)
-        acc += h / denom * float(bond_r[1:k] @ inner)
-    return acc
+    ws = _workspace_for(surface, ZCB_MOMENT, kernel, model, r)
+    return _aged(ws, _zcb_spec(ws, surface.order), surface, i, u, r, _node_pair(surface, s))
 
 
 def evaluate_rate_mean(surface: MomentSurface, kernel: SemiMarkovKernel,
                        model: RegimeRateModel, i: int, u: float, r: float,
                        s: float) -> float:
     """Mean of the modulated rate at s for a start state already u old."""
-    if surface.quantity != RATE_MEAN:
-        raise ValueError(f"need a {RATE_MEAN} surface, got {surface.quantity}")
-    surface.check_rate(r)
-    ws = _workspace_for(surface, kernel, model)
-    return float(sum(
-        w * _eval_rate_mean_node(surface, ws, i, u, r, k)
-        for k, w in _node_pair(surface, s)
-    ))
-
-
-def _eval_rate_mean_node(surface, ws, i, u, r, k):
-    if k == 0:
-        return float(r)
-    model, kernel = ws.model, ws.kernel
-    h = ws.config.step
-    thetas = ws.thetas[: k + 1]
-    denom = _aged_front(kernel, i, u)
-    qdu = kernel.density_matrix(thetas + u)[:, i, :]
-    s_k = float(thetas[k])
-    vals = surface.values
-
-    acc = (1.0 - float(kernel.holding_cdf(i, s_k + u))) / denom * float(model.mean(i, r, s_k))
-    point = np.array([np.interp(r, surface.x_nodes, vals[j, k]) for j in range(ws.m)])
-    acc += 0.5 * h / denom * float(qdu[0] @ point)
-    acc += 0.5 * h / denom * float(qdu[k].sum()) * float(model.mean(i, r, s_k))
-    if k >= 2:
-        nodes, weights = _law_rules_along(model, i, r, thetas[1:k], ws.config.quad_order)
-        inner = np.zeros(k - 1)
-        for j in range(ws.m):
-            tab = vals[j, k - 1:0:-1]
-            inner += qdu[1:k, j] * (
-                weights * _interp_rows(surface.x_nodes, tab, nodes)
-            ).sum(axis=1)
-        acc += h / denom * float(inner.sum())
-    return acc
+    ws = _workspace_for(surface, RATE_MEAN, kernel, model, r)
+    return _aged(ws, _rate_spec(ws), surface, i, u, r, _node_pair(surface, s))
 
 
 def evaluate_product_moment(surface: MomentSurface, rate_mean_surface: MomentSurface,
                             kernel: SemiMarkovKernel, model: RegimeRateModel,
                             i: int, u: float, r: float, s: float) -> float:
     """Lagged product moment E[delta(s) delta(s+lag)] for an aged start."""
-    if surface.quantity != PRODUCT_MOMENT:
-        raise ValueError(f"need a {PRODUCT_MOMENT} surface, got {surface.quantity}")
-    surface.check_rate(r)
-    ws = _workspace_for(surface, kernel, model)
+    ws = _workspace_for(surface, PRODUCT_MOMENT, kernel, model, r)
     _require_companion(rate_mean_surface, RATE_MEAN, ws)
-    return float(sum(
-        w * _eval_product_node(surface, rate_mean_surface, ws, i, u, r, k)
-        for k, w in _node_pair(surface, s)
-    ))
-
-
-def _eval_product_node(surface, rate_mean_surface, ws, i, u, r, k):
-    model, kernel = ws.model, ws.kernel
-    h = ws.config.step
-    lag = float(surface.lag)
-    lag_idx = _lag_index(ws.grid, lag)
-    order = ws.config.quad_order
-    x_nodes = surface.x_nodes
-    denom = _aged_front(kernel, i, u)
-    s_k = float(ws.thetas[k])
-    vals = surface.values
-    rate_vals = rate_mean_surface.values
-
-    if k == 0:
-        # delta(0) = r is deterministic, so the product collapses to
-        # r times the aged rate mean at the lag
-        return float(r) * evaluate_rate_mean(rate_mean_surface, kernel, model, i, u, r, lag)
-
-    acc = (1.0 - float(kernel.holding_cdf(i, s_k + lag + u))) / denom \
-        * float(model.product_mean(i, r, s_k, lag))
-
-    # rule of the law of r(s_k) from r; reused by the mid window and the
-    # far endpoint (first-moment form: weights * nodes)
-    nodes_s, weights_s = _law_rules_along(model, i, r, np.array([s_k]), order)
-    first_moment_rule = weights_s[0] * nodes_s[0]
-
-    if lag_idx >= 1:
-        theta_win = s_k + np.arange(lag_idx + 1) * h
-        qdu_win = kernel.density_matrix(theta_win + u)[:, i, :]   # (L+1, m)
-        transfer = ws.transfer()
-        win_w = np.ones(lag_idx + 1)
-        win_w[0] = win_w[-1] = 0.5
-        combined = np.zeros(x_nodes.size)
-        for lp in range(lag_idx + 1):
-            mixed = np.einsum("j,jy->y", qdu_win[lp], rate_vals[:, lag_idx - lp, :])
-            combined += win_w[lp] * (transfer[i, lp] @ mixed)
-        acc += h / denom * float(
-            first_moment_rule @ np.interp(nodes_s[0], x_nodes, combined)
-        )
-
-    thetas = ws.thetas[: k + 1]
-    qdu = kernel.density_matrix(thetas + u)[:, i, :]
-    # recursive block, elapsed 0: point mass at r
-    point = np.array([np.interp(r, x_nodes, vals[j, k]) for j in range(ws.m)])
-    acc += 0.5 * h / denom * float(qdu[0] @ point)
-    # far endpoint: initial condition y * R(lag, y) via the first-moment rule
-    restart = np.einsum("j,jy->y", qdu[k], rate_vals[:, lag_idx, :])
-    acc += 0.5 * h / denom * float(
-        first_moment_rule @ np.interp(nodes_s[0], x_nodes, restart)
-    )
-    if k >= 2:
-        nodes, weights = _law_rules_along(model, i, r, thetas[1:k], order)
-        inner = np.zeros(k - 1)
-        for j in range(ws.m):
-            tab = vals[j, k - 1:0:-1]
-            inner += qdu[1:k, j] * (
-                weights * _interp_rows(x_nodes, tab, nodes)
-            ).sum(axis=1)
-        acc += h / denom * float(inner.sum())
-    return acc
+    spec = _product_spec(ws, float(surface.lag), rate_mean_surface)
+    return _aged(ws, spec, surface, i, u, r, _node_pair(surface, s))
 
 
 def covariance_surface(xi_surface: MomentSurface,

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rate_models import CIR, HULL_WHITE, VASICEK, RegimeRateModel
+from .rate_models import CIR, HULL_WHITE, VASICEK, RegimeRateModel, cir_exact_step
 from .semi_markov import (
     BackwardState,
     SemiMarkovKernel,
@@ -203,29 +203,6 @@ class _DrawPlan:
         return np.concatenate([z, -z])
 
 
-def _cir_step_var_dt(params, r, dt, gen):
-    """Exact CIR draws with a per-path step size."""
-    if params.sigma == 0.0:
-        if params.b != 0.0:
-            return params.a / params.b + (r - params.a / params.b) * np.exp(-params.b * dt)
-        return r + params.a * dt
-    if params.b != 0.0:
-        c = params.sigma**2 * -np.expm1(-params.b * dt) / (4.0 * params.b)
-    else:
-        c = params.sigma**2 * dt / 4.0
-    df = 4.0 * params.a / params.sigma**2
-    nc = np.maximum(r * np.exp(-params.b * dt) / c, 0.0)
-    if df > 0:
-        draw = gen.noncentral_chisquare(df, nc, size=r.shape)
-    else:
-        k = gen.poisson(nc / 2.0, size=r.shape)
-        draw = np.zeros(r.shape)
-        pos = k > 0
-        if pos.any():
-            draw[pos] = gen.chisquare(2.0 * k[pos])
-    return c * draw
-
-
 def _batch_exact_step(model: RegimeRateModel, states, r, dt, local_t0,
                       plan: _DrawPlan, mask=None) -> np.ndarray:
     """Advance each (masked) path by its own dt with the exact law.
@@ -277,7 +254,7 @@ def _batch_exact_step(model: RegimeRateModel, states, r, dt, local_t0,
         for i, p in enumerate(model.params):
             here = states_live == i
             if here.any():
-                new[here] = _cir_step_var_dt(p, r_live[here], d[here], plan.gen)
+                new[here] = cir_exact_step(p, r_live[here], d[here], plan.gen)
         out[live] = new
     return out
 

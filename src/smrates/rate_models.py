@@ -5,8 +5,9 @@ Three model kinds sit behind one interface: mean-reverting Gaussian
 piecewise-linear coefficient tables), and the square-root diffusion
 (CIR).  Each exposes, per regime state i and start rate r0:
 
-  * the transition law of r(t): mean, variance, a discrete quadrature,
-    and exact sampling of one step;
+  * the transition law of r(t): mean, variance, and exact sampling of
+    one step (the solvers' quadrature of it is assembled from the
+    Gauss-Hermite and chi-square rule builders below);
   * the law of the integrated rate: mean/variance (Gaussian kinds) and
     the Laplace transform E[exp(-n * int_0^s r)] used as the no-switch
     building block of the renewal solvers;
@@ -306,37 +307,8 @@ def cir_discounted_transition_constants(params: CIRParams, n: float, t: float):
 
 
 # ---------------------------------------------------------------------------
-# Quadrature of a transition law
+# Quadrature rules for transition laws
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RateQuadrature:
-    """Discrete stand-in for the transition law of r(t): sum w_q f(x_q)
-    approximates E[f(r(t))].  ``flagged`` marks a degraded fallback rule."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-    flagged: bool = False
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        if np.any(w < -1e-12):
-            raise ValueError("quadrature weights must be nonnegative")
-        if abs(w.sum() - 1.0) > 1e-12:
-            raise ValueError("quadrature weights must sum to 1")
-        if not np.all(np.isfinite(self.nodes)):
-            raise ValueError("quadrature nodes must be finite")
-
-    def mean(self) -> float:
-        return float(self.weights @ self.nodes)
-
-    def variance(self) -> float:
-        mu = self.mean()
-        return float(self.weights @ (self.nodes - mu) ** 2)
-
-    def laplace(self, lam: float) -> float:
-        return float(self.weights @ np.exp(-lam * self.nodes))
-
 
 def gauss_hermite_rule(order: int):
     """Probabilists' Gauss-Hermite rule: nodes/weights for N(0,1)."""
@@ -396,25 +368,6 @@ def ncx2_rule_batch(scale: float, df: float, nc, order: int):
     return nodes, weights
 
 
-def cir_quadrature_batch(params: CIRParams, r0, t: float, order: int):
-    """Quadrature against the plain CIR transition law, one rule per r0."""
-    r0 = np.atleast_1d(np.asarray(r0, dtype=float))
-    c, df, decay = cir_transition_constants(params, t)
-    return ncx2_rule_batch(float(c), df, r0 * decay / float(c), order)
-
-
-def _cir_quantile_rule(params: CIRParams, r0: float, t: float, order: int):
-    """Equal-probability stratification through the exact quantile
-    function; robust when the density blows up at the origin."""
-    c, df, decay = cir_transition_constants(params, t)
-    c = float(c)
-    nc = float(r0) * decay / c
-    q = (np.arange(order) + 0.5) / order
-    nodes = c * sp_stats.ncx2.ppf(q, df, nc)
-    weights = np.full(order, 1.0 / order)
-    return nodes, weights
-
-
 # ---------------------------------------------------------------------------
 # The model facade
 # ---------------------------------------------------------------------------
@@ -452,10 +405,6 @@ class RegimeRateModel:
     @property
     def gaussian_transition(self) -> bool:
         return self.kind in (VASICEK, HULL_WHITE)
-
-    @property
-    def closed_form_bond_laplace(self) -> bool:
-        return True
 
     def _p(self, i: int):
         return self.params[i]
@@ -629,36 +578,7 @@ class RegimeRateModel:
             raise NumericsError("bond Laplace transform produced NaN")
         return out
 
-    # -- quadrature and sampling -------------------------------------------
-
-    def quadrature(self, i: int, r0: float, t: float, order: int) -> RateQuadrature:
-        """Discrete measure matching the transition law of r(t) from r0."""
-        if order < 1:
-            raise ValueError("order must be >= 1")
-        if t < 0:
-            raise ValueError("t must be nonnegative")
-        p = self._p(i)
-        if self.gaussian_transition:
-            m = self.mean(i, r0, t)
-            sd = float(np.sqrt(self.variance(i, r0, t)))
-            nodes, weights = gaussian_quadrature_batch(np.array([m]), np.array([sd]), order)
-            return RateQuadrature(nodes[0], weights[0])
-        # CIR
-        if p.sigma == 0.0 or t == 0.0:
-            return RateQuadrature(
-                np.full(order, self.mean(i, r0, t)),
-                np.concatenate([[1.0], np.zeros(order - 1)]),
-            )
-        if p.feller_ratio >= 1.0 and order >= 32:
-            try:
-                nodes, weights = cir_quadrature_batch(p, np.array([r0]), t, order)
-                return RateQuadrature(nodes[0], weights[0])
-            except NumericsError:
-                pass
-        # quantile stratification: robust for low orders and for an
-        # attainable origin, where the density rule cannot be trusted
-        nodes, weights = _cir_quantile_rule(p, r0, t, order)
-        return RateQuadrature(nodes, weights, flagged=p.feller_ratio < 1.0)
+    # -- sampling -------------------------------------------------------------
 
     def step(self, i: int, r, dt: float, rng: np.random.Generator, t0: float = 0.0):
         """Exact draw of r(t0+dt) given r(t0) = r; vectorized over r.
@@ -706,8 +626,9 @@ class RegimeRateModel:
         return None
 
 
-def cir_exact_step(params: CIRParams, r, dt: float, rng: np.random.Generator):
-    """One exact CIR transition draw; vectorized over r, never negative."""
+def cir_exact_step(params: CIRParams, r, dt, rng: np.random.Generator):
+    """One exact CIR transition draw; vectorized over r and over dt (a
+    scalar step or one step per rate), never negative."""
     r = np.asarray(r, dtype=float)
     if params.sigma == 0.0:
         if params.b != 0.0:
@@ -716,7 +637,6 @@ def cir_exact_step(params: CIRParams, r, dt: float, rng: np.random.Generator):
             out = r + params.a * dt
         return out
     c, df, decay = cir_transition_constants(params, dt)
-    c = float(c)
     nc = r * decay / c
     if df > 0:
         draw = rng.noncentral_chisquare(df, np.maximum(nc, 0.0), size=r.shape if r.ndim else None)

@@ -140,14 +140,6 @@ class SemiMarkovKernel:
                 acc = acc + self.P[i, j] * self._G[i][j].cdf(t)
         return acc if acc.ndim else float(acc)
 
-    def holding_density(self, i: int, t):
-        self._check_index(i)
-        acc = np.zeros_like(np.asarray(t, dtype=float))
-        for j in range(self.m):
-            if self.P[i, j] > 0.0:
-                acc = acc + self.P[i, j] * self._G[i][j].pdf(t)
-        return acc if acc.ndim else float(acc)
-
     def density_matrix(self, ts) -> np.ndarray:
         """Stacked kernel derivative: shape (len(ts), m, m)."""
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
@@ -485,46 +477,16 @@ def sample_markov_renewal_path(
     return RenewalPath(np.asarray(times), np.asarray(states, dtype=np.int64))
 
 
-def sample_states_at(
+def _renewal_walk(
     kernel: SemiMarkovKernel,
     start: BackwardState,
     t: float,
     n_paths: int,
     rng: np.random.Generator,
-) -> np.ndarray:
-    """Occupied state at time t for n_paths independent trajectories
-    (vectorized; the diffusion layer is not involved)."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    cur = np.full(n_paths, start.state, dtype=np.int64)
-    if t == 0:
-        return cur
-    w, nxt = kernel.sample_aged_first(
-        start.state, start.age, rng.random(n_paths), rng.random(n_paths)
-    )
-    t_next = w.copy()
-    state_next = nxt
-    active = t_next <= t
-    while active.any():
-        cur[active] = state_next[active]
-        nxt2, w2 = kernel.sample_next_unconditional(
-            cur[active], rng.random(active.sum()), rng.random(active.sum())
-        )
-        t_next[active] = t_next[active] + w2
-        state_next = state_next.copy()
-        state_next[active] = nxt2
-        active = active & (t_next <= t)
-    return cur
-
-
-def count_jumps_by(
-    kernel: SemiMarkovKernel,
-    start: BackwardState,
-    t: float,
-    n_paths: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Number of jumps in (0, t] per path (vectorized)."""
+):
+    """Walk n_paths jump skeletons to time t (vectorized; the diffusion
+    layer is not involved).  Returns the occupied state at t and the
+    number of jumps in (0, t] per path."""
     counts = np.zeros(n_paths, dtype=np.int64)
     cur = np.full(n_paths, start.state, dtype=np.int64)
     w, nxt = kernel.sample_aged_first(
@@ -543,4 +505,30 @@ def count_jumps_by(
         state_next = state_next.copy()
         state_next[active] = nxt2
         active = active & (t_next <= t)
-    return counts
+    return cur, counts
+
+
+def sample_states_at(
+    kernel: SemiMarkovKernel,
+    start: BackwardState,
+    t: float,
+    n_paths: int,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Occupied state at time t for n_paths independent trajectories."""
+    if t < 0:
+        raise ValueError("t must be nonnegative")
+    if t == 0:
+        return np.full(n_paths, start.state, dtype=np.int64)
+    return _renewal_walk(kernel, start, t, n_paths, rng)[0]
+
+
+def count_jumps_by(
+    kernel: SemiMarkovKernel,
+    start: BackwardState,
+    t: float,
+    n_paths: int,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Number of jumps in (0, t] per path."""
+    return _renewal_walk(kernel, start, t, n_paths, rng)[1]

@@ -69,6 +69,24 @@ def test_missing_field_paths(tmp_path):
         ExperimentConfig.from_dict(data)
 
 
+@pytest.mark.parametrize("command, block, key, value", [
+    ("moments", "moments", "lags", [1.5]),              # beyond the horizon
+    ("validate", "validate", "lags", [0.123]),          # not a multiple of the step
+    ("simulate", "simulate", "targets", [{"quantity": "rate_moments", "s": 0.5,
+                                          "lag": 0.123, "reps": 1000}]),
+    ("validate", "validate", "occupancy_times", [0.33]),
+])
+def test_off_grid_times_exit_2(tmp_path, capsys, command, block, key, value):
+    data = load_config(SINGLE)
+    data["solver"]["step"] = 0.05
+    data["solver"]["horizon"] = 1.0
+    data[block][key] = value
+    rc = main([command, "--config", str(dump(tmp_path, data)),
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert f"field {block}.{key}" in capsys.readouterr().err
+
+
 def test_numeric_failure_exit_3(tmp_path, capsys):
     data = load_config(SINGLE)
     data["solver"]["rate_lo"] = 0.029

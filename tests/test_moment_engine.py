@@ -137,14 +137,22 @@ def test_evaluator_trivial_maturities(solved_testbed):
 
 
 def test_evaluator_interpolates_in_maturity(solved_testbed):
-    ws, v1, _, _, _ = solved_testbed
+    ws, v1, _, r, xi = solved_testbed
     kern, model = ws.kernel, ws.model
+    evaluators = (
+        lambda u, s: evaluate_zcb_moment(v1, kern, model, 0, u, 0.03, s),
+        lambda u, s: evaluate_rate_mean(r, kern, model, 0, u, 0.03, s),
+        lambda u, s: evaluate_product_moment(xi, r, kern, model, 0, u, 0.03, s),
+    )
     s = 0.503  # off the 0.01 grid on purpose
     k = int(s / ws.config.step)
-    lo = evaluate_zcb_moment(v1, kern, model, 0, 0.0, 0.03, ws.thetas[k])
-    hi = evaluate_zcb_moment(v1, kern, model, 0, 0.0, 0.03, ws.thetas[k + 1])
-    val = evaluate_zcb_moment(v1, kern, model, 0, 0.0, 0.03, s)
-    assert min(lo, hi) - 1e-12 <= val <= max(lo, hi) + 1e-12
+    w = s / ws.config.step - k
+    for evaluate in evaluators:
+        for u in (0.0, 0.4):
+            lo = evaluate(u, ws.thetas[k])
+            hi = evaluate(u, ws.thetas[k + 1])
+            assert evaluate(u, s) == pytest.approx((1.0 - w) * lo + w * hi,
+                                                   rel=1e-13, abs=1e-13)
 
 
 def test_rate_grid_refusals(solved_testbed):
@@ -332,6 +340,15 @@ def test_hull_white_renewal_solver_vs_mc(kern_single):
 
     # modest replication counts: per-path regime clocks make Hull-White
     # batches markedly slower than the homogeneous kinds
+    # age zero reproduces the lattice through the Gaussian rules
+    for idx in (20, 30, 40):
+        for k in (37, 100):
+            s, x = ws.thetas[k], ws.x_nodes[idx]
+            assert abs(evaluate_zcb_moment(v1, kern_single, hw, 0, 0.0, x, s)
+                       - v1.values[0, k, idx]) <= 1e-8
+            assert abs(evaluate_rate_mean(r, kern_single, hw, 0, 0.0, x, s)
+                       - r.values[0, k, idx]) <= 1e-8
+
     start = BackwardState(0, 0.0)
     rep = estimate_zcb_moment(kern_single, hw, start, 0.03, 1, 1.0, 30000, 51)
     ana = evaluate_zcb_moment(v1, kern_single, hw, 0, 0.0, 0.03, 1.0)

@@ -15,6 +15,8 @@ from smrates import (
     cir_joint_laplace,
     cir_laplace_rate,
 )
+from smrates.moment_engine import _law_nodes_weights
+from smrates.rate_models import cir_transition_constants
 
 VAS = dict(a=1.0, b=0.05, sigma=0.02)
 CIRP = CIRParams(0.04, 1.0, 0.1)
@@ -331,30 +333,40 @@ def test_product_mean_vs_mc_two_point(vas):
 # quadrature of the transition law
 # ---------------------------------------------------------------------------
 
+def _rule_moments(nodes, weights):
+    mean = float(weights @ nodes)
+    return mean, float(weights @ (nodes - mean) ** 2)
+
+
 def test_quadrature_gaussian(vas):
-    q = vas.quadrature(0, 0.03, 0.7, 24)
-    assert abs(q.weights.sum() - 1.0) < 1e-12
-    assert abs(q.mean() - vas.mean(0, 0.03, 0.7)) <= 1e-10 * (1 + abs(q.mean()))
-    assert abs(q.variance() - vas.variance(0, 0.03, 0.7)) < 1e-8
-    single = vas.quadrature(0, 0.03, 0.7, 1)
-    assert single.nodes[0] == pytest.approx(vas.mean(0, 0.03, 0.7))
-    assert single.weights[0] == 1.0
+    nodes, weights = _law_nodes_weights(vas, 0, 0.03, 0.7, 24)
+    mean, var = _rule_moments(nodes[0], weights[0])
+    assert abs(weights.sum() - 1.0) < 1e-12
+    assert abs(mean - vas.mean(0, 0.03, 0.7)) <= 1e-10 * (1 + abs(mean))
+    assert abs(var - vas.variance(0, 0.03, 0.7)) < 1e-8
+    nodes, weights = _law_nodes_weights(vas, 0, 0.03, 0.7, 1)
+    assert nodes[0, 0] == pytest.approx(vas.mean(0, 0.03, 0.7))
+    assert weights[0, 0] == 1.0
 
 
 def test_quadrature_cir(cir):
-    q = cir.quadrature(0, 0.03, 0.5, 40)
-    assert abs(q.mean() - cir.mean(0, 0.03, 0.5)) < 1e-4
-    assert abs(q.variance() - cir.variance(0, 0.03, 0.5)) < 1e-4
-    assert abs(q.laplace(1.0) - cir_laplace_rate(CIRP, 1.0, 0.5, 0.03)) < 1e-4
-    assert not q.flagged
-    # attainable origin falls back to the stratified rule, flagged
+    nodes, weights = _law_nodes_weights(cir, 0, 0.03, 0.5, 40)
+    mean, var = _rule_moments(nodes[0], weights[0])
+    assert abs(mean - cir.mean(0, 0.03, 0.5)) < 1e-4
+    assert abs(var - cir.variance(0, 0.03, 0.5)) < 1e-4
+    assert abs(weights[0] @ np.exp(-nodes[0]) - cir_laplace_rate(CIRP, 1.0, 0.5, 0.03)) < 1e-4
+    # attainable origin: the equal-weight quantile rule the solver uses
     import warnings
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        rough = RegimeRateModel.cir([CIRParams(0.002, 1.0, 0.1)])
-    qf = rough.quadrature(0, 0.03, 0.5, 40)
-    assert qf.flagged
-    assert abs(qf.mean() - rough.mean(0, 0.03, 0.5)) < 1e-4
+        params = CIRParams(0.002, 1.0, 0.1)
+    rough = RegimeRateModel.cir([params])
+    nodes, weights = _law_nodes_weights(rough, 0, 0.03, 0.5, 40)
+    c, df, decay = cir_transition_constants(params, 0.5)
+    q = (np.arange(40) + 0.5) / 40
+    assert np.all(weights == 1.0 / 40)
+    assert np.array_equal(nodes[0], c * sp_stats.ncx2.ppf(q, df, 0.03 * decay / c))
+    assert abs(_rule_moments(nodes[0], weights[0])[0] - rough.mean(0, 0.03, 0.5)) < 1e-4
 
 
 # ---------------------------------------------------------------------------
