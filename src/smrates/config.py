@@ -30,6 +30,10 @@ from .rate_models import (
 from .semi_markov import SemiMarkovKernel
 from .sojourn import SojournDistribution
 
+# validate.maturities and validate.occupancy_times when the block omits
+# them; checked against the grid like explicit values
+VALIDATE_TIMES_DEFAULT = (1.0,)
+
 
 def _need(mapping: dict, key: str, path: str):
     if key not in mapping:
@@ -165,14 +169,14 @@ class ExperimentConfig:
 
     def _check_cross_fields(self):
         horizon = self.solver.horizon
-        for block, key in (
-            (self.moments, "maturities"),
-            (self.validate, "maturities"),
+        for path, values in (
+            ("moments.maturities", self.moments.get("maturities", [])),
+            ("validate.maturities", self.validate.get("maturities", VALIDATE_TIMES_DEFAULT)),
         ):
-            for s in block.get(key, []):
+            for s in values:
                 if s > horizon + 1e-12:
                     raise ConfigError(
-                        f"field {key}: maturity {s} exceeds the solver horizon {horizon}"
+                        f"field {path}: maturity {s} exceeds the solver horizon {horizon}"
                     )
         # lags and occupancy times index the solver grid
         grid = self.solver.time_grid()
@@ -180,7 +184,8 @@ class ExperimentConfig:
         for path, values in (
             ("moments.lags", self.moments.get("lags", [])),
             ("validate.lags", self.validate.get("lags", [])),
-            ("validate.occupancy_times", self.validate.get("occupancy_times", [])),
+            ("validate.occupancy_times",
+             self.validate.get("occupancy_times", VALIDATE_TIMES_DEFAULT)),
             ("simulate.targets[].lag", [tgt["lag"] for tgt in targets if "lag" in tgt]),
         ):
             for value in values:

@@ -3,12 +3,14 @@
 All output is a pure function of its inputs: floats are written with
 repr (shortest round-trip form), JSON keys are sorted, line endings are
 LF, and no timestamps or environment details are embedded, so reruns
-with the same configuration and seed are byte-identical.
+with the same configuration and seed at the same BLAS thread count are
+byte-identical.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 
 import numpy as np
@@ -24,6 +26,14 @@ def _fmt(x) -> str:
 
 def _open_csv(path):
     return open(path, "w", newline="\n", encoding="utf-8")
+
+
+def _csv_prefix(fields) -> str:
+    """fields quoted as the files' csv.writer quotes them, each followed
+    by the delimiter: the fixed leading columns of many rows."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([*fields, ""])
+    return buf.getvalue()[:-1]
 
 
 def write_phi_csv(path, grid: TimeGrid, kernel: SemiMarkovKernel,
@@ -52,7 +62,10 @@ def write_phi_csv(path, grid: TimeGrid, kernel: SemiMarkovKernel,
 def write_surface_csv(path, surface: MomentSurface, kernel: SemiMarkovKernel,
                       meta: str = ""):
     """Lattice dump: (quantity, state, s, x, value) with the config
-    fingerprint and grid parameters in comment headers."""
+    fingerprint and grid parameters in comment headers.
+
+    Written a maturity row at a time; repr of a Python float is the
+    same shortest round-trip form as _fmt."""
     with _open_csv(path) as fh:
         if meta:
             fh.write(f"# {meta}\n")
@@ -68,22 +81,22 @@ def write_surface_csv(path, surface: MomentSurface, kernel: SemiMarkovKernel,
         fh.write("# " + " ".join(bits) + "\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["quantity", "state", "s", "x", "value"])
+        s_text = [repr(s) for s in surface.s_nodes.tolist()]
+        x_text = [repr(x) for x in surface.x_nodes.tolist()]
         for i in range(surface.n_states):
             name = kernel.states[i] if i < len(kernel.states) else str(i)
-            for k, s in enumerate(surface.s_nodes):
-                for p, x in enumerate(surface.x_nodes):
-                    writer.writerow([
-                        surface.quantity, name, _fmt(s), _fmt(x),
-                        _fmt(surface.values[i, k, p]),
-                    ])
+            prefix = _csv_prefix([surface.quantity, name])
+            for s, row in zip(s_text, surface.values[i].tolist()):
+                head = f"{prefix}{s},"
+                fh.write("".join(f"{head}{x},{v!r}\n" for x, v in zip(x_text, row)))
 
 
 def surface_to_json_dict(surface: MomentSurface) -> dict:
     out = {
         "quantity": surface.quantity,
-        "s_nodes": [float(v) for v in surface.s_nodes],
-        "x_nodes": [float(v) for v in surface.x_nodes],
-        "values": [[[float(v) for v in row] for row in state] for state in surface.values],
+        "s_nodes": surface.s_nodes.tolist(),
+        "x_nodes": surface.x_nodes.tolist(),
+        "values": surface.values.tolist(),
     }
     if surface.order is not None:
         out["order"] = int(surface.order)

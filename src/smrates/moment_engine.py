@@ -18,6 +18,15 @@ rate use the model's transition-law quadratures, scattered onto the
 lattice as linear-interpolation weights ("transfer operators") that are
 prebuilt per (state, elapsed time) and shared across quantities.
 
+Each transfer stack exists once, in the layout the march reads: per
+state one (Nx, (K+1)*Nx) matrix whose column block l is the operator at
+elapsed time theta_l, so a step's whole history sum is one
+matrix-vector product.  A discount-tilted stack carries its no-switch
+discount as a row weight.  Stacks are built a chunk of elapsed times at
+a time: the chunk's rules are scattered onto the lattice in one
+``np.bincount`` pass, which bounds the temporaries and sums every
+lattice cell in the same order as consecutive ``np.add.at`` passes.
+
 Each quantity is written down once, as a small spec (_Spec), and every
 spec runs through the same two evaluations: the lattice march and the
 aged pass.  Evaluating at a positive initial age u is a single
@@ -47,6 +56,9 @@ from .semi_markov import SemiMarkovKernel, TimeGrid
 # floor on the Gauss-Legendre order for chi-square transition rules; below
 # this the rule cannot resolve the density bump inside its bracket
 _CIR_MIN_ORDER = 48
+# elapsed times scattered per batched pass of a transfer build; bounds the
+# pass's temporary arrays
+_SCATTER_CHUNK = 16
 
 ZCB_MOMENT = "zcb_moment"
 RATE_MEAN = "rate_mean"
@@ -126,6 +138,13 @@ class MomentSurface:
 
     @property
     def step(self) -> float:
+        """Grid step, from the solver config snapshot when there is one
+        (a covariance surface at lag = horizon keeps a single row)."""
+        cfg = self.meta.get("config")
+        if cfg is not None:
+            return float(cfg["step"])
+        if self.s_nodes.size < 2:
+            raise ValueError("a one-row surface without a config snapshot has no step")
         return float(self.s_nodes[1] - self.s_nodes[0])
 
     def check_rate(self, x: float):
@@ -249,37 +268,48 @@ def _law_nodes_weights(model: RegimeRateModel, i: int, r0, t, order: int,
     return nodes, weights
 
 
-def _transfer_from_rule(x_nodes, nodes, weights, first_moment=False):
-    """Scatter per-row quadrature rules into lattice interpolation weights.
-
-    Row p applied to a vector of lattice values v gives
-    sum_q w_q * vhat(y_q) (first_moment: sum_q w_q * y_q * vhat(y_q)),
-    with vhat the piecewise-linear interpolant clamped at the lattice
-    ends.  Also returns the quadrature mass falling off the lattice per
-    row so callers can police grid coverage.
-    """
-    n_rows, _ = nodes.shape
-    nx = x_nodes.size
+def _escaped(x_nodes, nodes, weights) -> np.ndarray:
+    """Quadrature mass falling off the lattice, per rule (row)."""
     lo, hi = x_nodes[0], x_nodes[-1]
     slack = 1e-12 * max(1.0, hi - lo)
-    escape = np.where((nodes < lo - slack) | (nodes > hi + slack), weights, 0.0).sum(axis=1)
+    return np.where((nodes < lo - slack) | (nodes > hi + slack), weights, 0.0).sum(axis=-1)
 
-    y = np.clip(nodes, lo, hi)
+
+def _scatter(x_nodes, nodes, weights, first_moment=False) -> np.ndarray:
+    """Scatter quadrature rules into lattice interpolation weights.
+
+    nodes, weights have shape (L, Nx, Q): rule q of row p in block l.
+    Returns (L, Nx, Nx) blocks whose row p applied to a vector of lattice
+    values v gives sum_q w_q * vhat(y_q) (first_moment: sum_q w_q * y_q *
+    vhat(y_q)), with vhat the piecewise-linear interpolant clamped at the
+    lattice ends.  One bincount over the whole batch; per row it adds
+    every (1 - frac) term and then every frac term, in rule order.
+    """
+    n_blocks, n_rows, _ = nodes.shape
+    nx = x_nodes.size
+    y = np.clip(nodes, x_nodes[0], x_nodes[-1])
     idx = np.clip(np.searchsorted(x_nodes, y, side="right") - 1, 0, nx - 2)
     gap = x_nodes[idx + 1] - x_nodes[idx]
     frac = np.clip((y - x_nodes[idx]) / gap, 0.0, 1.0)
     w_eff = weights * nodes if first_moment else weights
-    mat = np.zeros((n_rows, nx))
-    rows = np.broadcast_to(np.arange(n_rows)[:, None], nodes.shape)
-    np.add.at(mat, (rows, idx), w_eff * (1.0 - frac))
-    np.add.at(mat, (rows, idx + 1), w_eff * frac)
-    return mat, escape
+    cells = np.concatenate([idx, idx + 1], axis=-1)
+    cells += nx * np.arange(n_blocks * n_rows).reshape(n_blocks, n_rows, 1)
+    terms = np.concatenate([w_eff * (1.0 - frac), w_eff * frac], axis=-1)
+    out = np.bincount(cells.ravel(), weights=terms.ravel(), minlength=n_blocks * n_rows * nx)
+    return out.reshape(n_blocks, n_rows, nx)
+
+
+def _blocks(stack: np.ndarray, i: int) -> np.ndarray:
+    """(K+1, Nx, Nx) view of state i's packed transfer matrix: [l] is the
+    operator at elapsed time theta_l."""
+    nx = stack.shape[1]
+    return stack[i].reshape(nx, -1, nx).transpose(1, 0, 2)
 
 
 class LatticeWorkspace:
     """Reusable per-(kernel, model, config) solver state: the rate
     lattice, kernel tables on the time grid, the factored implicit-step
-    matrix, and the stacked transfer operators."""
+    matrix, and the packed transfer stacks."""
 
     def __init__(self, kernel: SemiMarkovKernel, model: RegimeRateModel,
                  config: SolverConfig):
@@ -313,7 +343,6 @@ class LatticeWorkspace:
             self._core = np.ones_like(self.x_nodes, dtype=bool)
         self._transfer = {}
         self._transfer_m1 = None
-        self._packed_plain = None
 
     @property
     def m(self) -> int:
@@ -329,42 +358,47 @@ class LatticeWorkspace:
             )
 
     def transfer(self, tilt: int = 0) -> np.ndarray:
-        """T[i, l] maps lattice values v to E[vhat(r(theta_l)) | r(0)=x],
-        under the discount tilt exp(-tilt * int r) when tilt > 0."""
+        """Packed (m, Nx, (K+1)*Nx) stack: column block l of state i's
+        matrix maps lattice values v to E[vhat(r(theta_l)) | r(0)=x].
+        With tilt = n > 0 the law is the discount-tilted one and row x
+        carries the no-switch discount E[exp(-n int_0^theta_l r)], so the
+        block maps v to E[exp(-n int_0^theta_l r) vhat(r(theta_l))]."""
         if tilt not in self._transfer:
-            self._transfer[tilt] = self._build(first_moment=False, tilt=tilt)
+            self._transfer[tilt] = self._build(tilt=tilt)
         return self._transfer[tilt]
 
     def transfer_first_moment(self) -> np.ndarray:
-        """Same stack for E[r(theta_l) * vhat(r(theta_l)) | r(0)=x]."""
+        """Same packed stack for E[r(theta_l) * vhat(r(theta_l)) | r(0)=x]."""
         if self._transfer_m1 is None:
             self._transfer_m1 = self._build(first_moment=True)
         return self._transfer_m1
 
-    def packed_plain(self) -> np.ndarray:
-        """Plain transition-law stack in the packed march layout."""
-        if self._packed_plain is None:
-            self._packed_plain = _pack_transfer(self.transfer())
-        return self._packed_plain
-
-    def _build(self, first_moment: bool, tilt: int = 0) -> np.ndarray:
-        m, nx = self.m, self.x_nodes.size
-        k_max = self.grid.n_steps
+    def _build(self, tilt: int = 0, first_moment: bool = False) -> np.ndarray:
+        """One packed stack, scattered _SCATTER_CHUNK elapsed times at a
+        time; a tilted stack's rows are scaled by the discount after the
+        scatter."""
+        m, nx, kp1 = self.m, self.x_nodes.size, self.thetas.size
         order = self.config.quad_order
-        out = np.empty((m, k_max + 1, nx, nx))
+        packed = np.empty((m, nx, kp1 * nx))
         for i in range(m):
-            out[i, 0] = np.diag(self.x_nodes) if first_moment else np.eye(nx)
-            for l in range(1, k_max + 1):
-                nodes, weights = _law_nodes_weights(
-                    self.model, i, self.x_nodes, float(self.thetas[l]), order,
-                    tilt=tilt,
-                )
-                mat, escape = _transfer_from_rule(
-                    self.x_nodes, nodes, weights, first_moment=first_moment
-                )
-                self._check_coverage(escape, f"state {i}, elapsed {self.thetas[l]:.4g}")
-                out[i, l] = mat
-        return out
+            blocks = _blocks(packed, i)
+            blocks[0] = np.diag(self.x_nodes) if first_moment else np.eye(nx)
+            for l0 in range(1, kp1, _SCATTER_CHUNK):
+                l1 = min(l0 + _SCATTER_CHUNK, kp1)
+                nodes, weights = [], []
+                for l in range(l0, l1):
+                    nd, wt = _law_nodes_weights(self.model, i, self.x_nodes,
+                                                float(self.thetas[l]), order, tilt=tilt)
+                    self._check_coverage(_escaped(self.x_nodes, nd, wt),
+                                         f"state {i}, elapsed {self.thetas[l]:.4g}")
+                    nodes.append(nd)
+                    weights.append(wt)
+                blocks[l0:l1] = _scatter(self.x_nodes, np.stack(nodes), np.stack(weights),
+                                         first_moment=first_moment)
+            if tilt:
+                discount = self.model.bond_laplace(i, self.x_nodes[:, None], tilt, self.thetas)
+                blocks *= np.asarray(discount).T[:, :, None]
+        return packed
 
     def meta(self) -> dict:
         return {
@@ -393,6 +427,9 @@ class _Spec:
                          under the discount-tilted law and f is also its
                          row weight w (the discount accumulated before
                          the switch); otherwise w = 1.
+                         The march reads the history from transfer(n),
+                         which carries that weight; tilt > 0 therefore
+                         means the discount moment of order n.
     initial(ctx)         (rows, rates) block at s = 0.
     endpoint(ctx, k)     sum_j qdot_ij(s_k) times the inner integral of
                          the known initial condition, the far end of the
@@ -435,7 +472,7 @@ class _Lattice:
         """E[r(theta_l) vhat(r(theta_l))] from every lattice rate, one
         lattice vector per row."""
         stack = self.ws.transfer_first_moment()
-        return np.stack([stack[i, l] @ vs[i] for i in self.rows])
+        return np.stack([_blocks(stack, i)[l] @ vs[i] for i in self.rows])
 
     def start(self, spec: _Spec, surface: MomentSurface, k: int) -> np.ndarray:
         """The surface's quantity at s_k, started where this context is."""
@@ -485,22 +522,6 @@ def _known(spec: _Spec, ctx, k: int) -> np.ndarray:
     return rhs
 
 
-def _pack_transfer(transfer: np.ndarray, weight=None) -> np.ndarray:
-    """Flatten a (m, K+1, Nx, Nx) transfer stack into per-state matrices
-    of shape (Nx, (K+1)*Nx) with elapsed-time-major columns, optionally
-    folding a per-(state, elapsed, x) weight into the rows, so the whole
-    interior convolution at one step is a single matrix-vector product.
-    """
-    m, kp1, nx, _ = transfer.shape
-    out = np.empty((m, nx, kp1 * nx))
-    for i in range(m):
-        block = transfer[i]
-        if weight is not None:
-            block = block * weight[i][:, :, None]
-        out[i] = np.ascontiguousarray(block.transpose(1, 0, 2)).reshape(nx, kp1 * nx)
-    return out
-
-
 def _march(ws: LatticeWorkspace, spec: _Spec) -> np.ndarray:
     """Trapezoidal forward march of a spec over the whole lattice.
 
@@ -516,8 +537,7 @@ def _march(ws: LatticeWorkspace, spec: _Spec) -> np.ndarray:
     m = ws.m
     nx = ws.x_nodes.size
     qd = ws.qdot
-    packed = (_pack_transfer(ws.transfer(spec.tilt), weight=ctx.table)
-              if spec.tilt else ws.packed_plain())
+    packed = ws.transfer(spec.tilt)
     vals = np.empty((k_max + 1, m, nx))
     vals[0] = spec.initial(ctx)
     for k in range(1, k_max + 1):
@@ -641,7 +661,7 @@ def _product_spec(ws: LatticeWorkspace, lag: float, rate_surface: MomentSurface)
         restarts = []
         for row, i in enumerate(ctx.rows):
             mixed = np.einsum("lj,jlx->lx", ctx.qd[k:k + lag_idx + 1, row, :], rate_window)
-            inner = np.matmul(transfer[i, :lag_idx + 1], mixed[:, :, None])[:, :, 0]
+            inner = np.matmul(_blocks(transfer, i)[:lag_idx + 1], mixed[:, :, None])[:, :, 0]
             restarts.append(h * (win_w[:, None] * inner).sum(axis=0))
         return ctx.law_m1(k, np.stack(restarts))
 

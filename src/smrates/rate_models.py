@@ -19,6 +19,7 @@ lattice solvers can evaluate whole rate grids in one call.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -310,10 +311,26 @@ def cir_discounted_transition_constants(params: CIRParams, n: float, t: float):
 # Quadrature rules for transition laws
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
 def gauss_hermite_rule(order: int):
-    """Probabilists' Gauss-Hermite rule: nodes/weights for N(0,1)."""
+    """Probabilists' Gauss-Hermite rule: nodes/weights for N(0,1).
+
+    Computed once per order; the cached arrays are read-only."""
     x, w = np.polynomial.hermite.hermgauss(order)
-    return x * np.sqrt(2.0), w / np.sqrt(np.pi)
+    nodes, weights = x * np.sqrt(2.0), w / np.sqrt(np.pi)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
+@functools.lru_cache(maxsize=None)
+def gauss_legendre_rule(order: int):
+    """Gauss-Legendre nodes/weights on [-1, 1], computed once per order;
+    the cached arrays are read-only."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
 
 
 def gaussian_quadrature_batch(means, stds, order: int):
@@ -352,7 +369,7 @@ def ncx2_rule_batch(scale: float, df: float, nc, order: int):
     # Gauss-Legendre node spacing at mid-interval is ~pi*width/(2*order)
     lo = np.maximum(mean - 10.0 * std, 0.0)
     hi = mean + 12.0 * std
-    x, w = np.polynomial.legendre.leggauss(order)
+    x, w = gauss_legendre_rule(order)
     half = 0.5 * (hi - lo)
     nodes = lo[:, None] + half[:, None] * (x + 1.0)
     with np.errstate(over="ignore"):

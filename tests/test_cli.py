@@ -87,6 +87,21 @@ def test_off_grid_times_exit_2(tmp_path, capsys, command, block, key, value):
     assert f"field {block}.{key}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("missing", ["maturities", "occupancy_times"])
+def test_validate_default_times_beyond_horizon_exit_2(tmp_path, capsys, missing):
+    # the default [1.0] is checked at parse time like an explicit value
+    data = load_config(SINGLE)
+    data["solver"]["step"] = 0.05
+    data["solver"]["horizon"] = 0.5
+    data["validate"]["maturities"] = [0.5]
+    data["validate"]["occupancy_times"] = [0.5]
+    del data["validate"][missing]
+    rc = main(["validate", "--config", str(dump(tmp_path, data)),
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert f"field validate.{missing}" in capsys.readouterr().err
+
+
 def test_numeric_failure_exit_3(tmp_path, capsys):
     data = load_config(SINGLE)
     data["solver"]["rate_lo"] = 0.029
@@ -163,6 +178,24 @@ def test_cmd_moments_headers_and_values(moments_out):
 def test_cmd_moments_jensen_column(moments_out):
     rows = read_csv(moments_out / "zcb_moment_jensen.csv")
     assert min(float(r["value"]) for r in rows) >= -1e-8
+
+
+def test_cmd_moments_lag_equal_to_horizon(tmp_path):
+    # the covariance at lag = horizon keeps the single maturity s = 0
+    data = load_config(SINGLE)
+    data["solver"]["horizon"] = 0.5
+    data["validate"]["maturities"] = [0.5]
+    data["validate"]["occupancy_times"] = [0.5]
+    data["moments"]["lags"] = [0.0, 0.5]
+    rc = main(["moments", "--config", str(dump(tmp_path, data)),
+               "--out", str(tmp_path / "o")])
+    assert rc == 0
+    path = tmp_path / "o" / "covariance_h0p5.csv"
+    assert "step=0.002 " in path.read_text().splitlines()[1]
+    rows = read_csv(path)
+    assert {r["s"] for r in rows} == {"0.0"}
+    keys = [(r["state"], r["x"]) for r in rows]
+    assert len(keys) == len(set(keys)) == data["solver"]["rate_nodes"]
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,12 @@ from smrates import (
     cir_laplace_rate,
 )
 from smrates.moment_engine import _law_nodes_weights
-from smrates.rate_models import cir_transition_constants
+from smrates.rate_models import (
+    cir_transition_constants,
+    gauss_hermite_rule,
+    gauss_legendre_rule,
+    gaussian_quadrature_batch,
+)
 
 VAS = dict(a=1.0, b=0.05, sigma=0.02)
 CIRP = CIRParams(0.04, 1.0, 0.1)
@@ -336,6 +341,31 @@ def test_product_mean_vs_mc_two_point(vas):
 def _rule_moments(nodes, weights):
     mean = float(weights @ nodes)
     return mean, float(weights @ (nodes - mean) ** 2)
+
+
+@pytest.mark.parametrize("rule, mass", [(gauss_hermite_rule, 1.0), (gauss_legendre_rule, 2.0)])
+def test_cached_rules_are_read_only(rule, mass):
+    g, w = rule(24)
+    assert rule(24)[0] is g and rule(24)[1] is w
+    assert not g.flags.writeable and not w.flags.writeable
+    with pytest.raises(ValueError):
+        g[0] = 0.0
+    with pytest.raises(ValueError):
+        w *= 2.0
+    assert g.sum() == pytest.approx(0.0, abs=1e-12)
+    assert w.sum() == pytest.approx(mass, abs=1e-14)
+
+
+def test_gaussian_quadrature_batch_returns_fresh_arrays():
+    means, stds = np.array([0.01, 0.02, 0.03]), np.array([0.01, 0.0, 0.02])
+    nodes, weights = gaussian_quadrature_batch(means, stds, 8)
+    assert nodes.flags.writeable and weights.flags.writeable
+    ref_nodes, ref_weights = nodes.copy(), weights.copy()
+    nodes[...] = 7.0
+    weights[...] = 7.0
+    again = gaussian_quadrature_batch(means, stds, 8)
+    assert np.array_equal(again[0], ref_nodes)
+    assert np.array_equal(again[1], ref_weights)
 
 
 def test_quadrature_gaussian(vas):
