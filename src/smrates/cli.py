@@ -18,7 +18,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import VALIDATE_TIMES_DEFAULT, ExperimentConfig
+from .config import ExperimentConfig
 from .errors import ConfigError, NumericsError
 from .exports import (
     surface_to_json_dict,
@@ -235,14 +235,13 @@ def cmd_simulate(cfg: ExperimentConfig, out: Path) -> int:
 
 def cmd_validate(cfg: ExperimentConfig, out: Path) -> int:
     val = cfg.validate
+    maturities, occupancy_times = cfg.validate_times()
     z_max = float(val.get("z_threshold", 3.0))
     r0 = float(val.get("r0", cfg.solver.reference_rate))
     start_state = int(val.get("start_state", 0))
     ages = [float(u) for u in val.get("ages", [0.0])]
-    maturities = [float(s) for s in val.get("maturities", VALIDATE_TIMES_DEFAULT)]
     orders = [int(n) for n in val.get("orders", [1])]
     lags = [float(v) for v in val.get("lags", [0.0])]
-    occupancy_times = [float(t) for t in val.get("occupancy_times", VALIDATE_TIMES_DEFAULT)]
     reps_occupancy = int(val.get("reps_occupancy", 100000))
     reps_zcb = int(val.get("reps_zcb", 20000))
     reps_rate = int(val.get("reps_rate", 50000))

@@ -31,8 +31,22 @@ from .semi_markov import SemiMarkovKernel
 from .sojourn import SojournDistribution
 
 # validate.maturities and validate.occupancy_times when the block omits
-# them; checked against the grid like explicit values
-VALIDATE_TIMES_DEFAULT = (1.0,)
+# them; checked by validate_times(), where validate reads them
+_VALIDATE_TIMES_DEFAULT = (1.0,)
+
+
+def _check_maturities(path: str, values, horizon: float):
+    for s in values:
+        if s > horizon + 1e-12:
+            raise ConfigError(f"field {path}: maturity {s} exceeds the solver horizon {horizon}")
+
+
+def _check_on_grid(path: str, values, grid, horizon: float):
+    for value in values:
+        try:
+            grid.index_of(float(value))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"field {path}: {exc} within horizon {horizon}") from exc
 
 
 def _need(mapping: dict, key: str, path: str):
@@ -171,30 +185,19 @@ class ExperimentConfig:
         horizon = self.solver.horizon
         for path, values in (
             ("moments.maturities", self.moments.get("maturities", [])),
-            ("validate.maturities", self.validate.get("maturities", VALIDATE_TIMES_DEFAULT)),
+            ("validate.maturities", self.validate.get("maturities", [])),
         ):
-            for s in values:
-                if s > horizon + 1e-12:
-                    raise ConfigError(
-                        f"field {path}: maturity {s} exceeds the solver horizon {horizon}"
-                    )
+            _check_maturities(path, values, horizon)
         # lags and occupancy times index the solver grid
         grid = self.solver.time_grid()
         targets = self.simulate.get("targets", [])
         for path, values in (
             ("moments.lags", self.moments.get("lags", [])),
             ("validate.lags", self.validate.get("lags", [])),
-            ("validate.occupancy_times",
-             self.validate.get("occupancy_times", VALIDATE_TIMES_DEFAULT)),
+            ("validate.occupancy_times", self.validate.get("occupancy_times", [])),
             ("simulate.targets[].lag", [tgt["lag"] for tgt in targets if "lag" in tgt]),
         ):
-            for value in values:
-                try:
-                    grid.index_of(float(value))
-                except (TypeError, ValueError) as exc:
-                    raise ConfigError(
-                        f"field {path}: {exc} within horizon {horizon}"
-                    ) from exc
+            _check_on_grid(path, values, grid, horizon)
         for block in (self.phi, self.moments, self.simulate, self.validate):
             for age_key in ("age", "ages"):
                 ages = block.get(age_key)
@@ -206,6 +209,20 @@ class ExperimentConfig:
                             raise ConfigError(
                                 f"field {age_key}: age {u} saturates state {i}"
                             )
+
+    def validate_times(self) -> tuple[list[float], list[float]]:
+        """validate's maturities and occupancy times, defaults included.
+
+        Explicit values are checked at parse time; the default is checked
+        here, so only validate refuses a grid it does not fit.
+        """
+        maturities = [float(s) for s in self.validate.get("maturities", _VALIDATE_TIMES_DEFAULT)]
+        occupancy_times = [float(t) for t in
+                           self.validate.get("occupancy_times", _VALIDATE_TIMES_DEFAULT)]
+        _check_maturities("validate.maturities", maturities, self.solver.horizon)
+        _check_on_grid("validate.occupancy_times", occupancy_times,
+                       self.solver.time_grid(), self.solver.horizon)
+        return maturities, occupancy_times
 
     def config_hash(self) -> str:
         canon = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))

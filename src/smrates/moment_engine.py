@@ -396,7 +396,8 @@ class LatticeWorkspace:
                 blocks[l0:l1] = _scatter(self.x_nodes, np.stack(nodes), np.stack(weights),
                                          first_moment=first_moment)
             if tilt:
-                discount = self.model.bond_laplace(i, self.x_nodes[:, None], tilt, self.thetas)
+                discount = _no_switch_discount(self.model, tilt)(i, self.x_nodes[:, None],
+                                                                 self.thetas)
                 blocks *= np.asarray(discount).T[:, :, None]
         return packed
 
@@ -617,11 +618,16 @@ def _closed_endpoint(ctx, k: int) -> np.ndarray:
     return ctx.qd[k].sum(axis=1)[:, None] * ctx.table[:, k, :]
 
 
+def _no_switch_discount(model: RegimeRateModel, n: int) -> Callable:
+    """(i, r, thetas) -> E[exp(-n int_0^theta r) | r(0) = r] in state i:
+    the discount moment's table and the row weight of transfer(n)."""
+    return lambda i, r, thetas: model.bond_laplace(i, r, n, thetas)
+
+
 def _zcb_spec(ws: LatticeWorkspace, n: int) -> _Spec:
-    model = ws.model
     return _Spec(
         ZCB_MOMENT,
-        table=lambda i, r, t: model.bond_laplace(i, r, n, t),
+        table=_no_switch_discount(ws.model, n),
         initial=lambda ctx: np.ones((len(ctx.rows), ctx.rates.size)),
         endpoint=_closed_endpoint,
         tilt=n,

@@ -88,18 +88,34 @@ def test_off_grid_times_exit_2(tmp_path, capsys, command, block, key, value):
 
 
 @pytest.mark.parametrize("missing", ["maturities", "occupancy_times"])
-def test_validate_default_times_beyond_horizon_exit_2(tmp_path, capsys, missing):
-    # the default [1.0] is checked at parse time like an explicit value
+def test_validate_default_times_beyond_horizon_exit_2(tmp_path, capsys, monkeypatch, missing):
+    # the default [1.0] is refused before any Monte Carlo runs
     data = load_config(SINGLE)
     data["solver"]["step"] = 0.05
     data["solver"]["horizon"] = 0.5
     data["validate"]["maturities"] = [0.5]
     data["validate"]["occupancy_times"] = [0.5]
     del data["validate"][missing]
+
+    def no_monte_carlo(*args, **kwargs):
+        raise AssertionError("Monte Carlo ran before the config check")
+
+    monkeypatch.setattr("smrates.cli.estimate_state_occupancy", no_monte_carlo)
     rc = main(["validate", "--config", str(dump(tmp_path, data)),
                "--out", str(tmp_path / "o")])
     assert rc == 2
     assert f"field validate.{missing}" in capsys.readouterr().err
+
+
+def test_validate_defaults_do_not_bind_other_commands():
+    # a horizon below the validate default parses; only validate refuses it
+    data = load_config(SINGLE)
+    data["solver"]["step"] = 0.05
+    data["solver"]["horizon"] = 0.5
+    del data["validate"]
+    cfg = ExperimentConfig.from_dict(data)
+    with pytest.raises(ConfigError, match="field validate.maturities"):
+        cfg.validate_times()
 
 
 def test_numeric_failure_exit_3(tmp_path, capsys):
@@ -181,11 +197,12 @@ def test_cmd_moments_jensen_column(moments_out):
 
 
 def test_cmd_moments_lag_equal_to_horizon(tmp_path):
-    # the covariance at lag = horizon keeps the single maturity s = 0
+    # the covariance at lag = horizon keeps the single maturity s = 0;
+    # with no validate block, validate's default maturity 1.0 beyond the
+    # horizon does not stop moments
     data = load_config(SINGLE)
     data["solver"]["horizon"] = 0.5
-    data["validate"]["maturities"] = [0.5]
-    data["validate"]["occupancy_times"] = [0.5]
+    del data["validate"]
     data["moments"]["lags"] = [0.0, 0.5]
     rc = main(["moments", "--config", str(dump(tmp_path, data)),
                "--out", str(tmp_path / "o")])

@@ -2,8 +2,8 @@
 
 The oracle scatters every (state, elapsed time) rule on its own with two
 np.add.at passes, stacks the results as (m, K+1, Nx, Nx) and packs them
-into the march layout, folding the no-switch discount into the rows of a
-tilted stack.  The batched build must give the same bits.
+into the march layout, folding the discount moment's no-switch table
+into the rows of a tilted stack.  The batched build must give the same bits.
 """
 
 import warnings
@@ -22,7 +22,7 @@ from smrates import (
     SolverConfig,
     alternating_kernel,
 )
-from smrates.moment_engine import _SCATTER_CHUNK, _law_nodes_weights
+from smrates.moment_engine import _SCATTER_CHUNK, _law_nodes_weights, _zcb_spec
 
 
 def _oracle_rule_matrix(x_nodes, nodes, weights, first_moment=False):
@@ -67,10 +67,10 @@ def _oracle_stack(ws, tilt=0, first_moment=False):
             out[i, l] = mat
     weight = None
     if tilt:
-        weight = np.stack([
-            np.asarray(ws.model.bond_laplace(i, ws.x_nodes[:, None], tilt, ws.thetas)).T
-            for i in range(m)
-        ])
+        # the row weight is the discount moment's own no-switch table
+        table = _zcb_spec(ws, tilt).table
+        weight = np.stack([np.asarray(table(i, ws.x_nodes[:, None], ws.thetas)).T
+                           for i in range(m)])
     return _oracle_pack(out, weight)
 
 
