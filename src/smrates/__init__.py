@@ -48,12 +48,10 @@ from .rate_models import (
 )
 from .semi_markov import (
     BackwardState,
-    RenewalPath,
     SemiMarkovKernel,
     TimeGrid,
     alternating_kernel,
     backward_transition_probabilities,
-    sample_markov_renewal_path,
     transition_probabilities,
 )
 from .config import ExperimentConfig
@@ -74,7 +72,6 @@ __all__ = [
     "PathRecord",
     "PiecewiseLinear",
     "RegimeRateModel",
-    "RenewalPath",
     "RngStream",
     "SemiMarkovKernel",
     "SojournDistribution",
@@ -93,7 +90,6 @@ __all__ = [
     "evaluate_product_moment",
     "evaluate_rate_mean",
     "evaluate_zcb_moment",
-    "sample_markov_renewal_path",
     "simulate_batch",
     "simulate_path",
     "solve_product_moment",

@@ -94,8 +94,8 @@ def main(argv=None) -> int:
     try:
         return command(cfg, out)
     except ConfigError as exc:
-        # config defects only detectable while running, e.g. an unknown
-        # estimator target
+        # config defects a command checks before its work, e.g. a
+        # simulate target beyond the solver horizon
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except NumericsError as exc:
@@ -159,6 +159,7 @@ def cmd_moments(cfg: ExperimentConfig, out: Path) -> int:
 
 def cmd_simulate(cfg: ExperimentConfig, out: Path) -> int:
     sim = cfg.simulate
+    targets = cfg.simulate_targets()
     start = BackwardState(int(sim.get("start_state", 0)), float(sim.get("age", 0.0)))
     r0 = float(sim.get("r0", cfg.solver.reference_rate))
     horizon = float(sim.get("horizon", cfg.solver.horizon))
@@ -167,14 +168,10 @@ def cmd_simulate(cfg: ExperimentConfig, out: Path) -> int:
     meta = _meta(cfg)
 
     for p in range(n_paths):
-        if horizon == 0.0:
-            write_path_csv(out / f"path_{p:03d}.csv", None, meta=meta)
-            continue
         record = simulate_path(cfg.kernel, cfg.model, start, r0, horizon, step,
-                               RngStream(cfg.seed, p))
+                               RngStream(cfg.seed, p)) if horizon > 0 else None
         write_path_csv(out / f"path_{p:03d}.csv", record, meta=meta)
 
-    targets = sim.get("targets", [])
     reports = []
     if targets:
         ws = LatticeWorkspace(cfg.kernel, cfg.model, cfg.solver)
@@ -197,7 +194,7 @@ def cmd_simulate(cfg: ExperimentConfig, out: Path) -> int:
                 analytic = evaluate_zcb_moment(zcb_surfaces[n], cfg.kernel, cfg.model,
                                                start.state, start.age, r0, s)
                 entries = [(rep, analytic)]
-            elif quantity == "rate_moments":
+            else:  # rate_moments
                 lag = float(tgt.get("lag", 0.0))
                 if rate_surface is None:
                     rate_surface = solve_rate_mean(cfg.kernel, cfg.model, cfg.solver,
@@ -214,9 +211,6 @@ def cmd_simulate(cfg: ExperimentConfig, out: Path) -> int:
                     product_surfaces[lag], rate_surface, cfg.kernel, cfg.model,
                     start.state, start.age, r0, s)
                 entries = [(mean_rep, mean_an), (prod_rep, prod_an)]
-            else:
-                raise ConfigError(f"field simulate.targets[{idx}].quantity: "
-                                  f"unknown {quantity!r}")
             for rep, analytic in entries:
                 z = rep.z_score(analytic)
                 reports.append({

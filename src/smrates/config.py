@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .moment_engine import SolverConfig
+from .monte_carlo import MIN_REPLICATIONS
 from .rate_models import (
     CIR,
     HULL_WHITE,
@@ -37,8 +38,24 @@ _VALIDATE_TIMES_DEFAULT = (1.0,)
 
 def _check_maturities(path: str, values, horizon: float):
     for s in values:
+        _check_number(path, s)
         if s > horizon + 1e-12:
             raise ConfigError(f"field {path}: maturity {s} exceeds the solver horizon {horizon}")
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_number(path: str, value, positive: bool = False):
+    if not (_is_number(value) and (value > 0 if positive else value >= 0)):
+        kind = "positive" if positive else "nonnegative"
+        raise ConfigError(f"field {path}: {value!r} must be a {kind} number")
+
+
+def _check_integer(path: str, value, lo: int, hi: float = np.inf):
+    if not (_is_number(value) and float(value).is_integer() and lo <= value < hi):
+        raise ConfigError(f"field {path}: {value!r} must be an integer in [{lo}, {hi})")
 
 
 def _check_on_grid(path: str, values, grid, horizon: float):
@@ -198,17 +215,43 @@ class ExperimentConfig:
             ("simulate.targets[].lag", [tgt["lag"] for tgt in targets if "lag" in tgt]),
         ):
             _check_on_grid(path, values, grid, horizon)
-        for block in (self.phi, self.moments, self.simulate, self.validate):
+        for name in ("phi", "moments", "simulate", "validate"):
+            block = getattr(self, name)
             for age_key in ("age", "ages"):
                 ages = block.get(age_key)
                 if ages is None:
                     continue
                 for u in np.atleast_1d(ages):
+                    if u < 0:
+                        raise ConfigError(f"field {name}.{age_key}: age {u} is negative")
                     for i in range(self.kernel.m):
                         if float(self.kernel.holding_cdf(i, float(u))) >= 1.0 - 1e-12:
                             raise ConfigError(
-                                f"field {age_key}: age {u} saturates state {i}"
+                                f"field {name}.{age_key}: age {u} saturates state {i}"
                             )
+        # command fields fail here, not after the work that reads them
+        def given(block, key):
+            return [block[key]] if key in block else []
+
+        sim, val, m = self.simulate, self.validate, self.kernel.m
+        for path, values, lo, hi in (
+            ("simulate.start_state", given(sim, "start_state"), 0, m),
+            ("validate.start_state", given(val, "start_state"), 0, m),
+            ("simulate.paths", given(sim, "paths"), 0, np.inf),
+            ("moments.orders", self.moments.get("orders", []), 1, np.inf),
+            ("validate.orders", val.get("orders", []), 1, np.inf),
+            ("simulate.targets[].order", [t["order"] for t in targets if "order" in t], 1, np.inf),
+            ("simulate.targets[].reps", [t["reps"] for t in targets if "reps" in t],
+             MIN_REPLICATIONS, np.inf),
+            *((f"validate.{key}", given(val, key), MIN_REPLICATIONS, np.inf)
+              for key in ("reps_occupancy", "reps_zcb", "reps_rate")),
+        ):
+            for value in values:
+                _check_integer(path, value, lo, hi)
+        for value in given(sim, "step"):
+            _check_number("simulate.step", value, positive=True)
+        for value in given(sim, "horizon"):
+            _check_number("simulate.horizon", value)
 
     def validate_times(self) -> tuple[list[float], list[float]]:
         """validate's maturities and occupancy times, defaults included.
@@ -223,6 +266,18 @@ class ExperimentConfig:
         _check_on_grid("validate.occupancy_times", occupancy_times,
                        self.solver.time_grid(), self.solver.horizon)
         return maturities, occupancy_times
+
+    def simulate_targets(self) -> list[dict]:
+        """simulate's estimator targets, checked before it simulates
+        anything; the maturities are checked against the solver horizon
+        here, so only simulate refuses a horizon its targets do not fit."""
+        targets = self.simulate.get("targets", [])
+        for idx, tgt in enumerate(targets):
+            path = f"simulate.targets[{idx}]"
+            if _need(tgt, "quantity", path) not in ("zcb_moment", "rate_moments"):
+                raise ConfigError(f"field {path}.quantity: unknown {tgt['quantity']!r}")
+            _check_maturities(f"{path}.s", [_need(tgt, "s", path)], self.solver.horizon)
+        return targets
 
     def config_hash(self) -> str:
         canon = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))

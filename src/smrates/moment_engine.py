@@ -100,6 +100,8 @@ class SolverConfig:
             raise ValueError("need at least two rate nodes")
         if self.quad_order < 1:
             raise ValueError("quad_order must be >= 1")
+        if not self.mc_step > 0:
+            raise ValueError("mc_step must be positive")
         TimeGrid(self.step, self.horizon)  # validates divisibility
 
     def time_grid(self) -> TimeGrid:

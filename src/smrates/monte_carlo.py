@@ -8,9 +8,12 @@ node (the rate is continuous across switches), and the integral of the
 rate accumulates by the trapezoid rule, the only source of
 discretization bias.
 
-Estimators run all replications through a vectorized batch engine
-driven by one counter-based generator, so results are reproducible bit
-for bit from (seed, configuration).  They cross-check every analytic
+There is one engine: a vectorized batch march that moves every path by
+``RegimeRateModel.step``, the only exact transition draw.  The
+estimators read it at snapshot times; ``simulate_path`` is a one-path
+run of it recorded at every node it visits.  One counter-based
+generator drives each run, so results are reproducible bit for bit
+from (seed, configuration).  The estimators cross-check every analytic
 quantity of the solvers: discount-factor moments, the rate mean, the
 lagged product moment, and the occupancy law of the switching process.
 """
@@ -21,13 +24,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rate_models import CIR, HULL_WHITE, VASICEK, RegimeRateModel, cir_exact_step
-from .semi_markov import (
-    BackwardState,
-    SemiMarkovKernel,
-    sample_markov_renewal_path,
-    sample_states_at,
-)
+from .rate_models import CIR, HULL_WHITE, RegimeRateModel
+from .semi_markov import BackwardState, SemiMarkovKernel, sample_states_at
+
+# the estimators' floor on replications
+MIN_REPLICATIONS = 100
 
 
 @dataclass(frozen=True)
@@ -57,8 +58,9 @@ class PathRecord:
 
     states[k] is the regime in force on [times[k], times[k+1]);
     integral[k] accumulates the rate by the trapezoid rule up to
-    times[k].  Jump times are grid nodes and the rate is continuous
-    through them by construction.
+    times[k].  jump_times and jump_states list every jump, self-renewals
+    included; each jump time is a node, and the rate is continuous
+    through it by construction.
     """
 
     times: np.ndarray
@@ -113,66 +115,7 @@ def _report(samples: np.ndarray, seed: int, target: dict) -> EstimatorReport:
 
 
 # ---------------------------------------------------------------------------
-# Single-path simulation
-# ---------------------------------------------------------------------------
-
-def simulate_path(kernel: SemiMarkovKernel, model: RegimeRateModel,
-                  start: BackwardState, r0: float, horizon: float,
-                  step: float, rng) -> PathRecord:
-    """Simulate one modulated-rate trajectory up to the horizon.
-
-    Samples the jump skeleton first (aged first sojourn, then plain
-    renewal draws), refines the uniform grid with the jump times, and
-    advances the rate by exact transition steps between nodes; the
-    regime-local clock feeds any time-dependent coefficients.
-    """
-    if step <= 0:
-        raise ValueError("step must be positive")
-    if horizon < 0:
-        raise ValueError("horizon must be nonnegative")
-    seed_info = (rng.seed, rng.stream) if isinstance(rng, RngStream) else None
-    gen = _as_generator(rng)
-
-    skeleton = sample_markov_renewal_path(kernel, start, horizon, gen)
-    inside = (skeleton.times > 0) & (skeleton.times < horizon)
-    jump_times = skeleton.times[inside]
-    jump_states = skeleton.states[inside].astype(np.int64)
-
-    if horizon == 0:
-        return PathRecord(np.zeros(1), np.array([start.state]), np.array([float(r0)]),
-                          np.zeros(1), jump_times, jump_states, start, step,
-                          seed=seed_info)
-
-    n_steps = int(np.ceil(horizon / step - 1e-12))
-    base = np.arange(n_steps + 1) * step
-    base[-1] = horizon
-    times = np.unique(np.concatenate([base, jump_times]))
-
-    rates = np.empty_like(times)
-    integral = np.zeros_like(times)
-    states = np.empty(times.size, dtype=np.int64)
-    rates[0] = r0
-    states[0] = start.state
-
-    state = start.state
-    reg_start = 0.0
-    next_idx = 0
-    for k in range(1, times.size):
-        t_prev, t_cur = times[k - 1], times[k]
-        rates[k] = model.step(state, rates[k - 1], t_cur - t_prev, gen,
-                              t0=t_prev - reg_start)
-        integral[k] = integral[k - 1] + 0.5 * (rates[k - 1] + rates[k]) * (t_cur - t_prev)
-        if next_idx < jump_times.size and abs(t_cur - jump_times[next_idx]) < 1e-12:
-            state = int(jump_states[next_idx])
-            reg_start = t_cur
-            next_idx += 1
-        states[k] = state
-    return PathRecord(times, states, rates, integral, jump_times, jump_states,
-                      start, step, seed=seed_info)
-
-
-# ---------------------------------------------------------------------------
-# Vectorized batch engine
+# The batch engine
 # ---------------------------------------------------------------------------
 
 class _DrawPlan:
@@ -205,123 +148,61 @@ class _DrawPlan:
 
 def _batch_exact_step(model: RegimeRateModel, states, r, dt, local_t0,
                       plan: _DrawPlan, mask=None) -> np.ndarray:
-    """Advance each (masked) path by its own dt with the exact law.
-    Entries with dt ~ 0 pass through unchanged; Gaussian kinds still
-    consume their draw there so antithetic halves stay aligned."""
+    """Advance each (masked) path by its own dt through the model's exact
+    step on the plan's normals.  Gaussian kinds take a normal for every
+    masked path, still ones included, so antithetic halves stay aligned."""
+    z = plan.normal(mask) if model.gaussian_transition else None
+    if mask is None:
+        return model.step(states, r, dt, plan.gen, t0=local_t0, z=z)
     out = r.copy()
-    sel = np.ones(r.size, dtype=bool) if mask is None else mask
-    live = sel & (dt > 1e-15)
-    if not live.any():
-        if model.kind in (VASICEK, HULL_WHITE):
-            plan.normal(mask)
-        return out
-    if model.kind == VASICEK:
-        z = plan.normal(mask)[live[sel]]
-        a = np.array([p.a for p in model.params])[states[live]]
-        b = np.array([p.b for p in model.params])[states[live]]
-        sg = np.array([p.sigma for p in model.params])[states[live]]
-        d = dt[live]
-        mean = b + (r[live] - b) * np.exp(-a * d)
-        sd = np.sqrt(sg * sg / (2.0 * a) * -np.expm1(-2.0 * a * d))
-        out[live] = mean + sd * z
-    elif model.kind == HULL_WHITE:
-        z = plan.normal(mask)[live[sel]]
-        n_live = int(live.sum())
-        mean = np.empty(n_live)
-        var = np.empty(n_live)
-        states_live = states[live]
-        t0 = local_t0[live]
-        t1 = t0 + dt[live]
-        r_live = r[live]
-        for i, p in enumerate(model.params):
-            here = states_live == i
-            if not here.any():
-                continue
-            k0, k1 = p.k(t0[here]), p.k(t1[here])
-            mean[here] = np.exp(-k1) * (
-                np.exp(k0) * r_live[here]
-                + p.drift_integral(t1[here]) - p.drift_integral(t0[here])
-            )
-            var[here] = np.exp(-2.0 * k1) * (
-                p.variance_integral(t1[here]) - p.variance_integral(t0[here])
-            )
-        out[live] = mean + np.sqrt(np.maximum(var, 0.0)) * z
-    else:  # CIR: draws happen per state group, deterministic group order
-        states_live = states[live]
-        r_live = r[live]
-        d = dt[live]
-        new = np.empty(r_live.size)
-        for i, p in enumerate(model.params):
-            here = states_live == i
-            if here.any():
-                new[here] = cir_exact_step(p, r_live[here], d[here], plan.gen)
-        out[live] = new
+    out[mask] = model.step(states[mask], r[mask], dt[mask], plan.gen,
+                           t0=local_t0[mask] if np.ndim(local_t0) else local_t0, z=z)
     return out
 
 
-def simulate_batch(kernel: SemiMarkovKernel, model: RegimeRateModel,
-                   start: BackwardState, r0: float, snap_times, step: float,
-                   rng, n_paths: int, antithetic: bool = False):
-    """Run n_paths trajectories at once; returns (rates, integrals) of
-    shape (len(snap_times), n_paths) sampled at the requested times.
-
-    The batch marches over the union of the uniform grid and the
-    snapshot times; jumps inside a segment are handled by masked
-    substeps, so every regime switch happens exactly at its sampled
-    time with the rate continuous through it.  Antithetic mode pairs
-    path i with path i + n/2 and requires a Gaussian transition law.
-    """
-    if step <= 0:
-        raise ValueError("step must be positive")
-    if n_paths < 1:
-        raise ValueError("need at least one path")
-    if antithetic and model.kind == CIR:
-        raise ValueError("antithetic variates need a Gaussian transition law")
-    snap_times = np.sort(np.atleast_1d(np.asarray(snap_times, dtype=float)))
-    if snap_times.size == 0 or np.any(snap_times < 0):
-        raise ValueError("snapshot times must be nonnegative and nonempty")
-    gen = _as_generator(rng)
-    plan = _DrawPlan(gen, n_paths, antithetic)
-    horizon = float(snap_times[-1])
-
-    r_out = np.empty((snap_times.size, n_paths))
-    i_out = np.empty((snap_times.size, n_paths))
-
-    cur_r = np.full(n_paths, float(r0))
-    cur_i = np.zeros(n_paths)
-    cur_t = np.zeros(n_paths)
-    cur_state = np.full(n_paths, start.state, dtype=np.int64)
-    reg_start = np.zeros(n_paths)
-
-    snap_idx = 0
-    while snap_idx < snap_times.size and snap_times[snap_idx] <= 1e-15:
-        r_out[snap_idx] = cur_r
-        i_out[snap_idx] = cur_i
-        snap_idx += 1
-    if snap_idx == snap_times.size:
-        return r_out, i_out
-
-    w, nxt = kernel.sample_aged_first(
-        start.state, start.age, plan.uniform(), plan.uniform()
-    )
-    next_jump = w.copy()
-    next_state = nxt.astype(np.int64)
-
+def _grid_nodes(horizon: float, step: float, extra=()) -> np.ndarray:
+    """The uniform grid on (0, horizon], ending exactly at the horizon,
+    refined by the extra times."""
     n_steps = int(np.ceil(horizon / step - 1e-12))
     base = np.arange(1, n_steps + 1) * step
     base[-1] = horizon
-    nodes = np.unique(np.concatenate([base, snap_times[snap_idx:]]))
+    return np.unique(np.concatenate([base, extra]))
+
+
+def _run_batch(kernel: SemiMarkovKernel, model: RegimeRateModel,
+               start: BackwardState, r0: float, nodes, plan: _DrawPlan):
+    """March every path of the plan over the increasing ``nodes``.
+
+    A path whose next jump falls at or before a node is first advanced
+    to its jump time by a masked substep, switches regime there and
+    draws its next sojourn (the first one age-conditioned), so every
+    switch lands on its sampled time with the rate continuous through
+    it.  After every advance the generator yields
+    (jumped, times, rates, integrals, states): ``jumped`` marks the
+    paths that just switched, or is None once the whole batch stands on
+    the node.  The yielded arrays are live; copy what must persist.
+    """
+    n = plan.n
+    cur_r = np.full(n, float(r0))
+    cur_i = np.zeros(n)
+    cur_t = np.zeros(n)
+    cur_state = np.full(n, start.state, dtype=np.int64)
+    reg_start = np.zeros(n)
+    next_jump, next_state = kernel.sample_aged_first(
+        start.state, start.age, plan.uniform(), plan.uniform())
 
     def advance(target, mask):
         nonlocal cur_r, cur_i, cur_t
         dt = np.where(mask, target - cur_t, 0.0)
         r_prev = cur_r
-        cur_r = _batch_exact_step(model, cur_state, cur_r, dt,
-                                  cur_t - reg_start, plan, mask=None if mask.all() else mask)
+        # only the Hull-White coefficients read the regime-local clock
+        local_t0 = cur_t - reg_start if model.kind == HULL_WHITE else 0.0
+        cur_r = _batch_exact_step(model, cur_state, cur_r, dt, local_t0,
+                                  plan, mask=None if mask.all() else mask)
         cur_i = cur_i + 0.5 * (r_prev + cur_r) * dt
         cur_t = np.where(mask, target, cur_t)
 
-    all_mask = np.ones(n_paths, dtype=bool)
+    all_mask = np.ones(n, dtype=bool)
     for tb in nodes:
         while True:
             jumping = next_jump <= tb
@@ -335,12 +216,90 @@ def simulate_batch(kernel: SemiMarkovKernel, model: RegimeRateModel,
             )
             next_state[jumping] = nxt2
             next_jump[jumping] = cur_t[jumping] + w2
-        advance(np.full(n_paths, tb), all_mask)
-        while snap_idx < snap_times.size and snap_times[snap_idx] <= tb + 1e-12:
-            r_out[snap_idx] = cur_r
-            i_out[snap_idx] = cur_i
+            yield jumping, cur_t, cur_r, cur_i, cur_state
+        advance(np.full(n, tb), all_mask)
+        yield None, cur_t, cur_r, cur_i, cur_state
+
+
+def simulate_batch(kernel: SemiMarkovKernel, model: RegimeRateModel,
+                   start: BackwardState, r0: float, snap_times, step: float,
+                   rng, n_paths: int, antithetic: bool = False):
+    """Run n_paths trajectories at once; returns (rates, integrals) of
+    shape (len(snap_times), n_paths) sampled at the requested times.
+
+    The batch marches over the union of the uniform grid and the
+    snapshot times, with every path's jumps as extra substeps.
+    Antithetic mode pairs path i with path i + n/2 and requires a
+    Gaussian transition law.
+    """
+    if step <= 0:
+        raise ValueError("step must be positive")
+    if n_paths < 1:
+        raise ValueError("need at least one path")
+    if antithetic and model.kind == CIR:
+        raise ValueError("antithetic variates need a Gaussian transition law")
+    snap_times = np.sort(np.atleast_1d(np.asarray(snap_times, dtype=float)))
+    if snap_times.size == 0 or np.any(snap_times < 0):
+        raise ValueError("snapshot times must be nonnegative and nonempty")
+    plan = _DrawPlan(_as_generator(rng), n_paths, antithetic)
+
+    r_out = np.empty((snap_times.size, n_paths))
+    i_out = np.empty((snap_times.size, n_paths))
+    snap_idx = 0
+    while snap_idx < snap_times.size and snap_times[snap_idx] <= 1e-15:
+        r_out[snap_idx] = float(r0)
+        i_out[snap_idx] = 0.0
+        snap_idx += 1
+    if snap_idx == snap_times.size:
+        return r_out, i_out
+
+    nodes = _grid_nodes(float(snap_times[-1]), step, snap_times[snap_idx:])
+    for jumped, times, rates, integrals, _ in _run_batch(kernel, model, start, r0,
+                                                         nodes, plan):
+        if jumped is not None:
+            continue
+        while snap_idx < snap_times.size and snap_times[snap_idx] <= times[0] + 1e-12:
+            r_out[snap_idx] = rates
+            i_out[snap_idx] = integrals
             snap_idx += 1
     return r_out, i_out
+
+
+def simulate_path(kernel: SemiMarkovKernel, model: RegimeRateModel,
+                  start: BackwardState, r0: float, horizon: float,
+                  step: float, rng) -> PathRecord:
+    """Simulate one modulated-rate trajectory up to the horizon.
+
+    A one-path run of the batch engine, recorded at every node it
+    visits: the uniform grid refined by the path's jump times.  Every
+    jump is recorded, including a self-renewal that keeps the state;
+    a jump on a grid node is one node.
+    """
+    if step <= 0:
+        raise ValueError("step must be positive")
+    if horizon < 0:
+        raise ValueError("horizon must be nonnegative")
+    seed_info = (rng.seed, rng.stream) if isinstance(rng, RngStream) else None
+    times, states, rates, integral = [0.0], [start.state], [float(r0)], [0.0]
+    jump_times, jump_states = [], []
+    if horizon > 0:
+        plan = _DrawPlan(_as_generator(rng), 1, False)
+        for jumped, t, r, i, state in _run_batch(kernel, model, start, r0,
+                                                 _grid_nodes(horizon, step), plan):
+            if jumped is not None:
+                jump_times.append(t[0])
+                jump_states.append(state[0])
+            if t[0] == times[-1]:   # zero-length advance: same node, newest state
+                states[-1] = state[0]
+                continue
+            times.append(t[0])
+            states.append(state[0])
+            rates.append(r[0])
+            integral.append(i[0])
+    return PathRecord(np.array(times), np.array(states, dtype=np.int64),
+                      np.array(rates), np.array(integral), np.array(jump_times),
+                      np.array(jump_states, dtype=np.int64), start, step,
+                      seed=seed_info)
 
 
 # ---------------------------------------------------------------------------
@@ -360,13 +319,12 @@ def estimate_zcb_moment(kernel: SemiMarkovKernel, model: RegimeRateModel,
                         antithetic: bool = False) -> EstimatorReport:
     """Monte Carlo estimate of the n-th discount-factor moment over [0, s]:
     the mean of exp(-n * integral of the rate) across replications."""
-    if reps < 100:
-        raise ValueError("need at least 100 replications")
+    if reps < MIN_REPLICATIONS:
+        raise ValueError(f"need at least {MIN_REPLICATIONS} replications")
     if n < 1 or int(n) != n:
         raise ValueError("moment order n must be a positive integer")
-    rng = RngStream(int(seed)).generator()
-    _, integ = simulate_batch(kernel, model, start, r0, [s], step, rng, reps,
-                              antithetic=antithetic)
+    _, integ = simulate_batch(kernel, model, start, r0, [s], step, RngStream(int(seed)),
+                              reps, antithetic=antithetic)
     samples = _pair_average(np.exp(-n * integ[0]), antithetic)
     target = {"quantity": "zcb_moment", "order": int(n), "state": start.state,
               "age": start.age, "r0": r0, "s": s}
@@ -378,13 +336,13 @@ def estimate_rate_moments(kernel: SemiMarkovKernel, model: RegimeRateModel,
                           reps: int, seed: int, step: float = 0.01):
     """Joint Monte Carlo estimates of E[rate(s)] and E[rate(s) rate(s+h)]
     sampled on common paths; returns the two reports."""
-    if reps < 100:
-        raise ValueError("need at least 100 replications")
+    if reps < MIN_REPLICATIONS:
+        raise ValueError(f"need at least {MIN_REPLICATIONS} replications")
     if s < 0 or h < 0:
         raise ValueError("s and h must be nonnegative")
-    rng = RngStream(int(seed)).generator()
     snaps = [s] if h == 0 else [s, s + h]
-    rates, _ = simulate_batch(kernel, model, start, r0, snaps, step, rng, reps)
+    rates, _ = simulate_batch(kernel, model, start, r0, snaps, step, RngStream(int(seed)),
+                              reps)
     r_s = rates[0]
     r_sh = rates[-1]
     base = {"state": start.state, "age": start.age, "r0": r0, "s": s}
@@ -398,8 +356,8 @@ def estimate_state_occupancy(kernel: SemiMarkovKernel, start: BackwardState,
                              t: float, reps: int, seed: int):
     """Empirical occupancy law of the switching process at time t:
     (frequencies, standard errors) over the m states."""
-    if reps < 100:
-        raise ValueError("need at least 100 replications")
+    if reps < MIN_REPLICATIONS:
+        raise ValueError(f"need at least {MIN_REPLICATIONS} replications")
     rng = RngStream(int(seed)).generator()
     states = sample_states_at(kernel, start, t, reps, rng)
     freqs = np.bincount(states, minlength=kernel.m) / reps

@@ -32,6 +32,9 @@ VASICEK = "vasicek"
 HULL_WHITE = "hull_white"
 CIR = "cir"
 
+# exact steps at most this long leave the rate unchanged and take no draw
+_STILL = 1e-15
+
 
 # ---------------------------------------------------------------------------
 # Parameter containers
@@ -402,6 +405,9 @@ class RegimeRateModel:
         for p in self.params:
             if not isinstance(p, expected):
                 raise ValueError(f"{kind} model needs {expected.__name__} entries")
+        if kind == VASICEK:
+            self._vasicek_coefs = tuple(np.array([getattr(p, name) for p in self.params])
+                                        for name in ("a", "b", "sigma"))
 
     @classmethod
     def vasicek(cls, params) -> "RegimeRateModel":
@@ -597,34 +603,65 @@ class RegimeRateModel:
 
     # -- sampling -------------------------------------------------------------
 
-    def step(self, i: int, r, dt: float, rng: np.random.Generator, t0: float = 0.0):
-        """Exact draw of r(t0+dt) given r(t0) = r; vectorized over r.
+    def step(self, i, r, dt, rng: np.random.Generator, t0=0.0, z=None):
+        """Exact draw of r(t0+dt) given r(t0) = r; the one transition draw.
 
-        t0 is the regime-local start time; it only matters for the
-        time-dependent Hull-White coefficients.  Gaussian kinds draw
-        from the normal transition law, CIR from the scaled noncentral
-        chi-square, so composing steps is bias-free at any step size.
+        The regime i, the step dt and the regime-local start time t0
+        broadcast against r, so one call moves every entry in its own
+        regime by its own step (t0 only matters for the time-dependent
+        Hull-White coefficients).  Gaussian kinds use the standard
+        normals z, one per entry, and draw them from rng when z is not
+        given; CIR draws the scaled noncentral chi-square from rng,
+        regime by regime in index order.  Entries with dt ~ 0 keep their
+        rate and take no draw.  Composing steps is bias-free at any step
+        size.
         """
-        if dt < 0:
-            raise ValueError("dt must be nonnegative")
         r = np.asarray(r, dtype=float)
-        if dt == 0.0:
-            return r.copy() if r.ndim else float(r)
-        p = self._p(i)
-        if self.kind == VASICEK:
-            mean = p.b + (r - p.b) * np.exp(-p.a * dt)
-            sd = np.sqrt(p.sigma**2 / (2.0 * p.a) * -np.expm1(-2.0 * p.a * dt))
-            out = mean + sd * rng.standard_normal(r.shape if r.ndim else None)
-        elif self.kind == HULL_WHITE:
-            k0, k1 = p.k(t0), p.k(t0 + dt)
-            mean = np.exp(-k1) * (
-                np.exp(k0) * r + p.drift_integral(t0 + dt) - p.drift_integral(t0)
-            )
-            var = np.exp(-2.0 * k1) * (p.variance_integral(t0 + dt) - p.variance_integral(t0))
-            out = mean + np.sqrt(max(var, 0.0)) * rng.standard_normal(r.shape if r.ndim else None)
+        dt = np.asarray(dt, dtype=float)
+        if np.any(dt < 0):
+            raise ValueError("dt must be nonnegative")
+        shape = np.broadcast_shapes(np.shape(i), r.shape, dt.shape, np.shape(t0), np.shape(z))
+        moving = np.broadcast_to(dt > _STILL, shape)
+        if not moving.all():
+            out = np.array(np.broadcast_to(r, shape))
+            if moving.any():
+                i, dt, t0, z = (None if x is None else np.broadcast_to(x, shape)[moving]
+                                for x in (i, dt, t0, z))
+                out[moving] = self.step(i, out[moving], dt, rng, t0=t0, z=z)
+            return out if out.ndim else float(out)
+        if self.kind == CIR:
+            if z is not None:
+                raise ValueError("CIR steps draw from rng; normals are for Gaussian kinds")
+            out = self._per_regime(i, lambda p, r_, dt_: cir_exact_step(p, r_, dt_, rng),
+                                   r, dt)
         else:
-            out = cir_exact_step(p, r, dt, rng)
+            if z is None:
+                z = rng.standard_normal(shape or None)
+            if self.kind == VASICEK:
+                a, b, sg = (coef[i] for coef in self._vasicek_coefs)
+                mean = b + (r - b) * np.exp(-a * dt)
+                sd = np.sqrt(sg * sg / (2.0 * a) * -np.expm1(-2.0 * a * dt))
+                out = mean + sd * z
+            else:
+                out = self._per_regime(i, _hull_white_draw, r, dt, t0, z)
         return out if np.ndim(out) else float(out)
+
+    def _per_regime(self, i, fn, *arrays):
+        """fn(params, *arrays) evaluated regime by regime, in index order,
+        on the entries of each regime; a scalar i takes the arrays whole."""
+        if np.ndim(i) == 0:
+            return fn(self._p(int(i)), *arrays)
+        shape = np.broadcast_shapes(np.shape(i), *(np.shape(x) for x in arrays))
+        i = np.broadcast_to(i, shape)
+        arrays = [np.broadcast_to(x, shape) for x in arrays]
+        out = np.empty(shape)
+        for k, p in enumerate(self.params):
+            here = i == k
+            if here.all():
+                return fn(p, *arrays)
+            if here.any():
+                out[here] = fn(p, *(x[here] for x in arrays))
+        return out
 
     def long_run_mean(self, i: int) -> float | None:
         p = self._p(i)
@@ -641,6 +678,16 @@ class RegimeRateModel:
         if self.kind == CIR:
             return np.sqrt(p.a * p.sigma**2 / (2.0 * p.b**2)) if p.b > 0 else None
         return None
+
+
+def _hull_white_draw(p: HullWhiteParams, r, dt, t0, z):
+    """Gaussian Hull-White transition from regime-local time t0 to t0 + dt
+    driven by the standard normals z."""
+    t1 = t0 + dt
+    k0, k1 = p.k(t0), p.k(t1)
+    mean = np.exp(-k1) * (np.exp(k0) * r + p.drift_integral(t1) - p.drift_integral(t0))
+    var = np.exp(-2.0 * k1) * (p.variance_integral(t1) - p.variance_integral(t0))
+    return mean + np.sqrt(np.maximum(var, 0.0)) * z
 
 
 def cir_exact_step(params: CIRParams, r, dt, rng: np.random.Generator):

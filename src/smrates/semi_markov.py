@@ -4,8 +4,8 @@ The kernel is factored as Q_ij(t) = p_ij * G_ij(t): an embedded jump
 chain P plus a parametric holding-time law per edge.  On top of that
 this module computes the interval transition probabilities phi_ij(t)
 (time-marched Volterra equation of the second kind), their aged variant
-for a process that entered its current state u years ago, and samples
-(state, jump-time) paths, including the age-conditioned first sojourn.
+for a process that entered its current state u years ago, and the
+sojourn draws of the simulator, including the age-conditioned first one.
 """
 
 from __future__ import annotations
@@ -346,17 +346,15 @@ def transition_probabilities(kernel: SemiMarkovKernel, grid: TimeGrid) -> np.nda
     The convolution integrates the kernel exactly against a
     piecewise-linear interpolant of phi; the unknown at the current node
     appears in the first panel's weight, so each step solves one fixed
-    m x m linear system.  Row sums stay at 1 up to roundoff by
-    construction; a drift beyond 1e-4 still raises NumericsError as a
-    corruption guard.  Returns an array of shape (n_steps + 1, m, m).
+    m x m linear system.  The weights read the kernel's cdf and
+    truncated mean, never its density, so sojourn densities that are
+    infinite at 0 (Weibull or gamma shape < 1) march like any other.
+    Row sums stay at 1 up to roundoff by construction; a drift beyond
+    1e-4 still raises NumericsError as a corruption guard.  Returns an
+    array of shape (n_steps + 1, m, m).
     """
     m = kernel.m
     k_max = grid.n_steps
-    if not np.all(np.isfinite(kernel.density_matrix(grid.nodes))):
-        raise NumericsError(
-            "kernel density is not finite on the grid; use sojourn families "
-            "with finite densities for the transition-probability march"
-        )
     full, boundary = _convolution_weights(kernel, grid, 0.0)
     surv = kernel.survival_matrix(grid.nodes)
 
@@ -423,60 +421,6 @@ def backward_transition_probabilities(
 # Path sampling
 # ---------------------------------------------------------------------------
 
-@dataclass
-class RenewalPath:
-    """Jump skeleton of one trajectory: times[0] = 0 is the start record,
-    later entries are actual jumps; states[k] holds from times[k] on."""
-
-    times: np.ndarray
-    states: np.ndarray
-
-    def state_at(self, t: float) -> int:
-        idx = int(np.searchsorted(self.times, t, side="right") - 1)
-        return int(self.states[max(idx, 0)])
-
-
-def sample_markov_renewal_path(
-    kernel: SemiMarkovKernel,
-    start: BackwardState,
-    horizon: float,
-    rng: np.random.Generator,
-) -> RenewalPath:
-    """Sample (J_n, T_n) until the first jump at or past the horizon.
-
-    The first sojourn uses the age-conditioned law of ``start``; later
-    sojourns are unconditional draws from the kernel.  An absorbing
-    state ends the path early.
-    """
-    if horizon < 0:
-        raise ValueError("horizon must be nonnegative")
-    times = [0.0]
-    states = [start.state]
-    if horizon == 0:
-        return RenewalPath(np.array(times), np.array(states, dtype=np.int64))
-
-    t = 0.0
-    state = start.state
-    first = True
-    while t < horizon:
-        if kernel.is_absorbing(state):
-            break
-        if first:
-            w, nxt = kernel.sample_aged_first(state, start.age, rng.random(1), rng.random(1))
-            w, nxt = float(w[0]), int(nxt[0])
-            first = False
-        else:
-            nxt_arr, w_arr = kernel.sample_next_unconditional(
-                np.array([state]), rng.random(1), rng.random(1)
-            )
-            w, nxt = float(w_arr[0]), int(nxt_arr[0])
-        t += w
-        times.append(t)
-        states.append(nxt)
-        state = nxt
-    return RenewalPath(np.asarray(times), np.asarray(states, dtype=np.int64))
-
-
 def _renewal_walk(
     kernel: SemiMarkovKernel,
     start: BackwardState,
@@ -489,11 +433,8 @@ def _renewal_walk(
     number of jumps in (0, t] per path."""
     counts = np.zeros(n_paths, dtype=np.int64)
     cur = np.full(n_paths, start.state, dtype=np.int64)
-    w, nxt = kernel.sample_aged_first(
-        start.state, start.age, rng.random(n_paths), rng.random(n_paths)
-    )
-    t_next = w.copy()
-    state_next = nxt
+    t_next, state_next = kernel.sample_aged_first(
+        start.state, start.age, rng.random(n_paths), rng.random(n_paths))
     active = t_next <= t
     while active.any():
         counts[active] += 1
@@ -502,7 +443,6 @@ def _renewal_walk(
             cur[active], rng.random(active.sum()), rng.random(active.sum())
         )
         t_next[active] = t_next[active] + w2
-        state_next = state_next.copy()
         state_next[active] = nxt2
         active = active & (t_next <= t)
     return cur, counts

@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -116,6 +120,63 @@ def test_validate_defaults_do_not_bind_other_commands():
     cfg = ExperimentConfig.from_dict(data)
     with pytest.raises(ConfigError, match="field validate.maturities"):
         cfg.validate_times()
+
+
+def _zcb_target(**fields):
+    return [{"quantity": "zcb_moment", "s": 1.0, **fields}]
+
+
+@pytest.mark.parametrize("block, key, value, field", [
+    ("simulate", "start_state", 1, "simulate.start_state"),      # one state only
+    ("validate", "start_state", -1, "validate.start_state"),
+    ("simulate", "age", -0.1, "simulate.age"),
+    ("validate", "ages", [0.0, -0.5], "validate.ages"),
+    ("simulate", "step", 0.0, "simulate.step"),
+    ("simulate", "horizon", -1.0, "simulate.horizon"),
+    ("simulate", "paths", -2, "simulate.paths"),
+    ("moments", "orders", [1, 0], "moments.orders"),
+    ("validate", "orders", [2.5], "validate.orders"),
+    ("simulate", "targets", _zcb_target(reps=99), "simulate.targets[].reps"),
+    ("validate", "reps_occupancy", 99, "validate.reps_occupancy"),
+    ("validate", "reps_zcb", 10, "validate.reps_zcb"),
+    ("validate", "reps_rate", 0, "validate.reps_rate"),
+    ("simulate", "targets", _zcb_target(order=0), "simulate.targets[].order"),
+    ("simulate", "targets", _zcb_target(order=1.5), "simulate.targets[].order"),
+])
+def test_command_fields_exit_2_at_parse_time(tmp_path, capsys, block, key, value,
+                                                field):
+    data = load_config(SINGLE)
+    data[block][key] = value
+    with pytest.raises(ConfigError, match=re.escape(f"field {field}:")):
+        ExperimentConfig.from_dict(data)
+    rc = main([block, "--config", str(dump(tmp_path, data)),
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert f"field {field}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("targets, field", [
+    (_zcb_target(s=2.5), "simulate.targets[0].s"),
+    (_zcb_target() + [{"quantity": "sharpe_ratio", "s": 1.0}],
+     "simulate.targets[1].quantity"),
+])
+def test_simulate_targets_exit_2_before_simulating(tmp_path, capsys, monkeypatch,
+                                                   targets, field):
+    # refused before any path or Monte Carlo runs; the other commands
+    # still parse the config
+    data = load_config(SINGLE)
+    data["simulate"]["targets"] = targets
+    ExperimentConfig.from_dict(data)
+
+    def no_monte_carlo(*args, **kwargs):
+        raise AssertionError("simulation ran before the config check")
+
+    monkeypatch.setattr("smrates.cli.simulate_path", no_monte_carlo)
+    monkeypatch.setattr("smrates.cli.estimate_zcb_moment", no_monte_carlo)
+    rc = main(["simulate", "--config", str(dump(tmp_path, data)),
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert f"field {field}:" in capsys.readouterr().err
 
 
 def test_numeric_failure_exit_3(tmp_path, capsys):
@@ -344,3 +405,55 @@ def test_unknown_simulate_target_exit_2(tmp_path, capsys):
                "--out", str(tmp_path)])
     assert rc == 2
     assert "sharpe_ratio" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# determinism across BLAS thread counts
+# ---------------------------------------------------------------------------
+
+def _moments_files(cfg_path, out, threads):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, "-m", "smrates.cli", "moments", "--config",
+                    str(cfg_path), "--out", str(out)], env=env, check=True,
+                   capture_output=True)
+    return {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+
+
+def _numbers(name, blob):
+    """Every number a moments file holds, in file order."""
+    if name.endswith(".json"):
+        def walk(node):
+            if isinstance(node, dict):
+                for key in sorted(node):
+                    yield from walk(node[key])
+            elif isinstance(node, list):
+                for item in node:
+                    yield from walk(item)
+            elif isinstance(node, (int, float)) and not isinstance(node, bool):
+                yield float(node)
+        return np.array(list(walk(json.loads(blob))))
+    rows = [r for r in blob.decode().splitlines() if not r.startswith("#")]
+    return np.array([float(r[key]) for r in csv.DictReader(rows)
+                     for key in ("s", "x", "value")])
+
+
+def test_moments_thread_count_determinism(tmp_path):
+    # 81 rate nodes: large enough that OpenBLAS splits the march's
+    # products over two threads and sums them in another order
+    data = load_config(TESTBED)
+    del data["simulate"], data["validate"]
+    data["solver"].update(step=0.01, horizon=1.0, rate_nodes=81)
+    cfg_path = dump(tmp_path, data)
+    one = _moments_files(cfg_path, tmp_path / "one", 1)
+    again = _moments_files(cfg_path, tmp_path / "again", 1)
+    two = _moments_files(cfg_path, tmp_path / "two", 2)
+    assert one == again
+    assert set(two) == set(one)
+    for name, blob in one.items():
+        ref, alt = _numbers(name, blob), _numbers(name, two[name])
+        assert ref.shape == alt.shape
+        # relative to the value, or to 1 for the differences (covariance,
+        # Jensen gap) of O(1) moments
+        assert np.all(np.abs(alt - ref) <= 1e-13 * np.maximum(np.abs(ref), 1.0)), name

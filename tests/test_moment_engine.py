@@ -51,6 +51,8 @@ def test_solver_config_validation():
         SolverConfig(step=0.03, horizon=1.0)   # not a whole number of steps
     with pytest.raises(ValueError):
         SolverConfig(rate_nodes=1)
+    with pytest.raises(ValueError):
+        SolverConfig(mc_step=0.0)
 
 
 def test_initial_conditions(solved_single):

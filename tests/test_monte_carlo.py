@@ -54,6 +54,59 @@ def test_path_horizon_zero(kern_testbed, vas_testbed, start0):
                         RngStream(7))
     assert rec.times.tolist() == [0.0]
     assert rec.rates.tolist() == [0.03]
+    assert rec.states.tolist() == [0]
+    assert rec.jump_times.size == 0
+
+
+def test_path_jump_states_alternate(kern_testbed, vas_testbed):
+    rec = simulate_path(kern_testbed, vas_testbed, BackwardState(1, 0.3), 0.03,
+                        4.0, 0.01, RngStream(5))
+    assert rec.states[0] == 1
+    assert rec.jump_times.size > 0
+    assert np.all(np.diff(rec.jump_times) > 0)
+    # alternating kernel: states flip at every jump
+    assert np.all(np.abs(np.diff(np.concatenate([[1], rec.jump_states]))) == 1)
+
+
+@pytest.mark.parametrize("model_name", ["vas_testbed", "cir_single"])
+def test_path_is_a_one_path_batch(request, kern_testbed, kern_single, start0, model_name):
+    # one engine: the path dump ends on the very numbers a one-path batch
+    # computes from the same stream
+    model = request.getfixturevalue(model_name)
+    kern = kern_testbed if model.n_states == 2 else kern_single
+    rec = simulate_path(kern, model, start0, 0.03, 2.0, 0.01, RngStream(31, 2))
+    rates, integ = simulate_batch(kern, model, start0, 0.03, [2.0], 0.01,
+                                  RngStream(31, 2), 1)
+    assert rec.rates[-1] == rates[0, 0]
+    assert rec.integral[-1] == integ[0, 0]
+
+
+def test_self_renewals_are_recorded(kern_single, vas_single, start0):
+    # P = [[1]]: every jump renews the one state without changing it
+    rec = simulate_path(kern_single, vas_single, start0, 0.03, 3.0, 0.01,
+                        RngStream(32))
+    assert rec.jump_times.size > 0
+    assert np.all(rec.jump_states == 0)
+    assert np.all(np.isin(rec.jump_times, rec.times))
+
+
+class _Clockwork(SemiMarkovKernel):
+    """Alternating kernel whose sojourns all last exactly 0.5."""
+
+    def sample_aged_first(self, i, age, u_wait, u_next):
+        return np.full(u_wait.shape, 0.5), np.full(u_wait.shape, 1 - i)
+
+    def sample_next_unconditional(self, states, u_next, u_wait):
+        return 1 - states, np.full(states.shape, 0.5)
+
+
+def test_jump_on_grid_node_is_one_node(vas_testbed, start0):
+    g = SojournDistribution.exponential(1.0)
+    kern = _Clockwork([[0.0, 1.0], [1.0, 0.0]], [[None, g], [g, None]])
+    rec = simulate_path(kern, vas_testbed, start0, 0.03, 2.0, 0.25, RngStream(33))
+    assert rec.times.tolist() == [0.25 * k for k in range(9)]
+    assert rec.jump_times.tolist() == [0.5, 1.0, 1.5, 2.0]
+    assert rec.states.tolist() == [0, 0, 1, 1, 0, 0, 1, 1, 0]
 
 
 def test_noise_free_path_matches_flow(kern_single):

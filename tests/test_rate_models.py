@@ -17,6 +17,7 @@ from smrates import (
 )
 from smrates.moment_engine import _law_nodes_weights
 from smrates.rate_models import (
+    cir_exact_step,
     cir_transition_constants,
     gauss_hermite_rule,
     gauss_legendre_rule,
@@ -437,6 +438,40 @@ def test_step_composition_ks(vas, cir):
         half = model.step(0, model.step(0, np.full(n, 0.03), dt / 2, rng), dt / 2, rng)
         stat = sp_stats.ks_2samp(full, half)
         assert stat.pvalue > 0.01
+
+
+def test_step_broadcasts_regime_step_and_clock():
+    # one call moves each entry in its own regime, by its own step, from
+    # its own regime-local time; a zero step keeps the rate exactly
+    i = np.array([0, 1, 1, 0])
+    r = np.array([0.03, 0.05, 0.04, -0.01])
+    dt = np.array([0.1, 0.5, 0.0, 0.3])
+    t0 = np.array([0.0, 0.2, 0.4, 1.1])
+    z = np.array([0.3, -1.2, 0.7, 2.0])
+    vas2 = RegimeRateModel.vasicek([VAS, {"a": 0.8, "b": 0.06, "sigma": 0.02}])
+    hw2 = RegimeRateModel.hull_white([
+        HullWhiteParams.from_constants(0.02, 1.0, 0.015),
+        HullWhiteParams(PiecewiseLinear([0.0, 1.0], [0.03, 0.06]),
+                        PiecewiseLinear([0.0, 1.0], [1.5, 0.8]),
+                        PiecewiseLinear([0.0, 1.0], [0.01, 0.03])),
+    ])
+    rng = RngStream(3).generator()
+    for model in (vas2, hw2):
+        out = model.step(i, r, dt, rng, t0=t0, z=z)
+        assert out[2] == r[2]
+        for k in range(4):
+            one = model.step(int(i[k]), r[k], dt[k], rng, t0=t0[k], z=z[k])
+            assert out[k] == pytest.approx(one, rel=1e-12, abs=1e-15)
+    # CIR draws regime by regime, in index order, only for moving entries
+    cir2 = RegimeRateModel.cir([CIRP, CIRParams(0.02, 0.5, 0.1)])
+    out = cir2.step(i, np.abs(r), dt, RngStream(4).generator())
+    ref = RngStream(4).generator()
+    assert out[2] == abs(r[2])
+    for k, moving in ((0, [0, 3]), (1, [1])):
+        assert np.array_equal(out[moving], cir_exact_step(cir2.params[k], np.abs(r[moving]),
+                                                          dt[moving], ref))
+    with pytest.raises(ValueError):
+        cir2.step(0, 0.03, 0.1, ref, z=0.5)
 
 
 def test_negative_rates_allowed(vas):

@@ -9,14 +9,13 @@ from scipy.linalg import expm
 from smrates import (
     BackwardState,
     DegenerateBackwardError,
-    NumericsError,
     RngStream,
     SemiMarkovKernel,
     SojournDistribution,
     TimeGrid,
     alternating_kernel,
     backward_transition_probabilities,
-    sample_markov_renewal_path,
+    estimate_state_occupancy,
     transition_probabilities,
 )
 from smrates.semi_markov import count_jumps_by, sample_states_at
@@ -140,11 +139,21 @@ def test_phi_alternating_exponential_oracle(kern_alt_exp):
     assert phi[k1, 0, 0] == pytest.approx((1.0 + np.exp(-2.0)) / 2.0, abs=1e-4)
 
 
-def test_phi_rejects_unbounded_density_at_origin():
-    g = SojournDistribution.weibull(0.5, 1.0)
-    kern = alternating_kernel(g, g)
-    with pytest.raises(NumericsError):
-        transition_probabilities(kern, TimeGrid(0.01, 1.0))
+def test_phi_singular_density_at_origin():
+    # shape < 1 puts an infinite density at 0; the march integrates the
+    # kernel through its cdf and truncated mean, so it needs no density
+    grid = TimeGrid(0.01, 1.0)
+    for family in ("weibull", "gamma"):
+        for shape in (0.5, 0.8):
+            g = getattr(SojournDistribution, family)(shape, 1.0)
+            kern = alternating_kernel(g, g)
+            phi = transition_probabilities(kern, grid)
+            assert np.abs(phi.sum(axis=2) - 1.0).max() < 1e-13
+            aged0 = backward_transition_probabilities(kern, 0.0, grid, phi)
+            assert np.abs(aged0 - phi).max() < 1e-13
+            freqs, ses = estimate_state_occupancy(kern, BackwardState(0, 0.0), 1.0,
+                                                  400000, 29)
+            assert np.all(np.abs(freqs - phi[-1, 0]) <= 3 * ses)
 
 
 def test_backward_degeneracy(kern_testbed):
@@ -191,23 +200,6 @@ def test_phi_rows_stochastic_property(rate_a, shape, scale):
 # ---------------------------------------------------------------------------
 # path sampling
 # ---------------------------------------------------------------------------
-
-def test_path_horizon_zero(kern_testbed):
-    path = sample_markov_renewal_path(kern_testbed, BackwardState(0, 0.0), 0.0,
-                                      RngStream(3).generator())
-    assert path.times.tolist() == [0.0]
-    assert path.states.tolist() == [0]
-
-
-def test_path_shape(kern_testbed):
-    rng = RngStream(5).generator()
-    path = sample_markov_renewal_path(kern_testbed, BackwardState(1, 0.3), 4.0, rng)
-    assert np.all(np.diff(path.times) > 0)
-    assert path.times[-1] >= 4.0
-    assert path.states[0] == 1
-    # alternating kernel: states flip at every jump
-    assert np.all(np.abs(np.diff(path.states)) == 1)
-
 
 def test_jump_counts_poisson(kern_alt_exp):
     # with exponential(1) sojourns everywhere the jump clock is Poisson(1)
