@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DegenerateBackwardError
 from .moment_engine import SolverConfig
 from .monte_carlo import MIN_REPLICATIONS
 from .rate_models import (
@@ -225,10 +225,12 @@ class ExperimentConfig:
                     if u < 0:
                         raise ConfigError(f"field {name}.{age_key}: age {u} is negative")
                     for i in range(self.kernel.m):
-                        if float(self.kernel.holding_cdf(i, float(u))) >= 1.0 - 1e-12:
+                        try:
+                            self.kernel.aged_survival(i, float(u))
+                        except DegenerateBackwardError:
                             raise ConfigError(
                                 f"field {name}.{age_key}: age {u} saturates state {i}"
-                            )
+                            ) from None
         # command fields fail here, not after the work that reads them
         def given(block, key):
             return [block[key]] if key in block else []

@@ -42,7 +42,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 from scipy import stats as sp_stats
 
-from .errors import DegenerateBackwardError, GridCoverageError, NumericsError
+from .errors import GridCoverageError, NumericsError
 from .rate_models import (
     CIR,
     RegimeRateModel,
@@ -217,25 +217,22 @@ def _law_nodes_weights(model: RegimeRateModel, i: int, r0, t, order: int,
     rate; at tilt 0 this is the plain transition law.
 
     One rule per start rate when t is a scalar (the lattice transfer
-    build), or per elapsed time when r0 is one rate and t an array (the
-    aged pass).  Returns (nodes, weights) with the rules along the first
-    axis and ``order`` columns: a point mass at the start rate when
-    t = 0 and at the deterministic flow for a noise-free regime;
-    Gauss-Hermite through mean/std for the Gaussian kinds; for CIR a
-    Gauss-Legendre rule against the chi-square density (order floored
-    at 48 so the rule resolves the density), or equal-probability
-    quantile stratification when the origin is attainable and the
-    density is unbounded.  Both evaluations of a renewal spec come
-    through here, so their discretizations coincide.
+    build), or per elapsed time when r0 is one rate and t an array of
+    positive times (the aged pass).  Returns (nodes, weights) with the
+    rules along the first axis and ``order`` columns: a point mass at
+    the start rate when t = 0 and at the deterministic flow for a
+    noise-free regime; Gauss-Hermite through mean/std for the Gaussian
+    kinds; for CIR a Gauss-Legendre rule against the chi-square density
+    (order floored at 48 so the rule resolves the density), or
+    equal-probability quantile stratification when the origin is
+    attainable and the density is unbounded; the chi-square constants
+    broadcast over the elapsed times, with one scale per rule.  Both
+    evaluations of a renewal spec come through here, so their
+    discretizations coincide.
     """
     t = np.asarray(t, dtype=float)
-    if t.ndim and not model.gaussian_transition:
-        # the chi-square constants take one elapsed time at a time
-        rules = [_law_nodes_weights(model, i, r0, tj, order, tilt=tilt) for tj in t]
-        return (np.concatenate([nd for nd, _ in rules]),
-                np.concatenate([wt for _, wt in rules]))
     r0 = np.atleast_1d(np.asarray(r0, dtype=float))
-    n = r0.size
+    n = np.broadcast(r0, t).size
     if t.ndim == 0 and t <= 0.0:
         nodes = np.repeat(r0[:, None], order, axis=1)
         weights = np.zeros((n, order))
@@ -260,12 +257,11 @@ def _law_nodes_weights(model: RegimeRateModel, i: int, r0, t, order: int,
         nc = r0 * nc_coef
     else:
         c, df, decay = cir_transition_constants(p, t)
-        c = float(c)
         nc = r0 * decay / c
     if p.feller_ratio >= 1.0:
-        return ncx2_rule_batch(float(c), df, nc, max(order, _CIR_MIN_ORDER))
+        return ncx2_rule_batch(c, df, nc, max(order, _CIR_MIN_ORDER))
     q = (np.arange(order) + 0.5) / order
-    nodes = float(c) * sp_stats.ncx2.ppf(q[None, :], df, nc[:, None])
+    nodes = np.reshape(c, (-1, 1)) * sp_stats.ncx2.ppf(q[None, :], df, nc[:, None])
     weights = np.full((n, order), 1.0 / order)
     return nodes, weights
 
@@ -486,7 +482,7 @@ class _Point:
     """Where the aged pass evaluates a spec: state i entered u years
     ago, one start rate r, maturities up to s_{k_top}.  Kernel
     densities and survival are read at theta + u and divided by the
-    aged front 1 - H_i(u); the transition-law rules for elapsed times
+    aged survival 1 - H_i(u); the transition-law rules for elapsed times
     1..k_top are built once and their prefixes serve shorter nodes."""
 
     def __init__(self, ws: LatticeWorkspace, spec: _Spec, i: int, u: float, r: float,
@@ -497,7 +493,7 @@ class _Point:
         self.rates = np.array([self.r])
         if k_top == 0:
             return  # s = 0 reads the initial block only
-        denom = _aged_front(ws.kernel, i, u)
+        denom = ws.kernel.aged_survival(i, u)
         thetas = ws.thetas[: k_top + 1]
         self.table = np.asarray(spec.table(i, self.rates[:, None], thetas)).T[None]
         self.surv = ws.kernel.survival_matrix(thetas + spec.shift + u)[:, [i]] / denom
@@ -772,17 +768,6 @@ def _workspace_for(surface: MomentSurface, quantity: str, kernel: SemiMarkovKern
     ws = LatticeWorkspace(kernel, model, SolverConfig(**cfg))
     surface.workspace = ws
     return ws
-
-
-def _aged_front(kernel: SemiMarkovKernel, i: int, age: float) -> float:
-    if age < 0:
-        raise ValueError("age must be nonnegative")
-    h_u = float(kernel.holding_cdf(i, age))
-    if h_u >= 1.0 - 1e-12:
-        raise DegenerateBackwardError(
-            f"state {i} at age {age}: no surviving mass to condition on"
-        )
-    return 1.0 - h_u
 
 
 def evaluate_zcb_moment(surface: MomentSurface, kernel: SemiMarkovKernel,

@@ -1,12 +1,13 @@
 """Path simulation and Monte Carlo estimators for the modulated rate.
 
 The simulator reproduces the model exactly up to the time stepping of
-the running integral: regime sojourns come from their exact laws (the
-first one age-conditioned), the rate moves between grid nodes by exact
-transition draws, the grid is refined so every regime switch lands on a
-node (the rate is continuous across switches), and the integral of the
-rate accumulates by the trapezoid rule, the only source of
-discretization bias.
+the running integral: every regime sojourn, the age-conditioned first
+one included, is one exact inverse-cdf draw
+(``SemiMarkovKernel.sample_sojourns``, no bisection), the rate moves
+between grid nodes by exact transition draws, the grid is refined so
+every regime switch lands on a node (the rate is continuous across
+switches), and the integral of the rate accumulates by the trapezoid
+rule, the only source of discretization bias.
 
 There is one engine: a vectorized batch march that moves every path by
 ``RegimeRateModel.step``, the only exact transition draw.  The
@@ -188,8 +189,8 @@ def _run_batch(kernel: SemiMarkovKernel, model: RegimeRateModel,
     cur_t = np.zeros(n)
     cur_state = np.full(n, start.state, dtype=np.int64)
     reg_start = np.zeros(n)
-    next_jump, next_state = kernel.sample_aged_first(
-        start.state, start.age, plan.uniform(), plan.uniform())
+    u_wait = plan.uniform()   # the first draw takes its wait uniforms first
+    next_state, next_jump = kernel.sample_sojourns(cur_state, start.age, plan.uniform(), u_wait)
 
     def advance(target, mask):
         nonlocal cur_r, cur_i, cur_t
@@ -211,8 +212,8 @@ def _run_batch(kernel: SemiMarkovKernel, model: RegimeRateModel,
             advance(np.where(jumping, next_jump, cur_t), jumping)
             cur_state[jumping] = next_state[jumping]
             reg_start[jumping] = cur_t[jumping]
-            nxt2, w2 = kernel.sample_next_unconditional(
-                cur_state[jumping], plan.uniform(mask=jumping), plan.uniform(mask=jumping)
+            nxt2, w2 = kernel.sample_sojourns(
+                cur_state[jumping], 0.0, plan.uniform(mask=jumping), plan.uniform(mask=jumping)
             )
             next_state[jumping] = nxt2
             next_jump[jumping] = cur_t[jumping] + w2

@@ -281,7 +281,7 @@ def cir_transition_constants(params: CIRParams, dt):
     return c, df, decay
 
 
-def cir_discounted_transition_constants(params: CIRParams, n: float, t: float):
+def cir_discounted_transition_constants(params: CIRParams, n: float, t):
     """Transition-law constants under the discount tilt exp(-n int_0^t r).
 
     The measure E[exp(-n I(t)); r(t) in dx] / E[exp(-n I(t))] is again a
@@ -291,7 +291,8 @@ def cir_discounted_transition_constants(params: CIRParams, n: float, t: float):
     A = (g+b)e^{-gt} + (g-b),  B = 2n(1 - e^{-gt}),
     C = s^2 (1 - e^{-gt}),     D = (g-b)e^{-gt} + (g+b),
     g = sqrt(b^2 + 2 s^2 n).  At n = 0 this reduces to the plain
-    transition law.  Returns (scale, df, noncentrality per unit r0).
+    transition law.  Broadcasts over t.  Returns (scale, df,
+    noncentrality per unit r0).
     """
     a, b, sig = params.a, params.b, params.sigma
     if sig == 0.0:
@@ -302,7 +303,7 @@ def cir_discounted_transition_constants(params: CIRParams, n: float, t: float):
     b_c = 2.0 * n * (1.0 - e)
     c_c = sig * sig * (1.0 - e)
     d_c = (gamma - b) * e + (gamma + b)
-    if t <= 0.0 or c_c == 0.0:
+    if np.any(t <= 0.0) or np.any(c_c == 0.0):
         raise ValueError("tilted constants need t > 0")
     scale = c_c / (2.0 * d_c)
     df = 4.0 * a / sig**2
@@ -356,17 +357,19 @@ def gaussian_quadrature_batch(means, stds, order: int):
     return nodes, weights
 
 
-def ncx2_rule_batch(scale: float, df: float, nc, order: int):
+def ncx2_rule_batch(scale, df: float, nc, order: int):
     """Quadrature rules against scaled noncentral chi-square laws.
 
     Gauss-Legendre applied to each density on a wide bracket of its
     support, weights normalized to total mass 1; valid when the density
-    is bounded (df >= 2).  nc is the per-row noncentrality; returns
-    (nodes, weights) of shape (len(nc), order) in rate units.
+    is bounded (df >= 2).  nc is the per-row noncentrality and scale one
+    value or one per row; returns (nodes, weights) of shape
+    (len(nc), order) in rate units.
     """
     nc = np.atleast_1d(np.asarray(nc, dtype=float))
-    mean = scale * (df + nc)
-    std = scale * np.sqrt(2.0 * df + 4.0 * nc)
+    scale = np.reshape(np.asarray(scale, dtype=float), (-1, 1))
+    mean = scale[:, 0] * (df + nc)
+    std = scale[:, 0] * np.sqrt(2.0 * df + 4.0 * nc)
 
     # bracket tight enough that the rule resolves the density bump:
     # Gauss-Legendre node spacing at mid-interval is ~pi*width/(2*order)

@@ -4,8 +4,11 @@ The kernel is factored as Q_ij(t) = p_ij * G_ij(t): an embedded jump
 chain P plus a parametric holding-time law per edge.  On top of that
 this module computes the interval transition probabilities phi_ij(t)
 (time-marched Volterra equation of the second kind), their aged variant
-for a process that entered its current state u years ago, and the
-sojourn draws of the simulator, including the age-conditioned first one.
+for a process that entered its current state u years ago, and the one
+sojourn draw of the simulator, ``sample_sojourns``: next state and wait
+from the kernel conditioned on the current state's age, each wait by
+closed-form inversion of its edge law, with no root finding.  Age 0 is
+the plain renewal draw.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from .sojourn import SojournDistribution
 
 _ROW_TOL = 1e-12
 _ROWSUM_DRIFT_TOL = 1e-4
+_BELOW_ONE = np.nextafter(1.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -187,15 +191,19 @@ class SemiMarkovKernel:
             if not (0 <= int(k) < self.m) or int(k) != k:
                 raise ValueError(f"state index {k} out of range for m={self.m}")
 
-    # -- aged first-sojourn law -----------------------------------------
+    # -- the sojourn law, at any age -------------------------------------
 
     def aged_holding_cdf(self, i: int, age: float, w):
         """P(first jump within w | already age years in i) =
         (H_i(age+w) - H_i(age)) / (1 - H_i(age))."""
-        denom = self._age_denominator(i, age)
-        return (self.holding_cdf(i, age + np.maximum(w, 0.0)) - self.holding_cdf(i, age)) / denom
+        return ((self.holding_cdf(i, age + np.maximum(w, 0.0)) - self.holding_cdf(i, age))
+                / self.aged_survival(i, age))
 
-    def _age_denominator(self, i: int, age: float) -> float:
+    def aged_survival(self, i: int, age: float) -> float:
+        """1 - H_i(age), the mass that conditioning on age divides by;
+        raises DegenerateBackwardError when the age leaves none."""
+        if age < 0:
+            raise ValueError("age must be nonnegative")
         h_u = float(self.holding_cdf(i, age))
         if h_u >= 1.0 - 1e-12:
             raise DegenerateBackwardError(
@@ -203,66 +211,22 @@ class SemiMarkovKernel:
             )
         return 1.0 - h_u
 
-    def sample_aged_first(self, i: int, age: float, u_wait, u_next):
-        """Joint draw of the age-conditioned first sojourn and next state.
+    def sample_sojourns(self, states, age: float, u_next, u_wait):
+        """Exact joint draw of the next state and the time left in the
+        current one, for paths whose state has already lasted ``age``.
 
-        u_wait, u_next are uniforms (arrays of equal shape).  The waiting
-        time solves F(w) = u_wait by bracketed bisection on the exact
-        conditional cdf; the next state is then drawn with probabilities
-        proportional to the kernel derivative at age + w.
-        Returns (w, next_state) arrays.
+        The next state is j with probability p_ij (1 - G_ij(age)) /
+        (1 - H_i(age)), chosen by u_next; given j the wait inverts the
+        edge law conditioned on outlasting the age,
+        w = G_ij^{-1}(G_ij(age) + u_wait (1 - G_ij(age))) - age, floored
+        at 0.  At age 0 this is the renewal draw: weights p_ij and
+        w = G_ij^{-1}(u_wait).  An absorbing state keeps its path with an
+        infinite wait.  ``states`` picks the kernel row per path; returns
+        (next_state, w) arrays of its shape.
         """
-        self._check_index(i)
-        u_wait = np.atleast_1d(np.asarray(u_wait, dtype=float))
-        u_next = np.atleast_1d(np.asarray(u_next, dtype=float))
-        if self.is_absorbing(i):
-            return np.full(u_wait.shape, np.inf), np.full(u_wait.shape, i, dtype=np.int64)
-        denom = self._age_denominator(i, age)
-
-        def cond_cdf(w):
-            return (self.holding_cdf(i, age + w) - self.holding_cdf(i, age)) / denom
-
-        lo = np.zeros_like(u_wait)
-        hi = np.full_like(u_wait, 1.0)
-        for _ in range(200):
-            short = cond_cdf(hi) < u_wait
-            if not short.any():
-                break
-            hi = np.where(short, hi * 2.0, hi)
-            if hi.max() > 1e12:
-                raise NumericsError(
-                    f"aged sojourn inverse cdf: no bracket below 1e12 "
-                    f"(state {i}, age {age}, max target {u_wait.max()})"
-                )
-        else:
-            raise NumericsError("aged sojourn inverse cdf failed to bracket")
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            below = cond_cdf(mid) < u_wait
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-            if np.max(hi - lo) <= 1e-14 * max(1.0, float(hi.max())):
-                break
-        w = 0.5 * (lo + hi)
-
-        weights = np.zeros((u_wait.size, self.m))
-        for j in range(self.m):
-            if self.P[i, j] > 0.0:
-                weights[:, j] = self.P[i, j] * self._G[i][j].pdf(age + w)
-        total = weights.sum(axis=1, keepdims=True)
-        if np.any(total <= 0.0):
-            raise NumericsError(
-                f"aged next-state weights vanish at sampled waiting times (state {i})"
-            )
-        cum = np.cumsum(weights / total, axis=1)
-        nxt = (u_next[:, None] > cum).sum(axis=1)
-        return w, np.minimum(nxt, self.m - 1)
-
-    def sample_next_unconditional(self, states, u_next, u_wait):
-        """Vectorized (J_{n+1}, W) draw: next state from the embedded chain
-        row, waiting time from the matching conditional law via its exact
-        inverse cdf.  ``states`` selects the P row per path."""
         states = np.asarray(states)
+        if states.size and (states.min() < 0 or states.max() >= self.m):
+            raise ValueError(f"state index out of range for m={self.m}")
         nxt = np.empty(states.shape, dtype=np.int64)
         w = np.empty(states.shape, dtype=float)
         for i in range(self.m):
@@ -273,15 +237,24 @@ class SemiMarkovKernel:
                 nxt[sel] = i
                 w[sel] = np.inf
                 continue
-            cum = np.cumsum(self.P[i])
-            j_draw = np.searchsorted(cum, u_next[sel], side="right")
-            j_draw = np.minimum(j_draw, self.m - 1)
-            nxt[sel] = j_draw
-            for j in range(self.m):
+            if age > 0:
+                self.aged_survival(i, age)  # raises when the age leaves no mass
+            edges = np.flatnonzero(self.P[i] > 0.0)
+            g_age = np.array([self._G[i][j].cdf(age) for j in edges])
+            weights = self.P[i, edges] * (1.0 - g_age)
+            cum = np.cumsum(weights)
+            # every u in [0, 1) picks an edge of positive weight, also
+            # when u * total rounds up to the total
+            pick = np.minimum(np.searchsorted(cum, u_next[sel] * cum[-1], side="right"),
+                              np.flatnonzero(weights > 0.0)[-1])
+            nxt[sel] = edges[pick]
+            for e, j in enumerate(edges):
                 pair = sel.copy()
-                pair[sel] = j_draw == j
+                pair[sel] = pick == e
                 if pair.any():
-                    w[pair] = self._G[i][j].ppf(u_wait[pair])
+                    # kept below 1: a u_wait near 1 would round to an infinite wait
+                    left = np.minimum(g_age[e] + u_wait[pair] * (1.0 - g_age[e]), _BELOW_ONE)
+                    w[pair] = np.maximum(self._G[i][j].ppf(left) - age, 0.0)
         return nxt, w
 
     def to_dict(self) -> dict:
@@ -396,7 +369,7 @@ def backward_transition_probabilities(
 
     denom = np.empty(m)
     for i in range(m):
-        denom[i] = kernel._age_denominator(i, age)
+        denom[i] = kernel.aged_survival(i, age)
 
     full, boundary = _convolution_weights(kernel, grid, age)
     surv_u = kernel.survival_matrix(grid.nodes + age)
@@ -433,14 +406,14 @@ def _renewal_walk(
     number of jumps in (0, t] per path."""
     counts = np.zeros(n_paths, dtype=np.int64)
     cur = np.full(n_paths, start.state, dtype=np.int64)
-    t_next, state_next = kernel.sample_aged_first(
-        start.state, start.age, rng.random(n_paths), rng.random(n_paths))
+    u_wait = rng.random(n_paths)   # the first draw takes its wait uniforms first
+    state_next, t_next = kernel.sample_sojourns(cur, start.age, rng.random(n_paths), u_wait)
     active = t_next <= t
     while active.any():
         counts[active] += 1
         cur[active] = state_next[active]
-        nxt2, w2 = kernel.sample_next_unconditional(
-            cur[active], rng.random(active.sum()), rng.random(active.sum())
+        nxt2, w2 = kernel.sample_sojourns(
+            cur[active], 0.0, rng.random(active.sum()), rng.random(active.sum())
         )
         t_next[active] = t_next[active] + w2
         state_next[active] = nxt2

@@ -142,6 +142,8 @@ def _zcb_target(**fields):
     ("validate", "reps_rate", 0, "validate.reps_rate"),
     ("simulate", "targets", _zcb_target(order=0), "simulate.targets[].order"),
     ("simulate", "targets", _zcb_target(order=1.5), "simulate.targets[].order"),
+    ("simulate", "age", 40.0, "simulate.age"),               # H(40) rounds to 1
+    ("validate", "ages", [0.5, 40.0], "validate.ages"),
 ])
 def test_command_fields_exit_2_at_parse_time(tmp_path, capsys, block, key, value,
                                                 field):

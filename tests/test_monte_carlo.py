@@ -93,10 +93,7 @@ def test_self_renewals_are_recorded(kern_single, vas_single, start0):
 class _Clockwork(SemiMarkovKernel):
     """Alternating kernel whose sojourns all last exactly 0.5."""
 
-    def sample_aged_first(self, i, age, u_wait, u_next):
-        return np.full(u_wait.shape, 0.5), np.full(u_wait.shape, 1 - i)
-
-    def sample_next_unconditional(self, states, u_next, u_wait):
+    def sample_sojourns(self, states, age, u_next, u_wait):
         return 1 - states, np.full(states.shape, 0.5)
 
 

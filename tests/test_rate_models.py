@@ -400,6 +400,23 @@ def test_quadrature_cir(cir):
     assert abs(_rule_moments(nodes[0], weights[0])[0] - rough.mean(0, 0.03, 0.5)) < 1e-4
 
 
+@pytest.mark.parametrize("a_b_sigma", [(0.04, 1.0, 0.1), (0.002, 1.0, 0.1), (0.04, 1.0, 0.0)],
+                         ids=["feller", "attainable_origin", "noise_free"])
+@pytest.mark.parametrize("tilt", [0, 1, 2])
+def test_aged_cir_rules_match_scalar_time_calls(a_b_sigma, tilt):
+    # the aged pass builds all elapsed times at once; one scalar-time
+    # call per time is the oracle, bit for bit
+    import warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        model = RegimeRateModel.cir([CIRParams(*a_b_sigma)])
+    ts = np.arange(1, 41) * 0.025
+    nodes, weights = _law_nodes_weights(model, 0, 0.03, ts, 24, tilt=tilt)
+    rules = [_law_nodes_weights(model, 0, 0.03, t, 24, tilt=tilt) for t in ts]
+    assert np.array_equal(nodes, np.concatenate([nd for nd, _ in rules]))
+    assert np.array_equal(weights, np.concatenate([wt for _, wt in rules]))
+
+
 # ---------------------------------------------------------------------------
 # exact step
 # ---------------------------------------------------------------------------

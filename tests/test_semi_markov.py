@@ -242,11 +242,101 @@ def test_aged_first_sojourn_law(kern_testbed):
     # empirical conditional cdf of the first sojourn vs the exact formula
     age = 0.5
     rng = RngStream(23).generator()
-    w, _ = kern_testbed.sample_aged_first(0, age, rng.random(100000), rng.random(100000))
+    u_wait = rng.random(100000)
+    _, w = kern_testbed.sample_sojourns(np.zeros(100000, dtype=np.int64), age,
+                                        rng.random(100000), u_wait)
     for q in (0.3, 0.7, 1.2):
         emp = (w <= q).mean()
         exact = float(kern_testbed.aged_holding_cdf(0, age, q))
         assert emp == pytest.approx(exact, abs=4 * np.sqrt(exact * (1 - exact) / w.size))
+
+
+def test_sojourn_draw_skips_zero_probability_edges():
+    # row 2 sums to 1 - 1e-13, inside the row tolerance, and its last
+    # column is a zero-probability edge: a u_next above the cumulative
+    # total must still land on an edge that exists
+    g = SojournDistribution.exponential(1.0)
+    kern = SemiMarkovKernel(
+        [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.5, 0.4999999999999, 0.0]],
+        [[None, g, None], [None, None, g], [g, g, None]],
+    )
+    nxt, w = kern.sample_sojourns(np.array([2]), 0.0, np.array([1.0 - 1e-14]),
+                                  np.array([0.5]))
+    assert nxt[0] == 1 and w[0] == g.ppf(0.5)
+    with pytest.raises(ValueError, match="out of range"):
+        kern.sample_sojourns(np.array([3]), 0.0, np.array([0.5]), np.array([0.5]))
+    # an edge whose law the age has used up carries no weight either
+    short = SojournDistribution.uniform(0.1, 0.5)
+    aged = SemiMarkovKernel([[0.0, 0.5, 0.5], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]],
+                            [[None, g, short], [g, None, None], [g, None, None]])
+    u = np.concatenate([np.linspace(0.0, 1.0, 1001, endpoint=False), [1.0 - 2.0**-53]])
+    nxt, w = aged.sample_sojourns(np.zeros(u.size, dtype=np.int64), 0.6, u, u)
+    assert np.all(nxt == 1) and np.all(np.isfinite(w)) and np.all(w >= 0.0)
+
+
+def three_state_two_successors():
+    weib = SojournDistribution.weibull(0.7, 1.0)
+    gam = SojournDistribution.gamma(2.5, 0.4)
+    unif = SojournDistribution.uniform(0.2, 1.4)
+    return SemiMarkovKernel(
+        [[0.0, 0.4, 0.6], [0.5, 0.0, 0.5], [0.3, 0.7, 0.0]],
+        [[None, weib, gam], [unif, None, weib], [gam, unif, None]],
+    )
+
+
+@pytest.mark.parametrize("age", [0.0, 0.3])
+def test_multi_successor_sojourn_law(age):
+    # joint law of (next state, wait) against
+    # p_ij (G_ij(a + q) - G_ij(a)) / (1 - H_i(a))
+    kern = three_state_two_successors()
+    rng = RngStream(41).generator()
+    n = 200000
+    for i in range(3):
+        nxt, w = kern.sample_sojourns(np.full(n, i), age, rng.random(n), rng.random(n))
+        surv = 1.0 - float(kern.holding_cdf(i, age))
+        for j in range(3):
+            g = kern.sojourn(i, j)
+            if g is None:
+                assert not np.any(nxt == j)
+                continue
+            for q in (0.1, 0.4, 0.9, 1.5, np.inf):
+                exact = kern.P[i, j] * (g.cdf(age + q) - g.cdf(age)) / surv
+                emp = np.mean((nxt == j) & (w <= q))
+                se = np.sqrt(exact * (1.0 - exact) / n)
+                assert abs(emp - exact) <= 4 * se
+
+
+def test_multi_successor_aged_occupancy():
+    kern = three_state_two_successors()
+    grid = TimeGrid(0.005, 1.0)
+    phi = transition_probabilities(kern, grid)
+    aged = backward_transition_probabilities(kern, 0.3, grid, phi)
+    freqs, ses = estimate_state_occupancy(kern, BackwardState(0, 0.3), 1.0, 200000, 43)
+    assert np.all(np.abs(freqs - aged[-1, 0]) <= 3.5 * ses)
+
+
+_FAMILY_LAWS = st.one_of(
+    st.builds(SojournDistribution.exponential, st.floats(0.2, 5.0)),
+    st.builds(SojournDistribution.weibull, st.floats(0.4, 4.0), st.floats(0.2, 3.0)),
+    st.builds(SojournDistribution.gamma, st.floats(0.4, 4.0), st.floats(0.2, 3.0)),
+    st.builds(lambda lo, width: SojournDistribution.uniform(lo, lo + width),
+              st.floats(0.0, 1.0), st.floats(0.1, 2.0)),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(law=_FAMILY_LAWS, aged_mass=st.floats(0.0, 0.9),
+       u=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=20))
+def test_sojourn_draw_inverts_the_aged_law(law, aged_mass, u):
+    kern = alternating_kernel(law, law)
+    u_wait = np.array(u)
+    states = np.zeros(u_wait.size, dtype=np.int64)
+    _, w0 = kern.sample_sojourns(states, 0.0, u_wait, u_wait)
+    assert np.array_equal(w0, law.ppf(u_wait))
+    age = float(law.ppf(aged_mass))
+    _, w = kern.sample_sojourns(states, age, u_wait, u_wait)
+    assert np.all(w >= 0.0)
+    assert np.abs(kern.aged_holding_cdf(0, age, w) - u_wait).max() <= 1e-9
 
 
 def test_phi_uniform_and_gamma_families_vs_occupancy():
