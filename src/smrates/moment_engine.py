@@ -40,7 +40,6 @@ from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy import stats as sp_stats
 
 from .errors import GridCoverageError, NumericsError
 from .rate_models import (
@@ -49,6 +48,7 @@ from .rate_models import (
     cir_discounted_transition_constants,
     cir_transition_constants,
     gaussian_quadrature_batch,
+    ncx2_ppf,
     ncx2_rule_batch,
 )
 from .semi_markov import SemiMarkovKernel, TimeGrid
@@ -261,7 +261,7 @@ def _law_nodes_weights(model: RegimeRateModel, i: int, r0, t, order: int,
     if p.feller_ratio >= 1.0:
         return ncx2_rule_batch(c, df, nc, max(order, _CIR_MIN_ORDER))
     q = (np.arange(order) + 0.5) / order
-    nodes = np.reshape(c, (-1, 1)) * sp_stats.ncx2.ppf(q[None, :], df, nc[:, None])
+    nodes = np.reshape(c, (-1, 1)) * ncx2_ppf(q[None, :], df, nc[:, None])
     weights = np.full((n, order), 1.0 / order)
     return nodes, weights
 

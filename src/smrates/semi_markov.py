@@ -115,6 +115,9 @@ class SemiMarkovKernel:
                     if not isinstance(g, SojournDistribution):
                         g = SojournDistribution.from_dict(g)
                     self._G[i][j] = g
+        # the age-0 draw tables, read by every renewal draw
+        self._fresh = [None if self.is_absorbing(i) else self._draw_table(i, 0.0)
+                       for i in range(m)]
 
     # -- kernel entries ------------------------------------------------
 
@@ -211,6 +214,16 @@ class SemiMarkovKernel:
             )
         return 1.0 - h_u
 
+    def _draw_table(self, i: int, age: float):
+        """Edges of active state i, their cdfs at ``age``, the cumulative
+        edge weights p_ij (1 - G_ij(age)) and the last edge of positive
+        weight: every u in [0, 1) picks an edge up to it, also when
+        u * total rounds up to the total."""
+        edges = np.flatnonzero(self.P[i] > 0.0)
+        g_age = np.array([self._G[i][j].cdf(age) for j in edges])
+        weights = self.P[i, edges] * (1.0 - g_age)
+        return edges, g_age, np.cumsum(weights), np.flatnonzero(weights > 0.0)[-1]
+
     def sample_sojourns(self, states, age: float, u_next, u_wait):
         """Exact joint draw of the next state and the time left in the
         current one, for paths whose state has already lasted ``age``.
@@ -239,14 +252,10 @@ class SemiMarkovKernel:
                 continue
             if age > 0:
                 self.aged_survival(i, age)  # raises when the age leaves no mass
-            edges = np.flatnonzero(self.P[i] > 0.0)
-            g_age = np.array([self._G[i][j].cdf(age) for j in edges])
-            weights = self.P[i, edges] * (1.0 - g_age)
-            cum = np.cumsum(weights)
-            # every u in [0, 1) picks an edge of positive weight, also
-            # when u * total rounds up to the total
-            pick = np.minimum(np.searchsorted(cum, u_next[sel] * cum[-1], side="right"),
-                              np.flatnonzero(weights > 0.0)[-1])
+                edges, g_age, cum, last = self._draw_table(i, age)
+            else:
+                edges, g_age, cum, last = self._fresh[i]
+            pick = np.minimum(np.searchsorted(cum, u_next[sel] * cum[-1], side="right"), last)
             nxt[sel] = edges[pick]
             for e, j in enumerate(edges):
                 pair = sel.copy()

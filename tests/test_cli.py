@@ -459,3 +459,37 @@ def test_moments_thread_count_determinism(tmp_path):
         # relative to the value, or to 1 for the differences (covariance,
         # Jensen gap) of O(1) moments
         assert np.all(np.abs(alt - ref) <= 1e-13 * np.maximum(np.abs(ref), 1.0)), name
+
+
+# ---------------------------------------------------------------------------
+# import footprint
+# ---------------------------------------------------------------------------
+
+_NO_STATS = """
+import sys
+
+import smrates
+import smrates.cli
+from smrates import (CIRParams, RegimeRateModel, SemiMarkovKernel, SojournDistribution,
+                     SolverConfig, solve_zcb_moment)
+
+kern = SemiMarkovKernel([[1.0]], [[SojournDistribution.exponential(1.0)]])
+cir = RegimeRateModel.cir([CIRParams(0.04, 1.0, 0.1)])
+solve_zcb_moment(1, kern, cir, SolverConfig(step=0.05, horizon=1.0, rate_nodes=31))
+assert smrates.cli.main(["moments", "--config", sys.argv[1], "--out", sys.argv[2]]) == 0
+print(sorted(name for name in sys.modules if name.startswith("scipy.stats")))
+"""
+
+
+def test_commands_do_not_import_scipy_stats(tmp_path):
+    # scipy.stats costs about 0.4 s and 45 MiB at start-up; the package
+    # needs only scipy.special
+    data = load_config(TESTBED)
+    data["solver"].update(step=0.05, horizon=1.0)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _NO_STATS, str(dump(tmp_path, data)),
+                           str(tmp_path / "out")], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+    assert len(list((tmp_path / "out").iterdir())) == 9

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from smrates import (
     BackwardState,
@@ -320,6 +322,32 @@ def test_cir_product_moment_collapse_and_aged_evaluators(kern_single, cir_single
     prod_ana = evaluate_product_moment(xi, r, kern_single, cir_single, 0, 0.4, 0.03, 0.5)
     assert abs(mean_rep.z_score(mean_ana)) < 3
     assert abs(prod_rep.z_score(prod_ana)) < 3
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    feller=st.floats(1.0, 6.0),
+    sig=st.floats(0.03, 0.1),
+    b=st.floats(0.2, 2.0),
+    idx=st.integers(0, 30),
+    k=st.integers(1, 20),
+)
+def test_cir_age_zero_evaluation_reproduces_lattice(kern_single, feller, sig, b, idx, k):
+    # tilts 0, 1 and 2: the rate mean and the first two bond moments
+    model = RegimeRateModel.cir([CIRParams(0.5 * feller * sig * sig, b, sig)])
+    cfg = SolverConfig(step=0.05, horizon=1.0, rate_nodes=31, quad_order=24,
+                       reference_rate=0.03)
+    ws = LatticeWorkspace(kern_single, model, cfg)
+    try:
+        surfaces = [(solve_zcb_moment(n, kern_single, model, cfg, workspace=ws), evaluate_zcb_moment)
+                    for n in (1, 2)]
+        surfaces.append((solve_rate_mean(kern_single, model, cfg, workspace=ws), evaluate_rate_mean))
+    except GridCoverageError:
+        reject()   # the lattice refuses laws it cannot hold; not this property
+    x, s = ws.x_nodes[idx], ws.thetas[k]
+    for surf, evaluate in surfaces:
+        assert abs(evaluate(surf, kern_single, model, 0, 0.0, x, s)
+                   - surf.values[0, k, idx]) <= 1e-12
 
 
 def test_hull_white_renewal_solver_vs_mc(kern_single):

@@ -15,13 +15,17 @@ from smrates import (
     cir_joint_laplace,
     cir_laplace_rate,
 )
+from smrates.errors import NumericsError
 from smrates.moment_engine import _law_nodes_weights
 from smrates.rate_models import (
+    cir_discounted_transition_constants,
     cir_exact_step,
     cir_transition_constants,
     gauss_hermite_rule,
     gauss_legendre_rule,
     gaussian_quadrature_batch,
+    ncx2_pdf,
+    ncx2_rule_batch,
 )
 
 VAS = dict(a=1.0, b=0.05, sigma=0.02)
@@ -415,6 +419,102 @@ def test_aged_cir_rules_match_scalar_time_calls(a_b_sigma, tilt):
     rules = [_law_nodes_weights(model, 0, 0.03, t, 24, tilt=tilt) for t in ts]
     assert np.array_equal(nodes, np.concatenate([nd for nd, _ in rules]))
     assert np.array_equal(weights, np.concatenate([wt for _, wt in rules]))
+
+
+# ---------------------------------------------------------------------------
+# noncentral chi-square density and quantiles (scipy.stats is the oracle)
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("df", [2.0, 3.7, 16.0, 60.0])
+@pytest.mark.parametrize("nc", [0.0, 1e-3, 1.0, 50.0, 6000.0])
+def test_ncx2_pdf_matches_scipy_stats(df, nc):
+    mean, std = df + nc, np.sqrt(2.0 * df + 4.0 * nc)
+    # both tails: geometric towards the origin, linear out to 20 std
+    x = np.concatenate([np.geomspace(1e-8, mean, 300),
+                        np.linspace(max(mean - 12.0 * std, 1e-9), mean + 20.0 * std, 3000)])
+    ref = sp_stats.ncx2.pdf(x, df, nc)
+    got = ncx2_pdf(x, df, nc)
+    seen = ref > 1e-30
+    assert seen.sum() > 1000
+    assert np.max(np.abs(got[seen] / ref[seen] - 1.0)) <= 1e-12
+    assert np.all(got[~seen] < 1e-29)
+
+
+def test_ncx2_pdf_broadcasts_rows_with_zero_noncentrality():
+    x = np.array([[0.0, 0.5, 3.0], [0.0, 0.5, 3.0]])
+    nc = np.array([[0.0], [2.0]])
+    for df in (2.0, 5.0):
+        got = ncx2_pdf(x, df, nc)
+        assert np.array_equal(got[0], sp_stats.chi2.pdf(x[0], df))
+        # scipy.stats puts the origin outside the noncentral support
+        assert np.allclose(got[1, 1:], sp_stats.ncx2.pdf(x[1, 1:], df, 2.0), rtol=1e-13, atol=0.0)
+    # at the origin the density is 0.5 exp(-nc/2) for df = 2 and 0 above
+    assert ncx2_pdf(0.0, 2.0, 2.0) == pytest.approx(0.5 * np.exp(-1.0), rel=1e-15)
+    assert ncx2_pdf(0.0, 5.0, 2.0) == 0.0
+
+
+def test_ncx2_pdf_limits_of_the_closed_form():
+    x = np.linspace(5.0, 120.0, 50)
+    # a noncentrality too small to change any digit: the central density,
+    # also where the closed form would overflow (subnormal nc)
+    for nc in (1e-300, 5e-324, 1e-18):
+        assert np.array_equal(ncx2_pdf(x, 60.0, nc), sp_stats.chi2.pdf(x, 60.0))
+    # large df with small nc: the Bessel factor underflows, so the rule is
+    # refused instead of being inexact
+    assert np.isnan(ncx2_pdf(100.0, 100.0, 1e-12))
+    with pytest.raises(NumericsError):
+        ncx2_rule_batch(1.0, 100.0, 1e-12, 48)
+
+
+@pytest.mark.parametrize("tilt", [0, 1])
+def test_attainable_origin_rules_are_ncx2_ppf_bitwise(tilt):
+    import warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        params = CIRParams(0.002, 1.0, 0.1)
+    rough = RegimeRateModel.cir([params])
+    r0 = np.array([0.0, 1e-4, 0.03, 0.2])   # the first row has nc = 0
+    q = (np.arange(40) + 0.5) / 40
+    for t in (0.01, 0.5, 3.0):
+        nodes, weights = _law_nodes_weights(rough, 0, r0, t, 40, tilt=tilt)
+        if tilt:
+            c, df, coef = cir_discounted_transition_constants(params, float(tilt), t)
+            nc = r0 * coef
+        else:
+            c, df, decay = cir_transition_constants(params, t)
+            nc = r0 * decay / c   # in the solver's order of operations
+        ref = np.reshape(c, (-1, 1)) * sp_stats.ncx2.ppf(q[None, :], df, nc[:, None])
+        assert np.array_equal(nodes, ref)
+        assert np.all(weights == 1.0 / 40)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    feller=st.floats(1.0, 12.0),
+    sig=st.floats(0.02, 0.3),
+    b=st.floats(-0.5, 2.0, allow_subnormal=False),
+    t=st.floats(0.01, 3.0),
+    r0=st.one_of(st.just(0.0), st.floats(0.0, 0.2)),
+    tilt=st.sampled_from([0, 1, 2]),
+)
+def test_ncx2_rule_batch_reproduces_chi_square_moments(feller, sig, b, t, r0, tilt):
+    params = CIRParams(0.5 * feller * sig * sig, b, sig)
+    if tilt:
+        c, df, coef = cir_discounted_transition_constants(params, float(tilt), t)
+        nc = r0 * coef
+    else:
+        c, df, decay = cir_transition_constants(params, t)
+        nc = r0 * decay / c
+    nodes, weights = ncx2_rule_batch(c, df, nc, 48)
+    assert abs(weights.sum() - 1.0) <= 1e-12
+    mean, var = _rule_moments(nodes[0], weights[0])
+    # the rule's own error: its bracket ends 12 std above the mean (at
+    # df = 2, nc = 0 that leaves out 2e-6 of the mass and moves the
+    # variance by 3.8e-4), and Gauss-Legendre resolves the x^(df/2 - 1)
+    # cusp at the origin poorly for df just above 2 (mean off by 2.3e-4
+    # at df = 2.3, nc = 0); both relative, the worst over df in [2, 24]
+    assert mean == pytest.approx(c * (df + nc), rel=5e-4)
+    assert var == pytest.approx(c * c * (2.0 * df + 4.0 * nc), rel=1e-3)
 
 
 # ---------------------------------------------------------------------------
