@@ -116,7 +116,7 @@ class SemiMarkovKernel:
                         g = SojournDistribution.from_dict(g)
                     self._G[i][j] = g
         # the age-0 draw tables, read by every renewal draw
-        self._fresh = [None if self.is_absorbing(i) else self._draw_table(i, 0.0)
+        self._age0_tables = [None if self.is_absorbing(i) else self._draw_table(i, 0.0)
                        for i in range(m)]
 
     # -- kernel entries ------------------------------------------------
@@ -254,7 +254,7 @@ class SemiMarkovKernel:
                 self.aged_survival(i, age)  # raises when the age leaves no mass
                 edges, g_age, cum, last = self._draw_table(i, age)
             else:
-                edges, g_age, cum, last = self._fresh[i]
+                edges, g_age, cum, last = self._age0_tables[i]
             pick = np.minimum(np.searchsorted(cum, u_next[sel] * cum[-1], side="right"), last)
             nxt[sel] = edges[pick]
             for e, j in enumerate(edges):
