@@ -20,8 +20,12 @@ prebuilt per (state, elapsed time) and shared across quantities.
 
 Each transfer stack exists once, in the layout the march reads: per
 state one (Nx, (K+1)*Nx) matrix whose column block l is the operator at
-elapsed time theta_l, so a step's whole history sum is one
-matrix-vector product.  A discount-tilted stack carries its no-switch
+elapsed time theta_l.  The march advances in panels of _PANEL steps:
+the part of every step's history sum that reads values from before the
+panel is one matrix-matrix product per state and panel, so each block
+is read once per panel, and only the history inside the panel is summed
+step by step (the first level of Hairer, Lubich & Schlichte, SIAM J.
+Sci. Stat. Comput. 6, 1985).  A discount-tilted stack carries its no-switch
 discount as a row weight.  Stacks are built a chunk of elapsed times at
 a time: the chunk's rules are scattered onto the lattice in one
 ``np.bincount`` pass, which bounds the temporaries and sums every
@@ -36,6 +40,7 @@ march term by term, so the u = 0 case reproduces lattice values.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 
@@ -59,6 +64,12 @@ _CIR_MIN_ORDER = 48
 # elapsed times scattered per batched pass of a transfer build; bounds the
 # pass's temporary arrays
 _SCATTER_CHUNK = 16
+# march steps per panel: the history before a panel is one matrix-matrix
+# product per state with this many right-hand sides
+_PANEL = 16
+# lags gathered per far-history product; bounds the march's scratch
+# buffer to _PANEL * _HISTORY_BLOCKS lattice vectors
+_HISTORY_BLOCKS = 128
 
 ZCB_MOMENT = "zcb_moment"
 RATE_MEAN = "rate_mean"
@@ -526,9 +537,11 @@ def _march(ws: LatticeWorkspace, spec: _Spec) -> np.ndarray:
 
     The unknown at s_k enters the elapsed-time-0 end of the convolution
     with weight h/2, where the transfer block is the identity and the
-    row weight is 1, so the implicit step matrix absorbs it; the history
-    l = 1..k-1 is one matrix-vector product per state against the
-    packed transfer stack, weight-folded when the spec tilts.
+    row weight is 1, so the implicit step matrix absorbs it.  The
+    history l = 1..k-1 (weight-folded when the spec tilts) splits at the
+    start k0 of the step's panel: lags reading values before k0 come
+    from the panel's far-history product (_far_history), and the lags
+    l = 1..k-k0 inside the panel are one matrix-vector product per state.
     """
     ctx = _Lattice(ws, spec)
     h = ctx.h
@@ -539,16 +552,51 @@ def _march(ws: LatticeWorkspace, spec: _Spec) -> np.ndarray:
     packed = ws.transfer(spec.tilt)
     vals = np.empty((k_max + 1, m, nx))
     vals[0] = spec.initial(ctx)
-    for k in range(1, k_max + 1):
-        rhs = _known(spec, ctx, k)
-        if k >= 2:
-            for i in range(m):
-                # state-mix the known history, then one matrix-vector
-                # product against the packed operators for l = 1..k-1
-                mixed = np.matmul(qd[1:k, i, None, :], vals[k - 1:0:-1])   # (k-1, 1, Nx)
-                rhs[i] = rhs[i] + h * (packed[i][:, nx:k * nx] @ mixed.ravel())
-        vals[k] = ws._a_inv @ rhs
+    scratch = np.empty(_PANEL * _HISTORY_BLOCKS * nx)
+    for k0 in range(1, k_max + 1, _PANEL):
+        k1 = min(k0 + _PANEL, k_max + 1)
+        far = _far_history(packed, qd, vals, k0, k1, scratch)
+        for k in range(k0, k1):
+            rhs = _known(spec, ctx, k) + h * far[:, :, k - k0]
+            if k > k0:
+                for i in range(m):
+                    # state-mix the panel's own values, then one
+                    # matrix-vector product for l = 1..k-k0
+                    mixed = np.matmul(qd[1:k - k0 + 1, i, None, :], vals[k - 1:k0 - 1:-1])
+                    rhs[i] += h * (packed[i][:, nx:(k - k0 + 1) * nx] @ mixed.ravel())
+            vals[k] = ws._a_inv @ rhs
     return vals
+
+
+def _far_history(packed: np.ndarray, qd: np.ndarray, vals: np.ndarray, k0: int, k1: int,
+                 scratch: np.ndarray) -> np.ndarray:
+    """History sums of steps k0..k1-1 over the values before k0.
+
+    Returns (m, Nx, k1-k0): column b of state i is
+    sum_l block_{i,l} @ sum_j qdot[l,i,j] V[k0+b-l, j] over the lags l
+    with 1 <= k0+b-l < k0.  Per state, the state-mixed values are
+    gathered into a column-major (lags*Nx, k1-k0) right-hand side in
+    ``scratch`` (zero where a lag reads no such value) and multiplied by
+    the packed stack in one product, _HISTORY_BLOCKS lags at a time.
+    """
+    m, nx = packed.shape[:2]
+    width = k1 - k0
+    far = np.zeros((m, nx, width))
+    if k0 < 2:
+        return far   # the first panel's history lies inside it
+    for l_lo in range(1, k1 - 1, _HISTORY_BLOCKS):
+        l_hi = min(l_lo + _HISTORY_BLOCKS, k1 - 1)
+        rhs = scratch[:width * (l_hi - l_lo) * nx].reshape(width, l_hi - l_lo, nx)
+        for i in range(m):
+            rhs.fill(0.0)
+            for b in range(width):
+                k = k0 + b
+                lo, hi = max(l_lo, k - k0 + 1), min(l_hi, k)
+                if lo < hi:
+                    rhs[b, lo - l_lo:hi - l_lo] = np.matmul(qd[lo:hi, i, None, :],
+                                                            vals[k - lo:k - hi:-1])[:, 0]
+            far[i] += packed[i][:, l_lo * nx:l_hi * nx] @ rhs.reshape(width, -1).T
+    return far
 
 
 def _aged(ws: LatticeWorkspace, spec: _Spec, surface: MomentSurface, i: int,
@@ -660,13 +708,22 @@ def _product_spec(ws: LatticeWorkspace, lag: float, rate_surface: MomentSurface)
         # first-moment law at elapsed time s_k
         return ctx.law_m1(k, np.stack([np.einsum("j,jy->y", q, r_lag) for q in ctx.qd[k]]))
 
-    def window(ctx, k):
+    @functools.cache
+    def restart_table():
+        # [i][l, j] = w_l * block_{i,l} @ rate_window[j, l]: the window's
+        # restarts read the fixed rate surface, so every step and the
+        # aged pass contract this one table with their kernel densities
         transfer = ws.transfer()
-        restarts = []
-        for row, i in enumerate(ctx.rows):
-            mixed = np.einsum("lj,jlx->lx", ctx.qd[k:k + lag_idx + 1, row, :], rate_window)
-            inner = np.matmul(_blocks(transfer, i)[:lag_idx + 1], mixed[:, :, None])[:, :, 0]
-            restarts.append(h * (win_w[:, None] * inner).sum(axis=0))
+        return np.stack([
+            (win_w[:, None, None] * np.matmul(_blocks(transfer, i)[:lag_idx + 1],
+                                              rate_window.transpose(1, 2, 0))
+             ).transpose(0, 2, 1).reshape(-1, ws.x_nodes.size)
+            for i in range(ws.m)])                                  # (m, (L+1)*m, Nx)
+
+    def window(ctx, k):
+        table = restart_table()
+        restarts = [h * (ctx.qd[k:k + lag_idx + 1, row, :].ravel() @ table[i])
+                    for row, i in enumerate(ctx.rows)]
         return ctx.law_m1(k, np.stack(restarts))
 
     return _Spec(

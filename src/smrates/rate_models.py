@@ -276,10 +276,9 @@ def cir_transition_constants(params: CIRParams, dt):
     if sig == 0.0:
         raise ValueError("no chi-square transition for sigma = 0")
     dt = np.asarray(dt, dtype=float)
-    if b != 0.0:
-        c = sig * sig * -np.expm1(-b * dt) / (4.0 * b)
-    else:
-        c = sig * sig * dt / 4.0
+    # sigma^2 (1 - e^{-b dt}) / (4b), written through exprel so that it
+    # tends to its b = 0 limit instead of underflowing for a tiny b
+    c = sig * sig * dt / 4.0 * sp_special.exprel(-b * dt)
     df = 4.0 * a / sig**2
     decay = np.exp(-b * dt)
     return c, df, decay

@@ -9,8 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from smrates import ConfigError, ExperimentConfig
+from smrates import ConfigError, ExperimentConfig, SolverConfig
 from smrates.cli import main
+from smrates.moment_engine import _PANEL
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 TESTBED = CONFIG_DIR / "testbed_weibull_vasicek.json"
@@ -459,6 +460,16 @@ def test_moments_thread_count_determinism(tmp_path):
         # relative to the value, or to 1 for the differences (covariance,
         # Jensen gap) of O(1) moments
         assert np.all(np.abs(alt - ref) <= 1e-13 * np.maximum(np.abs(ref), 1.0)), name
+
+
+def test_thread_count_lattice_spans_panels():
+    # the determinism check above marches horizon / step = 1.0 / 0.01
+    # steps: several panels of the march, the last one ragged, so both
+    # the far-history products and the partial panel run under 1 and 2
+    # BLAS threads
+    k_steps = SolverConfig(step=0.01, horizon=1.0).time_grid().n_steps
+    assert k_steps >= 3 * _PANEL
+    assert k_steps % _PANEL != 0
 
 
 # ---------------------------------------------------------------------------

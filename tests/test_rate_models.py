@@ -488,11 +488,23 @@ def test_attainable_origin_rules_are_ncx2_ppf_bitwise(tilt):
         assert np.all(weights == 1.0 / 40)
 
 
+def test_subnormal_mean_reversion_gives_the_zero_reversion_rule():
+    # the scale sigma^2 (1 - e^{-b t}) / (4b) must not underflow to 0
+    # for a subnormal b: the law is the b = 0 one to double precision
+    tiny, flat = CIRParams(0.03125, 5e-324, 0.25), CIRParams(0.03125, 0.0, 0.25)
+    assert cir_transition_constants(tiny, 1.0) == cir_transition_constants(flat, 1.0)
+    r0 = np.array([0.0, 0.01, 0.05])
+    for tilt in (0, 1):
+        rule = _law_nodes_weights(RegimeRateModel.cir([tiny]), 0, r0, 1.0, 48, tilt=tilt)
+        flat_rule = _law_nodes_weights(RegimeRateModel.cir([flat]), 0, r0, 1.0, 48, tilt=tilt)
+        assert np.array_equal(rule[0], flat_rule[0]) and np.array_equal(rule[1], flat_rule[1])
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     feller=st.floats(1.0, 12.0),
     sig=st.floats(0.02, 0.3),
-    b=st.floats(-0.5, 2.0, allow_subnormal=False),
+    b=st.floats(-0.5, 2.0),
     t=st.floats(0.01, 3.0),
     r0=st.one_of(st.just(0.0), st.floats(0.0, 0.2)),
     tilt=st.sampled_from([0, 1, 2]),
