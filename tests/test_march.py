@@ -11,7 +11,6 @@ to each surface's largest value.
 """
 
 import dataclasses
-import warnings
 from unittest import mock
 
 import numpy as np
@@ -198,8 +197,8 @@ def test_panel_march_matches_direct_march(data, k_steps, history_blocks):
 
 
 def test_history_rows_are_chunked():
-    # a lattice that needs several far-history chunks per panel keeps the
-    # scratch buffer at _PANEL * _HISTORY_BLOCKS lattice vectors
+    # long enough that a panel's far history takes several products of
+    # _HISTORY_BLOCKS lags each, at the shipped chunk size
     kernel = SemiMarkovKernel([[0.0, 1.0], [1.0, 0.0]],
                               [[None, SojournDistribution.weibull(2.0, 1.0)],
                                [SojournDistribution.gamma(2.0, 0.5), None]])
@@ -282,9 +281,7 @@ def test_lattice_refusal_never_returns_a_number(data, below, above, tilt):
     kernel = data.draw(kernels())
     model = data.draw(models(kernel.m))
     cfg = _config(8, rate_lo=0.03 - below, rate_hi=0.03 + above)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        ws = LatticeWorkspace(kernel, model, cfg)
+    ws = LatticeWorkspace(kernel, model, cfg)
     lo, hi = ws.x_nodes[0], ws.x_nodes[-1]
     slack = 1e-12 * max(1.0, hi - lo)
     worst = 0.0
