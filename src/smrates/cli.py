@@ -132,28 +132,32 @@ def cmd_moments(cfg: ExperimentConfig, out: Path) -> int:
     ws = LatticeWorkspace(cfg.kernel, cfg.model, cfg.solver)
     zcb, rate, products = _moment_surfaces(cfg, ws)
     meta = _meta(cfg)
-    for n, surf in zcb.items():
-        write_surface_csv(out / f"zcb_moment_n{n}.csv", surf, cfg.kernel, meta=meta)
-    write_surface_csv(out / "rate_mean.csv", rate, cfg.kernel, meta=meta)
-    for lag, surf in products.items():
-        tag = repr(float(lag)).replace(".", "p")
-        write_surface_csv(out / f"product_moment_h{tag}.csv", surf, cfg.kernel, meta=meta)
-        cov = covariance_surface(surf, rate)
-        write_surface_csv(out / f"covariance_h{tag}.csv", cov, cfg.kernel, meta=meta)
+
+    def write_csv(name, surf):
+        return write_surface_csv(out / name, surf, cfg.kernel, meta=meta)
+
+    def blocks():
+        # each block is made from the strings its CSV was just written
+        # with, and dropped before the next surface is formatted
+        for n, surf in zcb.items():
+            yield surface_to_json_dict(surf, write_csv(f"zcb_moment_n{n}.csv", surf))
+        yield surface_to_json_dict(rate, write_csv("rate_mean.csv", rate))
+        for lag, surf in products.items():
+            tag = repr(float(lag)).replace(".", "p")
+            yield surface_to_json_dict(surf, write_csv(f"product_moment_h{tag}.csv", surf))
+            write_csv(f"covariance_h{tag}.csv", covariance_surface(surf, rate))
+
+    write_json(out / "surfaces.json", {
+        "config_sha256": cfg.config_hash(),
+        "seed": cfg.seed,
+        "surfaces": blocks(),
+    })
     if 1 in zcb and 2 in zcb:
         jensen = MomentSurface(
             "zcb_jensen_gap", zcb[1].s_nodes.copy(), zcb[1].x_nodes.copy(),
             zcb[2].values - zcb[1].values ** 2,
         )
-        write_surface_csv(out / "zcb_moment_jensen.csv", jensen, cfg.kernel, meta=meta)
-    tables = [surface_to_json_dict(s) for s in zcb.values()]
-    tables.append(surface_to_json_dict(rate))
-    tables.extend(surface_to_json_dict(s) for s in products.values())
-    write_json(out / "surfaces.json", {
-        "config_sha256": cfg.config_hash(),
-        "seed": cfg.seed,
-        "surfaces": tables,
-    })
+        write_csv("zcb_moment_jensen.csv", jensen)
     return 0
 
 

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from smrates import ConfigError, ExperimentConfig, SolverConfig
-from smrates.cli import main
-from smrates.moment_engine import _PANEL
+from smrates.cli import _moment_surfaces, main
+from smrates.moment_engine import _PANEL, LatticeWorkspace, covariance_surface
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 TESTBED = CONFIG_DIR / "testbed_weibull_vasicek.json"
@@ -277,6 +277,55 @@ def test_cmd_moments_lag_equal_to_horizon(tmp_path):
     assert {r["s"] for r in rows} == {"0.0"}
     keys = [(r["state"], r["x"]) for r in rows]
     assert len(keys) == len(set(keys)) == data["solver"]["rate_nodes"]
+
+
+def test_cmd_moments_csv_and_json_carry_the_same_strings(tmp_path):
+    data = load_config(TESTBED)
+    data["solver"]["step"] = 0.05
+    data["moments"] = {"orders": [2, 1], "lags": [0.5, 0.0]}
+    path = dump(tmp_path, data)
+    out = tmp_path / "o"
+    assert main(["moments", "--config", str(path), "--out", str(out)]) == 0
+    assert len(list(out.iterdir())) == 9
+    tables = json.loads((out / "surfaces.json").read_text(),
+                        parse_float=str)["surfaces"]
+    assert [(t["quantity"], t.get("order"), t.get("lag")) for t in tables] == [
+        ("zcb_moment", 2, None), ("zcb_moment", 1, None), ("rate_mean", None, None),
+        ("product_moment", None, "0.5"), ("product_moment", None, "0.0")]
+
+    cfg = ExperimentConfig.from_file(path)
+    zcb, rate, products = _moment_surfaces(cfg, LatticeWorkspace(cfg.kernel, cfg.model,
+                                                                 cfg.solver))
+    names = cfg.kernel.states
+
+    def csv_values(name, shape):
+        rows = read_csv(out / name)
+        values = np.array([float(r["value"]) for r in rows]).reshape(shape)
+        return rows, values
+
+    def same_bits(a, b):
+        return np.array_equal(np.ascontiguousarray(a).view(np.uint64),
+                              np.ascontiguousarray(b).view(np.uint64))
+
+    for table, name, surf in zip(tables, [
+            "zcb_moment_n2.csv", "zcb_moment_n1.csv", "rate_mean.csv",
+            "product_moment_h0p5.csv", "product_moment_h0p0.csv"],
+            [zcb[2], zcb[1], rate, products[0.5], products[0.0]]):
+        rows, values = csv_values(name, surf.values.shape)
+        from_csv = {(r["quantity"], r["state"], r["s"], r["x"]): r["value"] for r in rows}
+        from_json = {(table["quantity"], names[i], s, x): table["values"][i][k][p]
+                     for i in range(len(names))
+                     for k, s in enumerate(table["s_nodes"])
+                     for p, x in enumerate(table["x_nodes"])}
+        assert len(from_csv) == len(rows) and from_csv == from_json
+        assert same_bits(values, surf.values)
+        assert same_bits(np.array(table["values"], dtype=float), surf.values)
+    for lag, tag in ((0.5, "0p5"), (0.0, "0p0")):
+        cov = covariance_surface(products[lag], rate)
+        assert same_bits(csv_values(f"covariance_h{tag}.csv", cov.values.shape)[1],
+                         cov.values)
+    gap = zcb[2].values - zcb[1].values ** 2
+    assert same_bits(csv_values("zcb_moment_jensen.csv", gap.shape)[1], gap)
 
 
 # ---------------------------------------------------------------------------
