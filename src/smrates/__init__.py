@@ -31,6 +31,7 @@ from .monte_carlo import (
     EstimatorReport,
     PathRecord,
     RngStream,
+    estimate_moments,
     estimate_rate_moments,
     estimate_state_occupancy,
     estimate_zcb_moment,
@@ -84,6 +85,7 @@ __all__ = [
     "cir_laplace_rate",
     "covariance",
     "covariance_surface",
+    "estimate_moments",
     "estimate_rate_moments",
     "estimate_state_occupancy",
     "estimate_zcb_moment",

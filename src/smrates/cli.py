@@ -41,6 +41,7 @@ from .moment_engine import (
 from .monte_carlo import (
     EstimatorReport,
     RngStream,
+    estimate_moments,
     estimate_rate_moments,
     estimate_state_occupancy,
     estimate_zcb_moment,
@@ -116,9 +117,13 @@ def cmd_phi(cfg: ExperimentConfig, out: Path) -> int:
     return 0
 
 
-def _moment_surfaces(cfg: ExperimentConfig, ws: LatticeWorkspace):
-    orders = [int(n) for n in cfg.moments.get("orders", [1, 2])]
-    lags = [float(v) for v in cfg.moments.get("lags", [0.0])]
+def _moment_surfaces(cfg: ExperimentConfig, ws: LatticeWorkspace, orders=None, lags=None):
+    """The zcb surface of every order, the rate mean and the product
+    moment of every lag; orders and lags default to the moments block."""
+    if orders is None:
+        orders = [int(n) for n in cfg.moments.get("orders", [1, 2])]
+    if lags is None:
+        lags = [float(v) for v in cfg.moments.get("lags", [0.0])]
     zcb = {n: solve_zcb_moment(n, cfg.kernel, cfg.model, cfg.solver, workspace=ws)
            for n in orders}
     rate = solve_rate_mean(cfg.kernel, cfg.model, cfg.solver, workspace=ws)
@@ -275,33 +280,43 @@ def cmd_validate(cfg: ExperimentConfig, out: Path) -> int:
                     EstimatorReport(freqs[j], ses[j], reps_occupancy, seed_counter))
 
     ws = LatticeWorkspace(cfg.kernel, cfg.model, cfg.solver)
-    rate_surface = solve_rate_mean(cfg.kernel, cfg.model, cfg.solver, workspace=ws)
+    zcb, rate_surface, products = _moment_surfaces(cfg, ws, orders, lags)
+    # one batch of paths per start age, seeded after the occupancy walks;
+    # each check reads the first reps_zcb or reps_rate paths of its age's
+    # batch, and every lag's rate_mean check reads the same one
+    targets = {("zcb_moment", n, s): {"quantity": "zcb_moment", "order": n, "s": s,
+                                      "reps": reps_zcb}
+               for n in orders for s in maturities}
+    targets.update({("rate_mean", s): {"quantity": "rate_mean", "s": s, "reps": reps_rate}
+                    for s in maturities})
+    targets.update({("product_moment", lag, s): {"quantity": "product_moment", "s": s,
+                                                 "lag": lag, "reps": reps_rate}
+                    for lag in lags for s in maturities})
+    estimates = []
+    for age in ages:
+        seed_counter += 1
+        reports = estimate_moments(cfg.kernel, cfg.model, BackwardState(start_state, age),
+                                   r0, targets.values(), seed_counter, step=mc_step)
+        estimates.append(dict(zip(targets, reports)))
+
     for n in orders:
-        surf = solve_zcb_moment(n, cfg.kernel, cfg.model, cfg.solver, workspace=ws)
-        for age in ages:
+        for age, est in zip(ages, estimates):
             for s in maturities:
-                seed_counter += 1
-                rep = estimate_zcb_moment(cfg.kernel, cfg.model,
-                                          BackwardState(start_state, age), r0,
-                                          n, s, reps_zcb, seed_counter, step=mc_step)
-                analytic = evaluate_zcb_moment(surf, cfg.kernel, cfg.model,
+                analytic = evaluate_zcb_moment(zcb[n], cfg.kernel, cfg.model,
                                                start_state, age, r0, s)
-                add(f"zcb_moment[n={n},age={age},s={s}]", analytic, rep)
+                add(f"zcb_moment[n={n},age={age},s={s}]", analytic, est["zcb_moment", n, s])
+    mean_an = {(a, s): evaluate_rate_mean(rate_surface, cfg.kernel, cfg.model,
+                                          start_state, age, r0, s)
+               for a, age in enumerate(ages) for s in maturities}
     for lag in lags:
-        xi = solve_product_moment(lag, cfg.kernel, cfg.model, cfg.solver,
-                                  rate_mean_surface=rate_surface, workspace=ws)
-        for age in ages:
+        for a, (age, est) in enumerate(zip(ages, estimates)):
             for s in maturities:
-                seed_counter += 1
-                mean_rep, prod_rep = estimate_rate_moments(
-                    cfg.kernel, cfg.model, BackwardState(start_state, age), r0,
-                    s, lag, reps_rate, seed_counter, step=mc_step)
-                mean_an = evaluate_rate_mean(rate_surface, cfg.kernel, cfg.model,
-                                             start_state, age, r0, s)
-                prod_an = evaluate_product_moment(xi, rate_surface, cfg.kernel,
+                prod_an = evaluate_product_moment(products[lag], rate_surface, cfg.kernel,
                                                   cfg.model, start_state, age, r0, s)
-                add(f"rate_mean[age={age},s={s},lag={lag}]", mean_an, mean_rep)
-                add(f"product_moment[age={age},s={s},lag={lag}]", prod_an, prod_rep)
+                add(f"rate_mean[age={age},s={s},lag={lag}]", mean_an[a, s],
+                    est["rate_mean", s])
+                add(f"product_moment[age={age},s={s},lag={lag}]", prod_an,
+                    est["product_moment", lag, s])
 
     all_pass = all(c["pass"] for c in checks)
     write_json(out / "validation.json", {

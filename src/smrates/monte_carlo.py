@@ -314,22 +314,71 @@ def _pair_average(samples: np.ndarray, antithetic: bool) -> np.ndarray:
     return 0.5 * (samples[:half] + samples[half:])
 
 
+def estimate_moments(kernel: SemiMarkovKernel, model: RegimeRateModel,
+                     start: BackwardState, r0: float, targets, seed: int,
+                     step: float = 0.01, antithetic: bool = False):
+    """Monte Carlo estimates of several moments from one batch of paths;
+    returns one report per target, in order.
+
+    A target is a dict with ``quantity`` "zcb_moment" (the mean of
+    exp(-order * integral of the rate) over [0, s], with an ``order``),
+    "rate_mean" (E[rate(s)]) or "product_moment" (E[rate(s) rate(s+lag)],
+    with a ``lag``), its maturity ``s`` and its replication count
+    ``reps``.  One ``simulate_batch`` of the largest ``reps`` paths runs
+    from ``start`` on ``RngStream(seed)``, with a snapshot at every s and
+    s + lag, and each target's report reads the first ``reps`` paths of
+    it: the estimates are correlated, and each has its own standard
+    error.  Antithetic pairs span the whole batch, so antithetic mode
+    needs one ``reps`` for every target.
+    """
+    targets = list(targets)
+    if not targets:
+        raise ValueError("need at least one target")
+    for tgt in targets:
+        quantity = tgt["quantity"]
+        if quantity not in ("zcb_moment", "rate_mean", "product_moment"):
+            raise ValueError(f"unknown quantity {quantity!r}")
+        if tgt["reps"] < MIN_REPLICATIONS:
+            raise ValueError(f"need at least {MIN_REPLICATIONS} replications")
+        if quantity == "zcb_moment" and (tgt["order"] < 1 or int(tgt["order"]) != tgt["order"]):
+            raise ValueError("moment order n must be a positive integer")
+        if tgt["s"] < 0 or tgt.get("lag", 0.0) < 0:
+            raise ValueError("s and lag must be nonnegative")
+    n_paths = max(tgt["reps"] for tgt in targets)
+    if antithetic and any(tgt["reps"] != n_paths for tgt in targets):
+        raise ValueError("antithetic targets need one replication count")
+    times = np.unique([tgt["s"] for tgt in targets]
+                      + [tgt["s"] + tgt["lag"] for tgt in targets
+                         if tgt["quantity"] == "product_moment"])
+    rates, integ = simulate_batch(kernel, model, start, r0, times, step,
+                                  RngStream(int(seed)), n_paths, antithetic=antithetic)
+    row = {t: k for k, t in enumerate(times.tolist())}
+    reports = []
+    for tgt in targets:
+        reps, quantity, s = tgt["reps"], tgt["quantity"], tgt["s"]
+        target = {"quantity": quantity, "state": start.state, "age": start.age,
+                  "r0": r0, "s": s}
+        if quantity == "zcb_moment":
+            target["order"] = int(tgt["order"])
+            samples = np.exp(-target["order"] * integ[row[s], :reps])
+        elif quantity == "rate_mean":
+            samples = rates[row[s], :reps]
+        else:
+            target["lag"] = tgt["lag"]
+            samples = rates[row[s], :reps] * rates[row[s + tgt["lag"]], :reps]
+        reports.append(_report(_pair_average(samples, antithetic), seed, target))
+    return reports
+
+
 def estimate_zcb_moment(kernel: SemiMarkovKernel, model: RegimeRateModel,
                         start: BackwardState, r0: float, n: int, s: float,
                         reps: int, seed: int, step: float = 0.01,
                         antithetic: bool = False) -> EstimatorReport:
     """Monte Carlo estimate of the n-th discount-factor moment over [0, s]:
     the mean of exp(-n * integral of the rate) across replications."""
-    if reps < MIN_REPLICATIONS:
-        raise ValueError(f"need at least {MIN_REPLICATIONS} replications")
-    if n < 1 or int(n) != n:
-        raise ValueError("moment order n must be a positive integer")
-    _, integ = simulate_batch(kernel, model, start, r0, [s], step, RngStream(int(seed)),
-                              reps, antithetic=antithetic)
-    samples = _pair_average(np.exp(-n * integ[0]), antithetic)
-    target = {"quantity": "zcb_moment", "order": int(n), "state": start.state,
-              "age": start.age, "r0": r0, "s": s}
-    return _report(samples, seed, target)
+    target = {"quantity": "zcb_moment", "order": n, "s": s, "reps": reps}
+    return estimate_moments(kernel, model, start, r0, [target], seed, step=step,
+                            antithetic=antithetic)[0]
 
 
 def estimate_rate_moments(kernel: SemiMarkovKernel, model: RegimeRateModel,
@@ -337,19 +386,11 @@ def estimate_rate_moments(kernel: SemiMarkovKernel, model: RegimeRateModel,
                           reps: int, seed: int, step: float = 0.01):
     """Joint Monte Carlo estimates of E[rate(s)] and E[rate(s) rate(s+h)]
     sampled on common paths; returns the two reports."""
-    if reps < MIN_REPLICATIONS:
-        raise ValueError(f"need at least {MIN_REPLICATIONS} replications")
-    if s < 0 or h < 0:
-        raise ValueError("s and h must be nonnegative")
-    snaps = [s] if h == 0 else [s, s + h]
-    rates, _ = simulate_batch(kernel, model, start, r0, snaps, step, RngStream(int(seed)),
-                              reps)
-    r_s = rates[0]
-    r_sh = rates[-1]
-    base = {"state": start.state, "age": start.age, "r0": r0, "s": s}
-    mean_rep = _report(r_s, seed, {"quantity": "rate_mean", **base})
-    prod_rep = _report(r_s * r_sh, seed,
-                       {"quantity": "product_moment", "lag": h, **base})
+    mean_rep, prod_rep = estimate_moments(
+        kernel, model, start, r0,
+        [{"quantity": "rate_mean", "s": s, "reps": reps},
+         {"quantity": "product_moment", "s": s, "lag": h, "reps": reps}],
+        seed, step=step)
     return mean_rep, prod_rep
 
 

@@ -426,10 +426,16 @@ def ncx2_rule_batch(scale, df: float, nc, order: int):
     dens = ncx2_pdf(nodes / scale, df, nc[:, None]) / scale
     weights = dens * (half[:, None] * w)
     total = weights.sum(axis=1)
-    if np.any(total < 0.999) or np.any(~np.isfinite(total)):
+    finite = np.isfinite(total)
+    short = finite & (total < 0.999)
+    if short.any() or not finite.all():
+        # no reduction over a NaN row: it would warn and print nan
+        least = (f"min finite captured {total[finite].min():.6f}" if finite.any()
+                 else "no finite captured mass")
         raise NumericsError(
-            "noncentral chi-square quadrature lost probability mass "
-            f"(min captured {np.nanmin(total):.6f}); widen the bracket or order"
+            "noncentral chi-square quadrature lost probability mass: of "
+            f"{total.size} rows, {int((~finite).sum())} non-finite and "
+            f"{int(short.sum())} short of mass ({least}); widen the bracket or order"
         )
     weights /= total[:, None]
     return nodes, weights

@@ -374,6 +374,51 @@ def test_cmd_validate_single_regime(tmp_path):
         assert set(c) == {"check", "analytic", "estimate", "std_error", "z", "pass"}
 
 
+def test_cmd_validate_draws_one_batch_per_age(tmp_path, monkeypatch):
+    # every Monte Carlo check of an age reads one shared batch: the zcb
+    # checks its first reps_zcb paths, the rate checks its first reps_rate
+    import smrates.monte_carlo as mc
+
+    data = load_config(TESTBED)
+    data["solver"].update(step=0.02, rate_nodes=21)
+    data["validate"].update(reps_occupancy=1000, reps_zcb=300, reps_rate=500)
+    val = data["validate"]
+    batches = []
+    real = mc.simulate_batch
+
+    def counted(*args, **kwargs):
+        out = real(*args, **kwargs)
+        batches.append((args, kwargs, out))
+        return out
+
+    monkeypatch.setattr(mc, "simulate_batch", counted)
+    rc = main(["validate", "--config", str(dump(tmp_path, data)), "--out", str(tmp_path)])
+    assert rc in (0, 4)
+    assert len(batches) == len(val["ages"])
+    checks = {c["check"]: c for c in json.loads((tmp_path / "validation.json").read_text())
+              ["checks"]}
+
+    def expect(name, samples):
+        assert checks[name]["estimate"] == float(samples.mean())
+        assert checks[name]["std_error"] == float(samples.std(ddof=1) / np.sqrt(samples.size))
+
+    first_seed = data["seed"] + len(val["ages"]) * len(val["occupancy_times"])
+    for a, (age, (args, kwargs, (rates, integ))) in enumerate(zip(val["ages"], batches)):
+        start, snaps, rng, n_paths = args[2], list(args[4]), args[6], args[7]
+        assert (start.age, rng.seed, n_paths) == (age, first_seed + a + 1, 500)
+        assert not kwargs.get("antithetic", False)
+        row = {t: k for k, t in enumerate(snaps)}
+        for s in val["maturities"]:
+            for n in val["orders"]:
+                expect(f"zcb_moment[n={n},age={age},s={s}]",
+                       np.exp(-n * integ[row[s], :300]))
+            for lag in val["lags"]:
+                r_s = rates[row[s], :500]
+                expect(f"rate_mean[age={age},s={s},lag={lag}]", r_s)
+                expect(f"product_moment[age={age},s={s},lag={lag}]",
+                       r_s * rates[row[s + lag], :500])
+
+
 def test_cmd_validate_zero_threshold_fails(tmp_path):
     data = load_config(SINGLE)
     data["validate"]["z_threshold"] = 0.0

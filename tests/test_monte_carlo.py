@@ -8,6 +8,7 @@ from smrates import (
     RngStream,
     SemiMarkovKernel,
     SojournDistribution,
+    estimate_moments,
     estimate_rate_moments,
     estimate_state_occupancy,
     estimate_zcb_moment,
@@ -197,6 +198,59 @@ def test_antithetic_is_unbiased(kern_testbed, vas_testbed, start0):
                                 200000, 18)
     z = (anti.estimate - plain.estimate) / np.hypot(anti.std_error, plain.std_error)
     assert abs(z) < 4
+
+
+def _hand_report(samples):
+    return float(samples.mean()), float(samples.std(ddof=1) / np.sqrt(samples.size))
+
+
+@pytest.mark.parametrize("antithetic", [False, True])
+def test_zcb_estimator_is_its_batch_plus_the_formula(kern_testbed, vas_testbed, antithetic):
+    start = BackwardState(0, 0.5)
+    rep = estimate_zcb_moment(kern_testbed, vas_testbed, start, 0.03, 2, 0.75, 600, 31,
+                              step=0.02, antithetic=antithetic)
+    _, integ = simulate_batch(kern_testbed, vas_testbed, start, 0.03, [0.75], 0.02,
+                              RngStream(31), 600, antithetic=antithetic)
+    samples = np.exp(-2 * integ[0])
+    if antithetic:
+        samples = 0.5 * (samples[:300] + samples[300:])
+    assert (rep.estimate, rep.std_error) == _hand_report(samples)
+    assert rep.replications == samples.size
+    assert rep.target == {"quantity": "zcb_moment", "order": 2, "state": 0, "age": 0.5,
+                          "r0": 0.03, "s": 0.75}
+
+
+@pytest.mark.parametrize("lag", [0.0, 0.5])
+def test_rate_estimators_are_their_batch_plus_the_formula(kern_testbed, vas_testbed,
+                                                          start0, lag):
+    mean_rep, prod_rep = estimate_rate_moments(kern_testbed, vas_testbed, start0, 0.03,
+                                               1.0, lag, 700, 32, step=0.02)
+    snaps = [1.0] if lag == 0 else [1.0, 1.0 + lag]
+    rates, _ = simulate_batch(kern_testbed, vas_testbed, start0, 0.03, snaps, 0.02,
+                              RngStream(32), 700)
+    assert (mean_rep.estimate, mean_rep.std_error) == _hand_report(rates[0])
+    assert (prod_rep.estimate, prod_rep.std_error) == _hand_report(rates[0] * rates[-1])
+    assert prod_rep.target["lag"] == lag and mean_rep.target["quantity"] == "rate_mean"
+
+
+def test_estimate_moments_reads_prefixes_of_one_batch(kern_testbed, vas_testbed, start0):
+    targets = [{"quantity": "product_moment", "s": 0.5, "lag": 0.5, "reps": 400},
+               {"quantity": "zcb_moment", "order": 1, "s": 1.0, "reps": 250},
+               {"quantity": "rate_mean", "s": 0.5, "reps": 400}]
+    prod, zcb, mean = estimate_moments(kern_testbed, vas_testbed, start0, 0.03, targets,
+                                       33, step=0.02)
+    rates, integ = simulate_batch(kern_testbed, vas_testbed, start0, 0.03, [0.5, 1.0],
+                                  0.02, RngStream(33), 400)
+    assert (prod.estimate, prod.std_error) == _hand_report(rates[0] * rates[1])
+    assert (zcb.estimate, zcb.std_error) == _hand_report(np.exp(-integ[1, :250]))
+    assert (mean.estimate, mean.std_error) == _hand_report(rates[0])
+    assert (zcb.replications, mean.replications) == (250, 400)
+    with pytest.raises(ValueError, match="one replication count"):
+        estimate_moments(kern_testbed, vas_testbed, start0, 0.03, targets, 33,
+                         antithetic=True)
+    with pytest.raises(ValueError, match="unknown quantity"):
+        estimate_moments(kern_testbed, vas_testbed, start0, 0.03,
+                         [{"quantity": "sharpe_ratio", "s": 1.0, "reps": 400}], 33)
 
 
 def test_occupancy_matches_transition_probabilities(kern_testbed, start0):

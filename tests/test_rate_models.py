@@ -453,6 +453,7 @@ def test_ncx2_pdf_broadcasts_rows_with_zero_noncentrality():
     assert ncx2_pdf(0.0, 5.0, 2.0) == 0.0
 
 
+@pytest.mark.filterwarnings("error")
 def test_ncx2_pdf_limits_of_the_closed_form():
     x = np.linspace(5.0, 120.0, 50)
     # a noncentrality too small to change any digit: the central density,
@@ -462,8 +463,13 @@ def test_ncx2_pdf_limits_of_the_closed_form():
     # large df with small nc: the Bessel factor underflows, so the rule is
     # refused instead of being inexact
     assert np.isnan(ncx2_pdf(100.0, 100.0, 1e-12))
-    with pytest.raises(NumericsError):
+    with pytest.raises(NumericsError, match=r"of 1 rows, 1 non-finite and 0 short of "
+                                            r"mass \(no finite captured mass\)"):
         ncx2_rule_batch(1.0, 100.0, 1e-12, 48)
+    # a finite row is reported by its captured mass, next to the lost one
+    with pytest.raises(NumericsError, match=r"of 2 rows, 1 non-finite and 1 short of "
+                                            r"mass \(min finite captured 0\.008767\)"):
+        ncx2_rule_batch(1.0, 100.0, [1e-12, 5.0], 2)
 
 
 @pytest.mark.parametrize("tilt", [0, 1])
