@@ -329,11 +329,11 @@ def estimate_moments(kernel: SemiMarkovKernel, model: RegimeRateModel,
     s + lag, and each target's report reads the first ``reps`` paths of
     it: the estimates are correlated, and each has its own standard
     error.  Antithetic pairs span the whole batch, so antithetic mode
-    needs one ``reps`` for every target.
+    needs one ``reps`` for every target.  No target draws no batch.
     """
     targets = list(targets)
     if not targets:
-        raise ValueError("need at least one target")
+        return []
     for tgt in targets:
         quantity = tgt["quantity"]
         if quantity not in ("zcb_moment", "rate_mean", "product_moment"):

@@ -419,6 +419,15 @@ def test_cmd_validate_draws_one_batch_per_age(tmp_path, monkeypatch):
                        r_s * rates[row[s + lag], :500])
 
 
+def test_cmd_validate_without_maturities_runs_occupancy_only(tmp_path):
+    data = load_config(SINGLE)
+    data["validate"]["maturities"] = []
+    rc = main(["validate", "--config", str(dump(tmp_path, data)), "--out", str(tmp_path)])
+    checks = json.loads((tmp_path / "validation.json").read_text())["checks"]
+    assert rc == 0
+    assert checks and all(c["check"].startswith("occupancy[") for c in checks)
+
+
 def test_cmd_validate_zero_threshold_fails(tmp_path):
     data = load_config(SINGLE)
     data["validate"]["z_threshold"] = 0.0

@@ -251,6 +251,7 @@ def test_estimate_moments_reads_prefixes_of_one_batch(kern_testbed, vas_testbed,
     with pytest.raises(ValueError, match="unknown quantity"):
         estimate_moments(kern_testbed, vas_testbed, start0, 0.03,
                          [{"quantity": "sharpe_ratio", "s": 1.0, "reps": 400}], 33)
+    assert estimate_moments(kern_testbed, vas_testbed, start0, 0.03, [], 33) == []
 
 
 def test_occupancy_matches_transition_probabilities(kern_testbed, start0):
