@@ -124,12 +124,14 @@ def _moment_surfaces(cfg: ExperimentConfig, ws: LatticeWorkspace, orders=None, l
         orders = [int(n) for n in cfg.moments.get("orders", [1, 2])]
     if lags is None:
         lags = [float(v) for v in cfg.moments.get("lags", [0.0])]
-    zcb = {n: solve_zcb_moment(n, cfg.kernel, cfg.model, cfg.solver, workspace=ws)
-           for n in orders}
+    # the first product solve holds the most memory (it builds the
+    # first-moment stack), so it runs while the fewest surfaces are held
     rate = solve_rate_mean(cfg.kernel, cfg.model, cfg.solver, workspace=ws)
     products = {lag: solve_product_moment(lag, cfg.kernel, cfg.model, cfg.solver,
                                           rate_mean_surface=rate, workspace=ws)
                 for lag in lags}
+    zcb = {n: solve_zcb_moment(n, cfg.kernel, cfg.model, cfg.solver, workspace=ws)
+           for n in orders}
     return zcb, rate, products
 
 
