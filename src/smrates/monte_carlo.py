@@ -11,8 +11,10 @@ rule, the only source of discretization bias.
 
 There is one engine: a vectorized batch march that moves every path by
 ``RegimeRateModel.step``, the only exact transition draw.  The
-estimators read it at snapshot times; ``simulate_path`` is a one-path
-run of it recorded at every node it visits.  One counter-based
+estimators read it at snapshot times: ``estimate_moments`` reads several
+targets off one batch, each from a prefix of its paths, and the
+one-target estimators are calls of it.  ``simulate_path`` is a one-path
+run of the engine recorded at every node it visits.  One counter-based
 generator drives each run, so results are reproducible bit for bit
 from (seed, configuration).  The estimators cross-check every analytic
 quantity of the solvers: discount-factor moments, the rate mean, the
