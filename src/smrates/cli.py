@@ -15,6 +15,7 @@ error, 3 numerical failure, 4 validation failure.
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 from pathlib import Path
 
@@ -190,7 +191,7 @@ def cmd_simulate(cfg: ExperimentConfig, out: Path) -> int:
         product_surfaces = {}
         zcb_surfaces = {}
         for idx, tgt in enumerate(targets):
-            seed = cfg.seed + 1000 + idx
+            rng = RngStream(cfg.seed, n_paths + idx)   # after the paths' streams
             reps = int(tgt.get("reps", 10000))
             s = float(tgt["s"])
             quantity = tgt["quantity"]
@@ -200,7 +201,7 @@ def cmd_simulate(cfg: ExperimentConfig, out: Path) -> int:
                     zcb_surfaces[n] = solve_zcb_moment(
                         n, cfg.kernel, cfg.model, cfg.solver, workspace=ws)
                 rep = estimate_zcb_moment(cfg.kernel, cfg.model, start, r0, n, s,
-                                          reps, seed, step=step,
+                                          reps, rng, step=step,
                                           antithetic=bool(tgt.get("antithetic", False)))
                 analytic = evaluate_zcb_moment(zcb_surfaces[n], cfg.kernel, cfg.model,
                                                start.state, start.age, r0, s)
@@ -215,7 +216,7 @@ def cmd_simulate(cfg: ExperimentConfig, out: Path) -> int:
                         lag, cfg.kernel, cfg.model, cfg.solver,
                         rate_mean_surface=rate_surface, workspace=ws)
                 mean_rep, prod_rep = estimate_rate_moments(
-                    cfg.kernel, cfg.model, start, r0, s, lag, reps, seed, step=step)
+                    cfg.kernel, cfg.model, start, r0, s, lag, reps, rng, step=step)
                 mean_an = evaluate_rate_mean(rate_surface, cfg.kernel, cfg.model,
                                              start.state, start.age, r0, s)
                 prod_an = evaluate_product_moment(
@@ -253,7 +254,9 @@ def cmd_validate(cfg: ExperimentConfig, out: Path) -> int:
     mc_step = cfg.solver.mc_step
 
     checks = []
-    seed_counter = cfg.seed
+    # every estimator draws its own stream of the run's seed, numbered in
+    # order of use, so runs at different seeds share no stream
+    streams = (RngStream(cfg.seed, k) for k in itertools.count())
 
     def add(name, analytic, rep: EstimatorReport):
         z = rep.z_score(analytic)
@@ -271,19 +274,19 @@ def cmd_validate(cfg: ExperimentConfig, out: Path) -> int:
     for age in ages:
         aged = backward_transition_probabilities(cfg.kernel, age, grid, phi)
         for t in occupancy_times:
-            seed_counter += 1
+            rng = next(streams)
             freqs, ses = estimate_state_occupancy(
-                cfg.kernel, BackwardState(start_state, age), t,
-                reps_occupancy, seed_counter)
+                cfg.kernel, BackwardState(start_state, age), t, reps_occupancy, rng)
             k = grid.index_of(t)
             for j in range(cfg.kernel.m):
                 add(f"occupancy[age={age},t={t},to={cfg.kernel.states[j]}]",
                     aged[k, start_state, j],
-                    EstimatorReport(freqs[j], ses[j], reps_occupancy, seed_counter))
+                    EstimatorReport(freqs[j], ses[j], reps_occupancy, rng.seed,
+                                    stream=rng.stream))
 
-    # one batch of paths per start age, seeded after the occupancy walks;
-    # each check reads the first reps_zcb or reps_rate paths of its age's
-    # batch, and every lag's rate_mean check reads the same one.  The
+    # one batch of paths per start age, on the streams after the occupancy
+    # walks'; each check reads the first reps_zcb or reps_rate paths of its
+    # age's batch, and every lag's rate_mean check reads the same one.  The
     # batches run before the solves, whose peak RSS is about 0.3 MiB
     # higher when the batch arrays have fragmented the heap first
     targets = {("zcb_moment", n, s): {"quantity": "zcb_moment", "order": n, "s": s,
@@ -296,9 +299,8 @@ def cmd_validate(cfg: ExperimentConfig, out: Path) -> int:
                     for lag in lags for s in maturities})
     estimates = []
     for age in ages:
-        seed_counter += 1
         reports = estimate_moments(cfg.kernel, cfg.model, BackwardState(start_state, age),
-                                   r0, targets.values(), seed_counter, step=mc_step)
+                                   r0, targets.values(), next(streams), step=mc_step)
         estimates.append(dict(zip(targets, reports)))
 
     ws = LatticeWorkspace(cfg.kernel, cfg.model, cfg.solver)

@@ -27,9 +27,10 @@ is read once per panel, and only the history inside the panel is summed
 step by step (the first level of Hairer, Lubich & Schlichte, SIAM J.
 Sci. Stat. Comput. 6, 1985).  A discount-tilted stack carries its no-switch
 discount as a row weight.  Stacks are built a chunk of elapsed times at
-a time: the chunk's rules are scattered onto the lattice in one
-``np.bincount`` pass, which bounds the temporaries and sums every
-lattice cell in the same order as consecutive ``np.add.at`` passes.
+a time: the chunk's rules come from one call and are scattered onto the
+lattice in one ``np.bincount`` pass, which bounds the temporaries and
+sums every lattice cell in the same order as consecutive ``np.add.at``
+passes.
 
 Each quantity is written down once, as a small spec (_Spec), and every
 spec runs through the same two evaluations: the lattice march and the
@@ -61,8 +62,8 @@ from .semi_markov import SemiMarkovKernel, TimeGrid
 # floor on the Gauss-Legendre order for chi-square transition rules; below
 # this the rule cannot resolve the density bump inside its bracket
 _CIR_MIN_ORDER = 48
-# elapsed times scattered per batched pass of a transfer build; bounds the
-# pass's temporary arrays
+# elapsed times per rule call and scatter pass of a transfer build;
+# bounds the temporary arrays
 _SCATTER_CHUNK = 16
 # march steps per panel: the history before a panel is one matrix-matrix
 # product per state with this many right-hand sides
@@ -227,27 +228,28 @@ def _law_nodes_weights(model: RegimeRateModel, i: int, r0, t, order: int,
     matches the joint law of the accumulated discount and the arriving
     rate; at tilt 0 this is the plain transition law.
 
-    One rule per start rate when t is a scalar (the lattice transfer
-    build), or per elapsed time when r0 is one rate and t an array of
-    positive times (the aged pass).  Returns (nodes, weights) with the
-    rules along the first axis and ``order`` columns: a point mass at
-    the start rate when t = 0 and at the deterministic flow for a
-    noise-free regime; Gauss-Hermite through mean/std for the Gaussian
-    kinds; for CIR a Gauss-Legendre rule against the chi-square density
-    (order floored at 48 so the rule resolves the density), or
-    equal-probability quantile stratification when the origin is
-    attainable and the density is unbounded; the chi-square constants
-    broadcast over the elapsed times, with one scale per rule.  Both
-    evaluations of a renewal spec come through here, so their
-    discretizations coincide.
+    One rule per entry of the broadcast of the start rates r0 (at least
+    one) against the elapsed times t: per start rate when t is a scalar,
+    per (time, rate) when t is a column of times (the lattice transfer
+    build, a chunk of elapsed times at a time), or per elapsed time when
+    r0 is one rate and t an array of positive times (the aged pass).
+    Each entry's rule depends on its own (r0, t) alone.  Returns (nodes,
+    weights) of shape rules + (order,): a point mass at the start rate
+    when t = 0 and at the deterministic flow for a noise-free regime;
+    Gauss-Hermite through mean/std for the Gaussian kinds; for CIR a
+    Gauss-Legendre rule against the chi-square density (order floored at
+    48 so the rule resolves the density), or equal-probability quantile
+    stratification when the origin is attainable and the density is
+    unbounded.  Both evaluations of a renewal spec come through here, so
+    their discretizations coincide.
     """
     t = np.asarray(t, dtype=float)
     r0 = np.atleast_1d(np.asarray(r0, dtype=float))
-    n = np.broadcast(r0, t).size
+    shape = np.broadcast_shapes(r0.shape, t.shape)
     if t.ndim == 0 and t <= 0.0:
         nodes = np.repeat(r0[:, None], order, axis=1)
-        weights = np.zeros((n, order))
-        weights[:, 0] = 1.0
+        weights = np.zeros(shape + (order,))
+        weights[..., 0] = 1.0
         return nodes, weights
     if model.gaussian_transition:
         means = np.atleast_1d(model.mean(i, r0, t))
@@ -258,10 +260,10 @@ def _law_nodes_weights(model: RegimeRateModel, i: int, r0, t, order: int,
     p = model.params[i]
     if p.sigma == 0.0:
         # deterministic regime: the discount tilt reweights a point mass
-        flow = np.atleast_1d(model.mean(i, r0, t))
-        nodes = np.repeat(flow[:, None], order, axis=1)
-        weights = np.zeros((n, order))
-        weights[:, 0] = 1.0
+        flow = np.broadcast_to(model.mean(i, r0, t), shape)
+        nodes = np.repeat(flow[..., None], order, axis=-1)
+        weights = np.zeros(shape + (order,))
+        weights[..., 0] = 1.0
         return nodes, weights
     if tilt:
         c, df, nc_coef = cir_discounted_transition_constants(p, float(tilt), t)
@@ -272,8 +274,8 @@ def _law_nodes_weights(model: RegimeRateModel, i: int, r0, t, order: int,
     if p.feller_ratio >= 1.0:
         return ncx2_rule_batch(c, df, nc, max(order, _CIR_MIN_ORDER))
     q = (np.arange(order) + 0.5) / order
-    nodes = np.reshape(c, (-1, 1)) * ncx2_ppf(q[None, :], df, nc[:, None])
-    weights = np.full((n, order), 1.0 / order)
+    nodes = np.asarray(c)[..., None] * ncx2_ppf(q, df, nc[..., None])
+    weights = np.full(shape + (order,), 1.0 / order)
     return nodes, weights
 
 
@@ -383,9 +385,9 @@ class LatticeWorkspace:
         return self._transfer_m1
 
     def _build(self, tilt: int = 0, first_moment: bool = False) -> np.ndarray:
-        """One packed stack, scattered _SCATTER_CHUNK elapsed times at a
-        time; a tilted stack's rows are scaled by the discount after the
-        scatter."""
+        """One packed stack, _SCATTER_CHUNK elapsed times at a time: one
+        rule call and one scatter per chunk; a tilted stack's rows are
+        scaled by the discount after the scatter."""
         m, nx, kp1 = self.m, self.x_nodes.size, self.thetas.size
         order = self.config.quad_order
         packed = np.empty((m, nx, kp1 * nx))
@@ -394,16 +396,11 @@ class LatticeWorkspace:
             blocks[0] = np.diag(self.x_nodes) if first_moment else np.eye(nx)
             for l0 in range(1, kp1, _SCATTER_CHUNK):
                 l1 = min(l0 + _SCATTER_CHUNK, kp1)
-                nodes, weights = [], []
-                for l in range(l0, l1):
-                    nd, wt = _law_nodes_weights(self.model, i, self.x_nodes,
-                                                float(self.thetas[l]), order, tilt=tilt)
-                    self._check_coverage(_escaped(self.x_nodes, nd, wt),
-                                         f"state {i}, elapsed {self.thetas[l]:.4g}")
-                    nodes.append(nd)
-                    weights.append(wt)
-                blocks[l0:l1] = _scatter(self.x_nodes, np.stack(nodes), np.stack(weights),
-                                         first_moment=first_moment)
+                nodes, weights = _law_nodes_weights(self.model, i, self.x_nodes,
+                                                    self.thetas[l0:l1, None], order, tilt=tilt)
+                for l, escape in zip(range(l0, l1), _escaped(self.x_nodes, nodes, weights)):
+                    self._check_coverage(escape, f"state {i}, elapsed {self.thetas[l]:.4g}")
+                blocks[l0:l1] = _scatter(self.x_nodes, nodes, weights, first_moment=first_moment)
             if tilt:
                 discount = _no_switch_discount(self.model, tilt)(i, self.x_nodes[:, None],
                                                                  self.thetas)

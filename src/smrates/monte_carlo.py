@@ -85,13 +85,15 @@ class PathRecord:
 
 @dataclass(frozen=True)
 class EstimatorReport:
-    """Point estimate with its Monte Carlo standard error."""
+    """Point estimate with its Monte Carlo standard error, drawn from
+    ``RngStream(seed, stream)``."""
 
     estimate: float
     std_error: float
     replications: int
     seed: int
     target: dict = field(default_factory=dict)
+    stream: int = 0
 
     def z_score(self, reference: float) -> float:
         if self.std_error == 0.0:
@@ -104,17 +106,23 @@ class EstimatorReport:
             "std_error": self.std_error,
             "replications": self.replications,
             "seed": self.seed,
+            "stream": self.stream,
             "target": dict(self.target),
         }
 
 
-def _report(samples: np.ndarray, seed: int, target: dict) -> EstimatorReport:
+def _stream(seed) -> RngStream:
+    """An estimator's stream: an RngStream as given, an int seed's stream 0."""
+    return seed if isinstance(seed, RngStream) else RngStream(int(seed))
+
+
+def _report(samples: np.ndarray, rng: RngStream, target: dict) -> EstimatorReport:
     n = samples.size
     if n < 2:
         raise ValueError("need at least 2 replications for a standard error")
     est = float(samples.mean())
     se = float(samples.std(ddof=1) / np.sqrt(n))
-    return EstimatorReport(est, se, n, int(seed), target)
+    return EstimatorReport(est, se, n, rng.seed, target, rng.stream)
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +325,7 @@ def _pair_average(samples: np.ndarray, antithetic: bool) -> np.ndarray:
 
 
 def estimate_moments(kernel: SemiMarkovKernel, model: RegimeRateModel,
-                     start: BackwardState, r0: float, targets, seed: int,
+                     start: BackwardState, r0: float, targets, seed: int | RngStream,
                      step: float = 0.01, antithetic: bool = False):
     """Monte Carlo estimates of several moments from one batch of paths;
     returns one report per target, in order.
@@ -327,7 +335,8 @@ def estimate_moments(kernel: SemiMarkovKernel, model: RegimeRateModel,
     "rate_mean" (E[rate(s)]) or "product_moment" (E[rate(s) rate(s+lag)],
     with a ``lag``), its maturity ``s`` and its replication count
     ``reps``.  One ``simulate_batch`` of the largest ``reps`` paths runs
-    from ``start`` on ``RngStream(seed)``, with a snapshot at every s and
+    from ``start`` on the stream ``seed`` (an RngStream, or an int for
+    ``RngStream(seed)``), with a snapshot at every s and
     s + lag, and each target's report reads the first ``reps`` paths of
     it: the estimates are correlated, and each has its own standard
     error.  Antithetic pairs span the whole batch, so antithetic mode
@@ -352,8 +361,9 @@ def estimate_moments(kernel: SemiMarkovKernel, model: RegimeRateModel,
     times = np.unique([tgt["s"] for tgt in targets]
                       + [tgt["s"] + tgt["lag"] for tgt in targets
                          if tgt["quantity"] == "product_moment"])
+    rng = _stream(seed)
     rates, integ = simulate_batch(kernel, model, start, r0, times, step,
-                                  RngStream(int(seed)), n_paths, antithetic=antithetic)
+                                  rng, n_paths, antithetic=antithetic)
     row = {t: k for k, t in enumerate(times.tolist())}
     reports = []
     for tgt in targets:
@@ -368,13 +378,13 @@ def estimate_moments(kernel: SemiMarkovKernel, model: RegimeRateModel,
         else:
             target["lag"] = tgt["lag"]
             samples = rates[row[s], :reps] * rates[row[s + tgt["lag"]], :reps]
-        reports.append(_report(_pair_average(samples, antithetic), seed, target))
+        reports.append(_report(_pair_average(samples, antithetic), rng, target))
     return reports
 
 
 def estimate_zcb_moment(kernel: SemiMarkovKernel, model: RegimeRateModel,
                         start: BackwardState, r0: float, n: int, s: float,
-                        reps: int, seed: int, step: float = 0.01,
+                        reps: int, seed: int | RngStream, step: float = 0.01,
                         antithetic: bool = False) -> EstimatorReport:
     """Monte Carlo estimate of the n-th discount-factor moment over [0, s]:
     the mean of exp(-n * integral of the rate) across replications."""
@@ -385,7 +395,7 @@ def estimate_zcb_moment(kernel: SemiMarkovKernel, model: RegimeRateModel,
 
 def estimate_rate_moments(kernel: SemiMarkovKernel, model: RegimeRateModel,
                           start: BackwardState, r0: float, s: float, h: float,
-                          reps: int, seed: int, step: float = 0.01):
+                          reps: int, seed: int | RngStream, step: float = 0.01):
     """Joint Monte Carlo estimates of E[rate(s)] and E[rate(s) rate(s+h)]
     sampled on common paths; returns the two reports."""
     mean_rep, prod_rep = estimate_moments(
@@ -397,12 +407,12 @@ def estimate_rate_moments(kernel: SemiMarkovKernel, model: RegimeRateModel,
 
 
 def estimate_state_occupancy(kernel: SemiMarkovKernel, start: BackwardState,
-                             t: float, reps: int, seed: int):
+                             t: float, reps: int, seed: int | RngStream):
     """Empirical occupancy law of the switching process at time t:
     (frequencies, standard errors) over the m states."""
     if reps < MIN_REPLICATIONS:
         raise ValueError(f"need at least {MIN_REPLICATIONS} replications")
-    rng = RngStream(int(seed)).generator()
+    rng = _stream(seed).generator()
     states = sample_states_at(kernel, start, t, reps, rng)
     freqs = np.bincount(states, minlength=kernel.m) / reps
     ses = np.sqrt(np.maximum(freqs * (1.0 - freqs), 0.0) / reps)

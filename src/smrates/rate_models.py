@@ -38,6 +38,8 @@ _STILL = 1e-15
 _TINY = np.finfo(float).tiny
 # a relative change at most this large rounds away in double precision
 _EPS = 2.0**-53
+# terms kept of each Bessel series in ncx2_pdf
+_BESSEL_TERMS = 40
 
 
 # ---------------------------------------------------------------------------
@@ -88,13 +90,20 @@ _GL_X = 0.5 * (_GL_X + 1.0)
 _GL_W = 0.5 * _GL_W
 
 
+def _gl_panels(fn, lo, width):
+    """Gauss-Legendre integrals of fn over the panels [lo, lo + width]."""
+    nodes = lo[:, None] + width[:, None] * _GL_X[None, :]
+    return (fn(nodes) * _GL_W[None, :]).sum(axis=1) * width
+
+
 def gl_cumulative(fn, knots, t):
     """int_0^t fn(u) du for each t, by panel-wise Gauss-Legendre.
 
-    fn must be vectorized and smooth between consecutive knots; the
-    panel boundaries are the union of the knots and the query times, so
-    table kinks never cross a quadrature panel.  Returns floats/arrays
-    matching the shape of t.
+    fn must be vectorized and smooth between consecutive knots.  Each
+    integral is the sum of the whole knot panels below t plus one panel
+    from the last knot below t to t, so table kinks never cross a
+    quadrature panel and each value depends on its own t alone, not on
+    the other query times.  Returns floats/arrays matching the shape of t.
     """
     t_arr = np.asarray(t, dtype=float)
     flat = np.ravel(t_arr)
@@ -102,17 +111,11 @@ def gl_cumulative(fn, knots, t):
         return np.zeros_like(t_arr)
     if np.any(flat < 0):
         raise ValueError("gl_cumulative expects nonnegative times")
-    bounds = np.unique(np.concatenate([np.asarray(knots, dtype=float), flat, [0.0]]))
-    bounds = bounds[(bounds >= 0.0) & (bounds <= flat.max(initial=0.0))]
-    if bounds.size < 2:
-        out = np.zeros_like(flat)
-        return out.reshape(t_arr.shape) if t_arr.ndim else 0.0
-    lo = bounds[:-1]
-    width = np.diff(bounds)
-    nodes = lo[:, None] + width[:, None] * _GL_X[None, :]
-    panel = (fn(nodes) * _GL_W[None, :]).sum(axis=1) * width
-    cum = np.concatenate([[0.0], np.cumsum(panel)])
-    out = np.interp(flat, bounds, cum)  # query times are exact panel boundaries
+    knots = np.unique(np.asarray(knots, dtype=float))
+    knots = np.concatenate([[0.0], knots[(knots > 0.0) & (knots < flat.max())]])
+    cum = np.concatenate([[0.0], np.cumsum(_gl_panels(fn, knots[:-1], np.diff(knots)))])
+    last = np.maximum(np.searchsorted(knots, flat) - 1, 0)
+    out = cum[last] + _gl_panels(fn, knots[last], flat - knots[last])
     return out.reshape(t_arr.shape) if t_arr.ndim else float(out[0])
 
 
@@ -360,33 +363,85 @@ def gaussian_quadrature_batch(means, stds, order: int):
     return nodes, weights
 
 
-def ncx2_pdf(x, df: float, nc):
-    """Noncentral chi-square density, nc broadcasting against x.
+@functools.lru_cache(maxsize=None)
+def _bessel_series(nu: float):
+    """The two series ``ncx2_pdf`` evaluates I_nu by, computed once per
+    order nu > -1: (power, z_power, hankel, z_hankel).
 
-    Closed form 0.5 exp(-(sqrt(x) - sqrt(nc))^2 / 2) (x/nc)^(nu/2)
-    ive(nu, sqrt(nc x)) with nu = df/2 - 1 (Johnson, Kotz & Balakrishnan,
-    vol. 2, ch. 29).  The density is the central one times
-    exp(-nc/2) 0F1(; df/2; nc x/4), a factor within nc max(1, x/df) of 1,
-    so where that is at most 2^-53 (nc = 0 included) the central density
-    is exact.  Above it, when nu is large and sqrt(nc x) small, the Bessel
-    factor can leave the normal floats while the power factor is large
-    (df 100 below nc ~ 1e-9, df 200 below nc ~ 1e-2); those entries are
-    NaN rather than inexact.
+    power[k] = 1 / (k! (nu+1)_k), so that I_nu(z) = (z/2)^nu / Gamma(nu+1)
+    sum_k power[k] (z^2/4)^k (DLMF 10.25.2).  Every term is positive, and
+    for z <= z_power the first omitted term is below 2^-54, so the sum,
+    which is at least 1, is exact to rounding.
+    hankel[k] = (-1)^k a_k(nu), so that e^-z I_nu(z) ~ (2 pi z)^-1/2
+    sum_k hankel[k] z^-k (DLMF 10.40.1).  For z >= z_hankel no kept term
+    exceeds the leading 1, so large nu cannot cancel, and the first
+    omitted term is below 2^-53; the exponentially small part of I_nu is
+    e^-2z below the sum.  The arrays are read-only.
     """
-    x = np.asarray(x, dtype=float)
-    nc = np.asarray(nc, dtype=float)
+    k = np.arange(1, _BESSEL_TERMS + 1)
+    power = np.concatenate([[1.0], np.cumprod(1.0 / (k * (nu + k)))])
+    log_next = -(sp_special.gammaln(_BESSEL_TERMS + 1.0)
+                 + sp_special.gammaln(nu + 1.0 + _BESSEL_TERMS) - sp_special.gammaln(nu + 1.0))
+    z_power = 2.0 * np.exp(0.5 * (np.log(0.5 * _EPS) - log_next) / _BESSEL_TERMS)
+    hankel = np.concatenate([[1.0], np.cumprod(-(4.0 * nu * nu - (2.0 * k - 1.0) ** 2)
+                                                / (8.0 * k))])
+    with np.errstate(divide="ignore"):   # a_k = 0 for half-integer nu
+        log_a = np.log(np.abs(hankel[1:]))
+    z_hankel = max(np.exp(log_a[:-1] / k[:-1]).max(),
+                   np.exp((log_a[-1] - np.log(_EPS)) / _BESSEL_TERMS))
+    power, hankel = power[:-1], hankel[:-1]
+    power.flags.writeable = False
+    hankel.flags.writeable = False
+    return power, float(z_power), hankel, float(z_hankel)
+
+
+def _horner(coefs, t):
+    """sum_k coefs[k] t^k."""
+    out = np.full_like(t, coefs[-1])
+    for c in coefs[-2::-1]:
+        out *= t
+        out += c
+    return out
+
+
+def ncx2_pdf(x, df: float, nc):
+    """Noncentral chi-square density (df > 0), nc broadcasting against x.
+
+    With nu = df/2 - 1 and z = sqrt(nc x) the density is
+    0.5 exp(-(sqrt(x) - sqrt(nc))^2 / 2) (x/nc)^(nu/2) ive(nu, z) (Johnson,
+    Kotz & Balakrishnan, vol. 2, ch. 29), and the Bessel factor is
+    evaluated three ways (``_bessel_series`` holds the series and their
+    ranges):
+      * z <= z_power: the power series, which turns the density into
+        exp(nu log x - (x + nc)/2 - log Gamma(df/2) - (df/2) log 2) times
+        a sum of positive terms in nc x/4.  It never underflows, and at
+        nc = 0 it is the central density bit for bit;
+      * z >= z_hankel: the Hankel expansion of ive;
+      * in between (large nu only): ``scipy.special.ive``.  Where that
+        leaves the normal floats while the power factor is large (df
+        above about 1000) the entry is NaN rather than inexact.
+    """
     nu = 0.5 * df - 1.0
-    xs, ns = np.sqrt(x), np.sqrt(nc)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        log_f = sp_special.xlogy(0.5 * nu, x / nc) - 0.5 * (xs - ns) ** 2
-        bessel = sp_special.ive(nu, xs * ns)
-        dens = np.asarray(np.exp(log_f) * (0.5 * bessel))
-    dens[(bessel < _TINY) & (log_f > 0.0)] = np.nan
-    central = nc * np.maximum(1.0, x / df) <= _EPS
-    if central.any():
-        xc = np.broadcast_to(x, dens.shape)[central]
-        dens[central] = np.exp(sp_special.xlogy(nu, xc) - 0.5 * xc
-                               - sp_special.gammaln(0.5 * df) - 0.5 * np.log(2.0) * df)
+    power, z_power, hankel, z_hankel = _bessel_series(nu)
+    x, nc = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(nc, dtype=float))
+    z = np.sqrt(x) * np.sqrt(nc)
+    dens = np.empty(z.shape)
+    low = z <= z_power
+    xl, nl = x[low], nc[low]
+    dens[low] = np.exp(sp_special.xlogy(nu, xl) - 0.5 * (xl + nl) - sp_special.gammaln(0.5 * df)
+                       - 0.5 * np.log(2.0) * df) * _horner(power, 0.25 * xl * nl)
+    high = ~low
+    if high.any():
+        xh, nh, zh = x[high], nc[high], z[high]
+        log_f = sp_special.xlogy(0.5 * nu, xh / nh) - 0.5 * (np.sqrt(xh) - np.sqrt(nh)) ** 2
+        hank = zh >= z_hankel
+        bessel = np.empty(zh.shape)
+        bessel[hank] = _horner(hankel, 1.0 / zh[hank]) / np.sqrt(2.0 * np.pi * zh[hank])
+        bessel[~hank] = sp_special.ive(nu, zh[~hank])
+        with np.errstate(over="ignore", invalid="ignore"):
+            dens_h = np.exp(log_f) * (0.5 * bessel)
+        dens_h[(bessel < _TINY) & (log_f > 0.0)] = np.nan
+        dens[high] = dens_h
     return dens
 
 
@@ -407,14 +462,14 @@ def ncx2_rule_batch(scale, df: float, nc, order: int):
 
     Gauss-Legendre applied to each density on a wide bracket of its
     support, weights normalized to total mass 1; valid when the density
-    is bounded (df >= 2).  nc is the per-row noncentrality and scale one
-    value or one per row; returns (nodes, weights) of shape
-    (len(nc), order) in rate units.
+    is bounded (df >= 2).  nc is the noncentrality of each rule (a scalar
+    gives one rule) and scale broadcasts against it; returns (nodes,
+    weights) of shape rules + (order,) in rate units.
     """
-    nc = np.atleast_1d(np.asarray(nc, dtype=float))
-    scale = np.reshape(np.asarray(scale, dtype=float), (-1, 1))
-    mean = scale[:, 0] * (df + nc)
-    std = scale[:, 0] * np.sqrt(2.0 * df + 4.0 * nc)
+    nc = np.atleast_1d(np.asarray(nc, dtype=float))[..., None]
+    scale = np.asarray(scale, dtype=float)[..., None]
+    mean = scale * (df + nc)
+    std = scale * np.sqrt(2.0 * df + 4.0 * nc)
 
     # bracket tight enough that the rule resolves the density bump:
     # Gauss-Legendre node spacing at mid-interval is ~pi*width/(2*order)
@@ -422,10 +477,10 @@ def ncx2_rule_batch(scale, df: float, nc, order: int):
     hi = mean + 12.0 * std
     x, w = gauss_legendre_rule(order)
     half = 0.5 * (hi - lo)
-    nodes = lo[:, None] + half[:, None] * (x + 1.0)
-    dens = ncx2_pdf(nodes / scale, df, nc[:, None]) / scale
-    weights = dens * (half[:, None] * w)
-    total = weights.sum(axis=1)
+    nodes = lo + half * (x + 1.0)
+    dens = ncx2_pdf(nodes / scale, df, nc) / scale
+    weights = dens * (half * w)
+    total = weights.sum(axis=-1)
     finite = np.isfinite(total)
     short = finite & (total < 0.999)
     if short.any() or not finite.all():
@@ -437,7 +492,7 @@ def ncx2_rule_batch(scale, df: float, nc, order: int):
             f"{total.size} rows, {int((~finite).sum())} non-finite and "
             f"{int(short.sum())} short of mass ({least}); widen the bracket or order"
         )
-    weights /= total[:, None]
+    weights /= total[..., None]
     return nodes, weights
 
 

@@ -402,10 +402,11 @@ def test_cmd_validate_draws_one_batch_per_age(tmp_path, monkeypatch):
         assert checks[name]["estimate"] == float(samples.mean())
         assert checks[name]["std_error"] == float(samples.std(ddof=1) / np.sqrt(samples.size))
 
-    first_seed = data["seed"] + len(val["ages"]) * len(val["occupancy_times"])
+    first_stream = len(val["ages"]) * len(val["occupancy_times"])
     for a, (age, (args, kwargs, (rates, integ))) in enumerate(zip(val["ages"], batches)):
         start, snaps, rng, n_paths = args[2], list(args[4]), args[6], args[7]
-        assert (start.age, rng.seed, n_paths) == (age, first_seed + a + 1, 500)
+        assert (start.age, rng.seed, rng.stream, n_paths) == (age, data["seed"],
+                                                              first_stream + a, 500)
         assert not kwargs.get("antithetic", False)
         row = {t: k for k, t in enumerate(snaps)}
         for s in val["maturities"]:
@@ -417,6 +418,37 @@ def test_cmd_validate_draws_one_batch_per_age(tmp_path, monkeypatch):
                 expect(f"rate_mean[age={age},s={s},lag={lag}]", r_s)
                 expect(f"product_moment[age={age},s={s},lag={lag}]",
                        r_s * rates[row[s + lag], :500])
+
+
+def test_neighbouring_seeds_share_no_stream(tmp_path, monkeypatch):
+    # validate and simulate draw every stream of a run from its own seed:
+    # runs at seeds S and S + 1 share no (seed, stream) pair, and no run
+    # draws one stream twice
+    import smrates.monte_carlo as mc
+
+    data = load_config(TESTBED)
+    data["solver"].update(step=0.02, rate_nodes=21)
+    data["validate"].update(reps_occupancy=1000, reps_zcb=300, reps_rate=500)
+    for tgt in data["simulate"]["targets"]:
+        tgt["reps"] = 200
+    cfg = dump(tmp_path, data)
+    drawn = []
+    real = mc.RngStream.generator
+
+    def recorded(self):
+        drawn[-1].append((self.seed, self.stream))
+        return real(self)
+
+    monkeypatch.setattr(mc.RngStream, "generator", recorded)
+    for command in ("validate", "simulate"):
+        runs = []
+        for seed in (17, 18):
+            drawn.append([])
+            main([command, "--config", str(cfg), "--out", str(tmp_path / f"{command}{seed}"),
+                  "--seed", str(seed)])
+            runs.append(drawn[-1])
+            assert len(set(drawn[-1])) == len(drawn[-1]) > 1
+        assert not set(runs[0]) & set(runs[1]), command
 
 
 def test_cmd_validate_without_maturities_runs_occupancy_only(tmp_path):

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,7 @@ from smrates.rate_models import (
     cir_transition_constants,
     gauss_hermite_rule,
     gauss_legendre_rule,
+    _bessel_series,
     gaussian_quadrature_batch,
     ncx2_pdf,
     ncx2_rule_batch,
@@ -453,6 +455,42 @@ def test_ncx2_pdf_broadcasts_rows_with_zero_noncentrality():
     assert ncx2_pdf(0.0, 5.0, 2.0) == 0.0
 
 
+def _mp_ncx2_pdf(x, df, nc):
+    """The noncentral chi-square density at 40 digits."""
+    with mpmath.workdps(40):
+        x, df, nc = mpmath.mpf(x), mpmath.mpf(df), mpmath.mpf(nc)
+        nu = df / 2 - 1
+        if nc == 0:
+            return float(mpmath.exp(nu * mpmath.log(x) - x / 2 - mpmath.loggamma(df / 2)
+                                    - df / 2 * mpmath.log(2)))
+        return float(mpmath.exp(-(x + nc) / 2) * (x / nc) ** (nu / 2)
+                     * mpmath.besseli(nu, mpmath.sqrt(nc * x)) / 2)
+
+
+@pytest.mark.parametrize("df", [2.0, 2.3, 4.0, 16.0, 24.0, 50.0, 100.0, 200.0])
+def test_ncx2_pdf_matches_mpmath(df):
+    # z = sqrt(nc x) on both sides of the power-series and Hankel switch
+    # points and inside the scipy.special.ive range between them
+    _, z_power, _, z_hankel = _bessel_series(0.5 * df - 1.0)
+    zs = [0.1, 2.0, 0.999 * z_power, 1.001 * z_power, 0.999 * z_hankel, 1.001 * z_hankel,
+          2.0 * z_hankel + 5.0]
+    if z_hankel > z_power:
+        zs.append(np.sqrt(z_power * z_hankel))
+    x, nc = [], []
+    for z in zs:
+        near_mean = z * z / (df + z)    # x = z^2 / nc near the mean df + nc
+        for c in (z / 3.0, z, 3.0 * z, near_mean):
+            x.append(z * z / c)
+            nc.append(c)
+    x, nc = np.array(x + [0.5, 0.5 * df, df, 2.0 * df + 10.0]), np.array(nc + [0.0] * 4)
+    got = ncx2_pdf(x, df, nc)
+    ref = np.array([_mp_ncx2_pdf(a, df, b) for a, b in zip(x, nc)])
+    seen = ref > 1e-280
+    assert seen.sum() >= 0.75 * ref.size
+    assert np.max(np.abs(got[seen] / ref[seen] - 1.0)) <= 1e-12
+    assert np.all(got[~seen] <= 1e-279)
+
+
 @pytest.mark.filterwarnings("error")
 def test_ncx2_pdf_limits_of_the_closed_form():
     x = np.linspace(5.0, 120.0, 50)
@@ -460,16 +498,17 @@ def test_ncx2_pdf_limits_of_the_closed_form():
     # also where the closed form would overflow (subnormal nc)
     for nc in (1e-300, 5e-324, 1e-18):
         assert np.array_equal(ncx2_pdf(x, 60.0, nc), sp_stats.chi2.pdf(x, 60.0))
-    # large df with small nc: the Bessel factor underflows, so the rule is
-    # refused instead of being inexact
-    assert np.isnan(ncx2_pdf(100.0, 100.0, 1e-12))
+    # large df with small nc, where ive(nu, sqrt(nc x)) underflows: the
+    # power series is exact (the mpmath value)
+    assert ncx2_pdf(100.0, 100.0, 1e-12) == pytest.approx(0.02816250316259541, rel=1e-13)
+    # a non-finite row is refused
     with pytest.raises(NumericsError, match=r"of 1 rows, 1 non-finite and 0 short of "
                                             r"mass \(no finite captured mass\)"):
-        ncx2_rule_batch(1.0, 100.0, 1e-12, 48)
+        ncx2_rule_batch(1.0, 100.0, np.nan, 48)
     # a finite row is reported by its captured mass, next to the lost one
     with pytest.raises(NumericsError, match=r"of 2 rows, 1 non-finite and 1 short of "
                                             r"mass \(min finite captured 0\.008767\)"):
-        ncx2_rule_batch(1.0, 100.0, [1e-12, 5.0], 2)
+        ncx2_rule_batch(1.0, 100.0, [np.nan, 5.0], 2)
 
 
 @pytest.mark.parametrize("tilt", [0, 1])

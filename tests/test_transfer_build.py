@@ -1,9 +1,11 @@
 """The packed transfer build against a per-elapsed-time oracle.
 
-The oracle scatters every (state, elapsed time) rule on its own with two
-np.add.at passes, stacks the results as (m, K+1, Nx, Nx) and packs them
-into the march layout, folding the discount moment's no-switch table
-into the rows of a tilted stack.  The batched build must give the same bits.
+The build asks for the rules of a whole chunk of elapsed times in one
+call and scatters them in one pass.  The oracle builds every (state,
+elapsed time) rule in its own call, scatters it with two np.add.at
+passes, stacks the results as (m, K+1, Nx, Nx) and packs them into the
+march layout, folding the discount moment's no-switch table into the
+rows of a tilted stack.  The chunked build must give the same bits.
 """
 
 import warnings
@@ -91,6 +93,7 @@ def _models():
         "hull_white": RegimeRateModel.hull_white([hw, HullWhiteParams.from_constants(0.04, 1.0, 0.02)]),
         "cir_feller": RegimeRateModel.cir([CIRParams(0.04, 1.0, 0.1), CIRParams(0.05, 0.8, 0.12)]),
         "cir_attainable": RegimeRateModel.cir([attainable, CIRParams(0.04, 1.0, 0.1)]),
+        "cir_noise_free": RegimeRateModel.cir([CIRParams(0.04, 1.0, 0.0), CIRParams(0.05, 0.8, 0.12)]),
     }
 
 
