@@ -363,7 +363,7 @@ def gaussian_quadrature_batch(means, stds, order: int):
     return nodes, weights
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=128)   # bounded: nu is a float from the model
 def _bessel_series(nu: float):
     """The two series ``ncx2_pdf`` evaluates I_nu by, computed once per
     order nu > -1: (power, z_power, hankel, z_hankel).

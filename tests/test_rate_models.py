@@ -19,12 +19,12 @@ from smrates import (
 from smrates.errors import NumericsError
 from smrates.moment_engine import _law_nodes_weights
 from smrates.rate_models import (
+    _bessel_series,
     cir_discounted_transition_constants,
     cir_exact_step,
     cir_transition_constants,
     gauss_hermite_rule,
     gauss_legendre_rule,
-    _bessel_series,
     gaussian_quadrature_batch,
     ncx2_pdf,
     ncx2_rule_batch,
