@@ -125,14 +125,14 @@ def _moment_surfaces(cfg: ExperimentConfig, ws: LatticeWorkspace, orders=None, l
         orders = [int(n) for n in cfg.moments.get("orders", [1, 2])]
     if lags is None:
         lags = [float(v) for v in cfg.moments.get("lags", [0.0])]
-    # the first product solve holds the most memory (it builds the
-    # first-moment stack), so it runs while the fewest surfaces are held
+    # the workspace holds one transfer stack: the plain one, which the aged
+    # product evaluations read, is built last (after the discount orders)
+    zcb = {n: solve_zcb_moment(n, cfg.kernel, cfg.model, cfg.solver, workspace=ws)
+           for n in orders}
     rate = solve_rate_mean(cfg.kernel, cfg.model, cfg.solver, workspace=ws)
     products = {lag: solve_product_moment(lag, cfg.kernel, cfg.model, cfg.solver,
                                           rate_mean_surface=rate, workspace=ws)
                 for lag in lags}
-    zcb = {n: solve_zcb_moment(n, cfg.kernel, cfg.model, cfg.solver, workspace=ws)
-           for n in orders}
     return zcb, rate, products
 
 

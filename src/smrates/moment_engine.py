@@ -16,21 +16,22 @@ system per rate node; the opposite endpoint is supplied analytically
 from the known initial condition.  Inner integrals over the arriving
 rate use the model's transition-law quadratures, scattered onto the
 lattice as linear-interpolation weights ("transfer operators") that are
-prebuilt per (state, elapsed time) and shared across quantities.
+built per (state, elapsed time) for the tilt a solve marches on.
 
-Each transfer stack exists once, in the layout the march reads: per
-state one (Nx, (K+1)*Nx) matrix whose column block l is the operator at
-elapsed time theta_l.  The march advances in panels of _PANEL steps:
-the part of every step's history sum that reads values from before the
-panel is one matrix-matrix product per state and panel, so each block
-is read once per panel, and only the history inside the panel is summed
-step by step (the first level of Hairer, Lubich & Schlichte, SIAM J.
-Sci. Stat. Comput. 6, 1985).  A discount-tilted stack carries its no-switch
-discount as a row weight.  Stacks are built a chunk of elapsed times at
-a time: the chunk's rules come from one call and are scattered onto the
-lattice in one ``np.bincount`` pass, which bounds the temporaries and
-sums every lattice cell in the same order as consecutive ``np.add.at``
-passes.
+The workspace holds one transfer stack, laid out as the march reads it:
+per state one (Nx, (K+1)*Nx) matrix whose column block l is the operator
+at elapsed time theta_l.  The product moment's first-moment law is summed
+from the tilt-0 rules (_law_m1) in both evaluations.  The march advances
+in panels of _PANEL steps: the part of every step's history sum that
+reads values from before the panel is one matrix-matrix product per
+state and panel, so each block is read once per panel, and only the
+history inside the panel is summed step by step (the first level of
+Hairer, Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985).  A
+discount-tilted stack carries its no-switch discount as a row
+weight.  Stacks are built a chunk of elapsed times at a time: the chunk's
+rules come from one call and are scattered onto the lattice in one
+``np.bincount`` pass, which bounds the temporaries and sums every
+lattice cell in the same order as consecutive ``np.add.at`` passes.
 
 Each quantity is written down once, as a small spec (_Spec), and every
 spec runs through the same two evaluations: the lattice march and the
@@ -42,6 +43,7 @@ march term by term, so the u = 0 case reproduces lattice values.
 from __future__ import annotations
 
 import functools
+import numbers
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 
@@ -108,10 +110,10 @@ class SolverConfig:
     def __post_init__(self):
         if self.step <= 0 or self.horizon <= 0:
             raise ValueError("step and horizon must be positive")
-        if self.rate_nodes < 2:
-            raise ValueError("need at least two rate nodes")
-        if self.quad_order < 1:
-            raise ValueError("quad_order must be >= 1")
+        for name, least in (("rate_nodes", 2), ("quad_order", 1)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
         if not self.mc_step > 0:
             raise ValueError("mc_step must be positive")
         TimeGrid(self.step, self.horizon)  # validates divisibility
@@ -286,15 +288,15 @@ def _escaped(x_nodes, nodes, weights) -> np.ndarray:
     return np.where((nodes < lo - slack) | (nodes > hi + slack), weights, 0.0).sum(axis=-1)
 
 
-def _scatter(x_nodes, nodes, weights, first_moment=False) -> np.ndarray:
+def _scatter(x_nodes, nodes, weights) -> np.ndarray:
     """Scatter quadrature rules into lattice interpolation weights.
 
     nodes, weights have shape (L, Nx, Q): rule q of row p in block l.
     Returns (L, Nx, Nx) blocks whose row p applied to a vector of lattice
-    values v gives sum_q w_q * vhat(y_q) (first_moment: sum_q w_q * y_q *
-    vhat(y_q)), with vhat the piecewise-linear interpolant clamped at the
-    lattice ends.  One bincount over the whole batch; per row it adds
-    every (1 - frac) term and then every frac term, in rule order.
+    values v gives sum_q w_q * vhat(y_q), with vhat the piecewise-linear
+    interpolant clamped at the lattice ends.  One bincount over the whole
+    batch; per row it adds every (1 - frac) term and then every frac
+    term, in rule order.
     """
     n_blocks, n_rows, _ = nodes.shape
     nx = x_nodes.size
@@ -302,12 +304,17 @@ def _scatter(x_nodes, nodes, weights, first_moment=False) -> np.ndarray:
     idx = np.clip(np.searchsorted(x_nodes, y, side="right") - 1, 0, nx - 2)
     gap = x_nodes[idx + 1] - x_nodes[idx]
     frac = np.clip((y - x_nodes[idx]) / gap, 0.0, 1.0)
-    w_eff = weights * nodes if first_moment else weights
     cells = np.concatenate([idx, idx + 1], axis=-1)
     cells += nx * np.arange(n_blocks * n_rows).reshape(n_blocks, n_rows, 1)
-    terms = np.concatenate([w_eff * (1.0 - frac), w_eff * frac], axis=-1)
+    terms = np.concatenate([weights * (1.0 - frac), weights * frac], axis=-1)
     out = np.bincount(cells.ravel(), weights=terms.ravel(), minlength=n_blocks * n_rows * nx)
     return out.reshape(n_blocks, n_rows, nx)
+
+
+def _law_m1(x_nodes, nodes, weights, v) -> np.ndarray:
+    """sum_q w_q * y_q * vhat(y_q) per rule (last axis q), with vhat the
+    interpolant of lattice vector v clamped at the lattice ends."""
+    return (weights * nodes * np.interp(nodes, x_nodes, v)).sum(axis=-1)
 
 
 def _blocks(stack: np.ndarray, i: int) -> np.ndarray:
@@ -320,7 +327,7 @@ def _blocks(stack: np.ndarray, i: int) -> np.ndarray:
 class LatticeWorkspace:
     """Reusable per-(kernel, model, config) solver state: the rate
     lattice, kernel tables on the time grid, the factored implicit-step
-    matrix, and the packed transfer stacks."""
+    matrix, and one packed transfer stack, the one last asked for."""
 
     def __init__(self, kernel: SemiMarkovKernel, model: RegimeRateModel,
                  config: SolverConfig):
@@ -352,8 +359,7 @@ class LatticeWorkspace:
         )
         if not self._core.any():
             self._core = np.ones_like(self.x_nodes, dtype=bool)
-        self._transfer = {}
-        self._transfer_m1 = None
+        self._held = None   # (tilt, stack)
 
     @property
     def m(self) -> int:
@@ -374,17 +380,12 @@ class LatticeWorkspace:
         With tilt = n > 0 the law is the discount-tilted one and row x
         carries the no-switch discount E[exp(-n int_0^theta_l r)], so the
         block maps v to E[exp(-n int_0^theta_l r) vhat(r(theta_l))]."""
-        if tilt not in self._transfer:
-            self._transfer[tilt] = self._build(tilt=tilt)
-        return self._transfer[tilt]
+        if self._held is None or self._held[0] != tilt:
+            self._held = None   # free the held stack before the build
+            self._held = (tilt, self._build(tilt))
+        return self._held[1]
 
-    def transfer_first_moment(self) -> np.ndarray:
-        """Same packed stack for E[r(theta_l) * vhat(r(theta_l)) | r(0)=x]."""
-        if self._transfer_m1 is None:
-            self._transfer_m1 = self._build(first_moment=True)
-        return self._transfer_m1
-
-    def _build(self, tilt: int = 0, first_moment: bool = False) -> np.ndarray:
+    def _build(self, tilt: int) -> np.ndarray:
         """One packed stack, _SCATTER_CHUNK elapsed times at a time: one
         rule call and one scatter per chunk; a tilted stack's rows are
         scaled by the discount after the scatter."""
@@ -393,14 +394,14 @@ class LatticeWorkspace:
         packed = np.empty((m, nx, kp1 * nx))
         for i in range(m):
             blocks = _blocks(packed, i)
-            blocks[0] = np.diag(self.x_nodes) if first_moment else np.eye(nx)
+            blocks[0] = np.eye(nx)
             for l0 in range(1, kp1, _SCATTER_CHUNK):
                 l1 = min(l0 + _SCATTER_CHUNK, kp1)
                 nodes, weights = _law_nodes_weights(self.model, i, self.x_nodes,
                                                     self.thetas[l0:l1, None], order, tilt=tilt)
                 for l, escape in zip(range(l0, l1), _escaped(self.x_nodes, nodes, weights)):
                     self._check_coverage(escape, f"state {i}, elapsed {self.thetas[l]:.4g}")
-                blocks[l0:l1] = _scatter(self.x_nodes, nodes, weights, first_moment=first_moment)
+                blocks[l0:l1] = _scatter(self.x_nodes, nodes, weights)
             if tilt:
                 discount = _no_switch_discount(self.model, tilt)(i, self.x_nodes[:, None],
                                                                  self.thetas)
@@ -474,12 +475,17 @@ class _Lattice:
                      if spec.shift else ws.survival)
         self.qd = (ws.kernel.density_matrix(np.arange(ws.thetas.size + spec.reach) * self.h)
                    if spec.reach else ws.qdot)
+        self._chunk_rules = functools.lru_cache(maxsize=1)(lambda l0: [
+            _law_nodes_weights(ws.model, i, ws.x_nodes, ws.thetas[l0:l0 + _SCATTER_CHUNK, None],
+                               ws.config.quad_order) for i in range(ws.m)])
 
     def law_m1(self, l: int, vs: np.ndarray) -> np.ndarray:
-        """E[r(theta_l) vhat(r(theta_l))] from every lattice rate, one
-        lattice vector per row."""
-        stack = self.ws.transfer_first_moment()
-        return np.stack([_blocks(stack, i)[l] @ vs[i] for i in self.rows])
+        """E[r(theta_l) vhat(r(theta_l))], l >= 1, from every lattice rate,
+        one lattice vector per row; the tilt-0 rules of l's _SCATTER_CHUNK
+        of elapsed times come from the stack build's call, one chunk kept."""
+        l0 = l - (l - 1) % _SCATTER_CHUNK
+        return np.stack([_law_m1(self.rates, nodes[l - l0], weights[l - l0], vs[i])
+                         for i, (nodes, weights) in enumerate(self._chunk_rules(l0))])
 
     def start(self, spec: _Spec, surface: MomentSurface, k: int) -> np.ndarray:
         """The surface's quantity at s_k, started where this context is."""
@@ -511,9 +517,8 @@ class _Point:
             ws.model, i, self.r, thetas[1:], ws.config.quad_order, tilt=spec.tilt)
 
     def law_m1(self, l: int, vs: np.ndarray) -> np.ndarray:
-        first_moment_rule = self.weights[l - 1] * self.nodes[l - 1]
-        return np.array([[first_moment_rule
-                          @ np.interp(self.nodes[l - 1], self.ws.x_nodes, vs[0])]])
+        return np.array([[_law_m1(self.ws.x_nodes, self.nodes[l - 1], self.weights[l - 1],
+                                  vs[0])]])
 
     def start(self, spec: _Spec, surface: MomentSurface, k: int) -> np.ndarray:
         return np.array([[_aged(self.ws, spec, surface, self.i, self.u, self.r,

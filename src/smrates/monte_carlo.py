@@ -76,12 +76,6 @@ class PathRecord:
     step: float
     seed: tuple[int, int] | None = None
 
-    def rate_at(self, t: float) -> float:
-        return float(np.interp(t, self.times, self.rates))
-
-    def integral_at(self, t: float) -> float:
-        return float(np.interp(t, self.times, self.integral))
-
 
 @dataclass(frozen=True)
 class EstimatorReport:

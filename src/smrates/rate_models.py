@@ -102,20 +102,20 @@ def gl_cumulative(fn, knots, t):
     fn must be vectorized and smooth between consecutive knots.  Each
     integral is the sum of the whole knot panels below t plus one panel
     from the last knot below t to t, so table kinks never cross a
-    quadrature panel and each value depends on its own t alone, not on
-    the other query times.  Returns floats/arrays matching the shape of t.
+    quadrature panel and each value depends on its own t alone (equal
+    times are integrated once).  Returns floats/arrays shaped like t.
     """
     t_arr = np.asarray(t, dtype=float)
-    flat = np.ravel(t_arr)
-    if flat.size == 0:
+    if t_arr.size == 0:
         return np.zeros_like(t_arr)
-    if np.any(flat < 0):
+    flat, back = np.unique(np.ravel(t_arr), return_inverse=True)
+    if flat[0] < 0:
         raise ValueError("gl_cumulative expects nonnegative times")
     knots = np.unique(np.asarray(knots, dtype=float))
     knots = np.concatenate([[0.0], knots[(knots > 0.0) & (knots < flat.max())]])
     cum = np.concatenate([[0.0], np.cumsum(_gl_panels(fn, knots[:-1], np.diff(knots)))])
     last = np.maximum(np.searchsorted(knots, flat) - 1, 0)
-    out = cum[last] + _gl_panels(fn, knots[last], flat - knots[last])
+    out = (cum[last] + _gl_panels(fn, knots[last], flat - knots[last]))[back]
     return out.reshape(t_arr.shape) if t_arr.ndim else float(out[0])
 
 

@@ -4,12 +4,13 @@ import os
 import re
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from smrates import ConfigError, ExperimentConfig, SolverConfig
+from smrates import ConfigError, ExperimentConfig, SolverConfig, evaluate_product_moment
 from smrates.cli import _moment_surfaces, main
 from smrates.moment_engine import _PANEL, LatticeWorkspace, covariance_surface
 
@@ -182,6 +183,23 @@ def test_simulate_targets_exit_2_before_simulating(tmp_path, capsys, monkeypatch
     assert f"field {field}:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("rate_nodes", 21.5), ("quad_order", 12.5), ("quad_order", True), ("rate_nodes", "81"),
+])
+def test_solver_integer_fields_exit_2(tmp_path, capsys, key, value):
+    # a float node count or rule order used to reach numpy and end in a
+    # TypeError traceback
+    data = load_config(SINGLE)
+    data["solver"][key] = value
+    message = f"field solver: {key} must be an integer"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        ExperimentConfig.from_dict(data)
+    rc = main(["moments", "--config", str(dump(tmp_path, data)),
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+
+
 def test_numeric_failure_exit_3(tmp_path, capsys):
     data = load_config(SINGLE)
     data["solver"]["rate_lo"] = 0.029
@@ -326,6 +344,31 @@ def test_cmd_moments_csv_and_json_carry_the_same_strings(tmp_path):
                          cov.values)
     gap = zcb[2].values - zcb[1].values ** 2
     assert same_bits(csv_values("zcb_moment_jensen.csv", gap.shape)[1], gap)
+
+
+def test_moment_surfaces_hold_one_transfer_stack(monkeypatch):
+    # each stack is built once and freed when the workspace moves to the
+    # next tilt; the plain one, last, stays for the aged product evaluations
+    data = load_config(TESTBED)
+    data["solver"]["step"] = 0.05
+    data["moments"] = {"orders": [1, 2], "lags": [0.0, 0.5]}
+    cfg = ExperimentConfig.from_dict(data)
+    built = []
+    build = LatticeWorkspace._build
+
+    def recorded_build(ws, tilt):
+        stack = build(ws, tilt)
+        built.append((tilt, weakref.ref(stack)))
+        return stack
+
+    monkeypatch.setattr(LatticeWorkspace, "_build", recorded_build)
+    ws = LatticeWorkspace(cfg.kernel, cfg.model, cfg.solver)
+    zcb, rate, products = _moment_surfaces(cfg, ws)
+    assert [tilt for tilt, _ in built] == [1, 2, 0]
+    assert [ref() is None for _, ref in built] == [True, True, False]
+    assert ws._held[0] == 0 and ws._held[1] is built[-1][1]()
+    evaluate_product_moment(products[0.5], rate, cfg.kernel, cfg.model, 0, 0.3, 0.03, 1.0)
+    assert len(built) == 3
 
 
 # ---------------------------------------------------------------------------

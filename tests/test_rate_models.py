@@ -19,6 +19,7 @@ from smrates import (
 from smrates.errors import NumericsError
 from smrates.moment_engine import _law_nodes_weights
 from smrates.rate_models import (
+    _GL_ORDER,
     _bessel_series,
     cir_discounted_transition_constants,
     cir_exact_step,
@@ -26,6 +27,7 @@ from smrates.rate_models import (
     gauss_hermite_rule,
     gauss_legendre_rule,
     gaussian_quadrature_batch,
+    gl_cumulative,
     ncx2_pdf,
     ncx2_rule_batch,
 )
@@ -117,6 +119,27 @@ def test_hull_white_constant_reduces_to_vasicek(vas, hw_const):
             hw_const.product_mean(0, 0.03, s, 0.4), abs=1e-10)
         assert vas.mean_decay(0, s, 0.4) == pytest.approx(
             hw_const.mean_decay(0, s, 0.4), abs=1e-10)
+
+
+def test_gl_cumulative_integrates_each_distinct_time_once():
+    # a Monte Carlo step asks for the same regime-local time on every path
+    # that has not jumped; those queries cost one integral, not one each
+    knots = [0.3, 0.7, 1.1]
+    points = []
+
+    def fn(u):
+        points.append(u.size)
+        return np.exp(u) * np.sin(3.0 * u)
+
+    t = np.full(10**5, 1.5)
+    out = gl_cumulative(fn, knots, t)
+    assert sum(points) <= (len(knots) + 1) * _GL_ORDER
+    assert out.shape == t.shape
+    assert np.all(out == gl_cumulative(fn, knots, 1.5))
+    # mixed and repeated times give each time's own value, bit for bit
+    mixed = np.array([[1.5, 0.2], [0.9, 1.5], [0.0, 0.2]])
+    assert np.array_equal(gl_cumulative(fn, knots, mixed),
+                          [[gl_cumulative(fn, knots, v) for v in row] for row in mixed])
 
 
 def test_hull_white_tabled_against_quadrature():

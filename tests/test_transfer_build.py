@@ -6,6 +6,10 @@ elapsed time) rule in its own call, scatters it with two np.add.at
 passes, stacks the results as (m, K+1, Nx, Nx) and packs them into the
 march layout, folding the discount moment's no-switch table into the
 rows of a tilted stack.  The chunked build must give the same bits.
+
+The product moment's first-moment law reads the tilt-0 rules themselves:
+the lattice fetches them a chunk at a time, as the build does, and the
+aged pass one elapsed time at a time, and both must give the same bits.
 """
 
 import warnings
@@ -24,10 +28,17 @@ from smrates import (
     SolverConfig,
     alternating_kernel,
 )
-from smrates.moment_engine import _SCATTER_CHUNK, _law_nodes_weights, _zcb_spec
+from smrates.moment_engine import (
+    _SCATTER_CHUNK,
+    _Lattice,
+    _law_nodes_weights,
+    _Point,
+    _rate_spec,
+    _zcb_spec,
+)
 
 
-def _oracle_rule_matrix(x_nodes, nodes, weights, first_moment=False):
+def _oracle_rule_matrix(x_nodes, nodes, weights):
     n_rows, _ = nodes.shape
     nx = x_nodes.size
     lo, hi = x_nodes[0], x_nodes[-1]
@@ -37,11 +48,10 @@ def _oracle_rule_matrix(x_nodes, nodes, weights, first_moment=False):
     idx = np.clip(np.searchsorted(x_nodes, y, side="right") - 1, 0, nx - 2)
     gap = x_nodes[idx + 1] - x_nodes[idx]
     frac = np.clip((y - x_nodes[idx]) / gap, 0.0, 1.0)
-    w_eff = weights * nodes if first_moment else weights
     mat = np.zeros((n_rows, nx))
     rows = np.broadcast_to(np.arange(n_rows)[:, None], nodes.shape)
-    np.add.at(mat, (rows, idx), w_eff * (1.0 - frac))
-    np.add.at(mat, (rows, idx + 1), w_eff * frac)
+    np.add.at(mat, (rows, idx), weights * (1.0 - frac))
+    np.add.at(mat, (rows, idx + 1), weights * frac)
     return mat, escape
 
 
@@ -56,15 +66,15 @@ def _oracle_pack(transfer, weight=None):
     return out
 
 
-def _oracle_stack(ws, tilt=0, first_moment=False):
+def _oracle_stack(ws, tilt=0):
     m, nx, k_max = ws.m, ws.x_nodes.size, ws.grid.n_steps
     out = np.empty((m, k_max + 1, nx, nx))
     for i in range(m):
-        out[i, 0] = np.diag(ws.x_nodes) if first_moment else np.eye(nx)
+        out[i, 0] = np.eye(nx)
         for l in range(1, k_max + 1):
             nodes, weights = _law_nodes_weights(ws.model, i, ws.x_nodes, float(ws.thetas[l]),
                                                 ws.config.quad_order, tilt=tilt)
-            mat, escape = _oracle_rule_matrix(ws.x_nodes, nodes, weights, first_moment)
+            mat, escape = _oracle_rule_matrix(ws.x_nodes, nodes, weights)
             ws._check_coverage(escape, f"state {i}, elapsed {ws.thetas[l]:.4g}")
             out[i, l] = mat
     weight = None
@@ -116,7 +126,21 @@ def test_packed_build_matches_oracle(kernel, name):
         built = ws.transfer(tilt)
         assert built.shape == (2, 31, 22 * 31)
         assert np.array_equal(built, _oracle_stack(ws, tilt=tilt)), (name, tilt)
-    assert np.array_equal(ws.transfer_first_moment(), _oracle_stack(ws, first_moment=True))
+
+
+@pytest.mark.parametrize("name", sorted(_models()))
+def test_first_moment_law_is_the_same_on_lattice_and_point(kernel, name):
+    ws = LatticeWorkspace(kernel, _models()[name], CFG)
+    spec = _rate_spec(ws)
+    k_max, nx = ws.grid.n_steps, ws.x_nodes.size
+    vs = np.random.default_rng(5).uniform(-1.0, 1.0, (ws.m, nx))
+    lattice = _Lattice(ws, spec)
+    on_lattice = np.stack([lattice.law_m1(l, vs) for l in range(1, k_max + 1)])
+    for i in range(ws.m):
+        for p, x in enumerate(ws.x_nodes):
+            point = _Point(ws, spec, i, 0.0, x, k_max)
+            at_point = [point.law_m1(l, vs[i:i + 1])[0, 0] for l in range(1, k_max + 1)]
+            assert np.array_equal(on_lattice[:, i, p], at_point), (name, i, p)
 
 
 def test_narrow_lattice_refusal_matches_oracle():
