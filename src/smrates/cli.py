@@ -187,9 +187,12 @@ def cmd_simulate(cfg: ExperimentConfig, out: Path) -> int:
     reports = []
     if targets:
         ws = LatticeWorkspace(cfg.kernel, cfg.model, cfg.solver)
+        # discount orders first, as in _moment_surfaces: each stack is built once
+        zcb_surfaces = {n: solve_zcb_moment(n, cfg.kernel, cfg.model, cfg.solver, workspace=ws)
+                        for n in sorted({int(t.get("order", 1)) for t in targets
+                                         if t["quantity"] == "zcb_moment"})}
         rate_surface = None
         product_surfaces = {}
-        zcb_surfaces = {}
         for idx, tgt in enumerate(targets):
             rng = RngStream(cfg.seed, n_paths + idx)   # after the paths' streams
             reps = int(tgt.get("reps", 10000))
@@ -197,9 +200,6 @@ def cmd_simulate(cfg: ExperimentConfig, out: Path) -> int:
             quantity = tgt["quantity"]
             if quantity == "zcb_moment":
                 n = int(tgt.get("order", 1))
-                if n not in zcb_surfaces:
-                    zcb_surfaces[n] = solve_zcb_moment(
-                        n, cfg.kernel, cfg.model, cfg.solver, workspace=ws)
                 rep = estimate_zcb_moment(cfg.kernel, cfg.model, start, r0, n, s,
                                           reps, rng, step=step,
                                           antithetic=bool(tgt.get("antithetic", False)))

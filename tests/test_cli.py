@@ -371,6 +371,30 @@ def test_moment_surfaces_hold_one_transfer_stack(monkeypatch):
     assert len(built) == 3
 
 
+def test_cmd_simulate_builds_each_stack_once(tmp_path, monkeypatch):
+    # targets that alternate discount and rate quantities still build the
+    # plain stack once: the discount orders are solved first
+    data = load_config(SINGLE)
+    data["solver"].update(step=0.05, horizon=1.0, rate_nodes=21)
+    data["simulate"].update(paths=0, targets=[
+        {"quantity": "rate_moments", "s": 0.5, "lag": 0.0, "reps": 100},
+        {"quantity": "zcb_moment", "order": 2, "s": 0.5, "reps": 100},
+        {"quantity": "rate_moments", "s": 0.5, "lag": 0.5, "reps": 100},
+        {"quantity": "zcb_moment", "order": 1, "s": 0.5, "reps": 100},
+    ])
+    tilts = []
+    build = LatticeWorkspace._build
+    monkeypatch.setattr(LatticeWorkspace, "_build",
+                        lambda ws, tilt: tilts.append(tilt) or build(ws, tilt))
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(dump(tmp_path, data)), "--out", str(out)]) == 0
+    assert tilts == [1, 2, 0]
+    reports = json.loads((out / "estimates.json").read_text())["reports"]
+    assert [r["target"]["quantity"] for r in reports] == [
+        "rate_mean", "product_moment", "zcb_moment", "rate_mean", "product_moment",
+        "zcb_moment"]
+
+
 # ---------------------------------------------------------------------------
 # simulate command
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ from smrates.moment_engine import (
     _law_nodes_weights,
     _Point,
     _rate_spec,
+    _scatter,
     _zcb_spec,
 )
 
@@ -141,6 +142,13 @@ def test_first_moment_law_is_the_same_on_lattice_and_point(kernel, name):
             point = _Point(ws, spec, i, 0.0, x, k_max)
             at_point = [point.law_m1(l, vs[i:i + 1])[0, 0] for l in range(1, k_max + 1)]
             assert np.array_equal(on_lattice[:, i, p], at_point), (name, i, p)
+    # the law the first-moment stack held: rules scattered with weight w * y
+    for l in range(1, k_max + 1):
+        for i in range(ws.m):
+            nodes, weights = _law_nodes_weights(ws.model, i, ws.x_nodes, float(ws.thetas[l]),
+                                                ws.config.quad_order)
+            blocks = _scatter(ws.x_nodes, nodes[None], (weights * nodes)[None])[0]
+            assert np.allclose(on_lattice[l - 1, i], blocks @ vs[i], rtol=0.0, atol=1e-15)
 
 
 def test_narrow_lattice_refusal_matches_oracle():
