@@ -34,6 +34,14 @@ from .sojourn import SojournDistribution
 # validate.maturities and validate.occupancy_times when the block omits
 # them; checked by validate_times(), where validate reads them
 _VALIDATE_TIMES_DEFAULT = (1.0,)
+# JSON shape of the command fields, by key in any block: (shape, shape of
+# every entry); the entries of the other lists are checked by value
+_FIELD_SHAPES = {
+    "age": ("number", None), "r0": ("number", None), "z_threshold": ("number", None),
+    "ages": ("list", "number"), "targets": ("list", "object"), "orders": ("list", None),
+    "lags": ("list", None), "maturities": ("list", None), "occupancy_times": ("list", None),
+}
+_JSON_TYPES = {"object": dict, "list": list, "number": (int, float)}
 
 
 def _check_maturities(path: str, values, horizon: float):
@@ -41,6 +49,16 @@ def _check_maturities(path: str, values, horizon: float):
         _check_number(path, s)
         if s > horizon + 1e-12:
             raise ConfigError(f"field {path}: maturity {s} exceeds the solver horizon {horizon}")
+
+
+def _check_shape(path: str, value, shape: str, entries: str | None = None):
+    """value, refused unless it is a JSON shape ("object", "list" or
+    "number"; a boolean is no number) with every entry of shape entries."""
+    if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[shape]):
+        raise ConfigError(f"field {path}: {value!r} must be a JSON {shape}")
+    for k, entry in enumerate(value if entries else ()):
+        _check_shape(f"{path}[{k}]", entry, entries)
+    return value
 
 
 def _is_number(value) -> bool:
@@ -76,10 +94,11 @@ def parse_kernel(spec: dict, path: str = "kernel") -> SemiMarkovKernel:
     states = _need(spec, "states", path)
     p_matrix = _need(spec, "P", path)
     sojourns_raw = _need(spec, "sojourns", path)
-    m = len(states)
-    if not (isinstance(p_matrix, list) and len(p_matrix) == m
-            and all(isinstance(row, list) and len(row) == m for row in p_matrix)):
-        raise ConfigError(f"field {path}.P: must be a {m}x{m} matrix")
+    m = len(_check_shape(f"{path}.states", states, "list"))
+    for key, rows in (("P", p_matrix), ("sojourns", sojourns_raw)):
+        if not (isinstance(rows, list) and len(rows) == m
+                and all(isinstance(row, list) and len(row) == m for row in rows)):
+            raise ConfigError(f"field {path}.{key}: must be a {m}x{m} matrix")
     sojourns = []
     for i, row in enumerate(sojourns_raw):
         parsed_row = []
@@ -172,16 +191,11 @@ class ExperimentConfig:
                 f"field model.params: {model.n_states} states but the kernel has {kernel.m}"
             )
         seed = data.get("seed", 0)
-        if not isinstance(seed, int) or seed < 0:
-            raise ConfigError("field seed: must be a nonnegative integer")
-        cfg = cls(
-            kernel=kernel, model=model, solver=solver, seed=seed,
-            phi=dict(data.get("phi", {})),
-            moments=dict(data.get("moments", {})),
-            simulate=dict(data.get("simulate", {})),
-            validate=dict(data.get("validate", {})),
-            raw=data,
-        )
+        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+            raise ConfigError(f"field seed: {seed!r} must be a nonnegative integer")
+        blocks = {name: dict(_check_shape(name, data.get(name, {}), "object"))
+                  for name in ("phi", "moments", "simulate", "validate")}
+        cfg = cls(kernel=kernel, model=model, solver=solver, seed=seed, raw=data, **blocks)
         cfg._check_cross_fields()
         return cfg
 
@@ -199,6 +213,10 @@ class ExperimentConfig:
         return cls.from_dict(data)
 
     def _check_cross_fields(self):
+        for name in ("phi", "moments", "simulate", "validate"):
+            for key, value in getattr(self, name).items():
+                if key in _FIELD_SHAPES:
+                    _check_shape(f"{name}.{key}", value, *_FIELD_SHAPES[key])
         horizon = self.solver.horizon
         for path, values in (
             ("moments.maturities", self.moments.get("maturities", [])),
@@ -221,7 +239,7 @@ class ExperimentConfig:
                 ages = block.get(age_key)
                 if ages is None:
                     continue
-                for u in np.atleast_1d(ages):
+                for u in (ages if age_key == "ages" else [ages]):
                     if u < 0:
                         raise ConfigError(f"field {name}.{age_key}: age {u} is negative")
                     for i in range(self.kernel.m):

@@ -56,7 +56,6 @@ from .rate_models import (
     cir_discounted_transition_constants,
     cir_transition_constants,
     gaussian_quadrature_batch,
-    ncx2_ppf,
     ncx2_rule_batch,
 )
 from .semi_markov import SemiMarkovKernel, TimeGrid
@@ -237,22 +236,18 @@ def _law_nodes_weights(model: RegimeRateModel, i: int, r0, t, order: int,
     r0 is one rate and t an array of positive times (the aged pass).
     Each entry's rule depends on its own (r0, t) alone.  Returns (nodes,
     weights) of shape rules + (order,): a point mass at the start rate
-    when t = 0 and at the deterministic flow for a noise-free regime;
-    Gauss-Hermite through mean/std for the Gaussian kinds; for CIR a
-    Gauss-Legendre rule against the chi-square density (order floored at
-    48 so the rule resolves the density), or equal-probability quantile
-    stratification when the origin is attainable and the density is
-    unbounded.  Both evaluations of a renewal spec come through here, so
+    when t = 0 and at the deterministic flow for a noise-free regime
+    (the zero-std Gauss-Hermite rule); Gauss-Hermite through mean/std
+    for the Gaussian kinds; for CIR the chi-square rule of
+    ``ncx2_rule_batch`` (order floored at 48 so the rule resolves the
+    density).  Both evaluations of a renewal spec come through here, so
     their discretizations coincide.
     """
     t = np.asarray(t, dtype=float)
     r0 = np.atleast_1d(np.asarray(r0, dtype=float))
     shape = np.broadcast_shapes(r0.shape, t.shape)
     if t.ndim == 0 and t <= 0.0:
-        nodes = np.repeat(r0[:, None], order, axis=1)
-        weights = np.zeros(shape + (order,))
-        weights[..., 0] = 1.0
-        return nodes, weights
+        return gaussian_quadrature_batch(r0, np.zeros(shape), order)
     if model.gaussian_transition:
         means = np.atleast_1d(model.mean(i, r0, t))
         if tilt:
@@ -263,22 +258,14 @@ def _law_nodes_weights(model: RegimeRateModel, i: int, r0, t, order: int,
     if p.sigma == 0.0:
         # deterministic regime: the discount tilt reweights a point mass
         flow = np.broadcast_to(model.mean(i, r0, t), shape)
-        nodes = np.repeat(flow[..., None], order, axis=-1)
-        weights = np.zeros(shape + (order,))
-        weights[..., 0] = 1.0
-        return nodes, weights
+        return gaussian_quadrature_batch(flow, np.zeros(shape), order)
     if tilt:
         c, df, nc_coef = cir_discounted_transition_constants(p, float(tilt), t)
         nc = r0 * nc_coef
     else:
         c, df, decay = cir_transition_constants(p, t)
         nc = r0 * decay / c
-    if p.feller_ratio >= 1.0:
-        return ncx2_rule_batch(c, df, nc, max(order, _CIR_MIN_ORDER))
-    q = (np.arange(order) + 0.5) / order
-    nodes = np.asarray(c)[..., None] * ncx2_ppf(q, df, nc[..., None])
-    weights = np.full(shape + (order,), 1.0 / order)
-    return nodes, weights
+    return ncx2_rule_batch(c, df, nc, max(order, _CIR_MIN_ORDER))
 
 
 def _escaped(x_nodes, nodes, weights) -> np.ndarray:

@@ -84,16 +84,12 @@ class CIRParams:
         return np.inf if self.sigma == 0 else 2.0 * self.a / self.sigma**2
 
 
-_GL_ORDER = 24
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(_GL_ORDER)
-_GL_X = 0.5 * (_GL_X + 1.0)
-_GL_W = 0.5 * _GL_W
-
-
 def _gl_panels(fn, lo, width):
-    """Gauss-Legendre integrals of fn over the panels [lo, lo + width]."""
-    nodes = lo[:, None] + width[:, None] * _GL_X[None, :]
-    return (fn(nodes) * _GL_W[None, :]).sum(axis=1) * width
+    """24-point Gauss-Legendre integrals of fn over the panels
+    [lo, lo + width]."""
+    x, w = gauss_jacobi_rule(24, 0.0)
+    nodes = lo[:, None] + width[:, None] * (0.5 * (x + 1.0))[None, :]
+    return (fn(nodes) * (0.5 * w)[None, :]).sum(axis=1) * width
 
 
 def gl_cumulative(fn, knots, t):
@@ -333,11 +329,19 @@ def gauss_hermite_rule(order: int):
     return nodes, weights
 
 
-@functools.lru_cache(maxsize=None)
-def gauss_legendre_rule(order: int):
-    """Gauss-Legendre nodes/weights on [-1, 1], computed once per order;
-    the cached arrays are read-only."""
-    x, w = np.polynomial.legendre.leggauss(order)
+@functools.lru_cache(maxsize=128)   # bounded: beta is a float from the model
+def gauss_jacobi_rule(order: int, beta: float):
+    """Gauss-Jacobi nodes/weights on [-1, 1] for the weight (1 + x)^beta
+    (beta > -1), with (1 + x)^-beta folded into the weights: sum_k w_k
+    f(x_k) approximates int_{-1}^{1} f(x) dx and is exact when f is
+    (1 + x)^beta times a polynomial of degree below 2 order.  beta = 0
+    is Gauss-Legendre, ``leggauss`` bit for bit.  Computed once per
+    (order, beta); the cached arrays are read-only."""
+    if beta == 0.0:
+        x, w = np.polynomial.legendre.leggauss(order)
+    else:
+        x, w = sp_special.roots_jacobi(order, 0.0, beta)
+        w = w * (1.0 + x) ** -beta
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w
@@ -445,37 +449,42 @@ def ncx2_pdf(x, df: float, nc):
     return dens
 
 
-def ncx2_ppf(q, df: float, nc):
-    """Noncentral chi-square quantiles, q broadcasting against nc:
-    ``chndtrix`` where nc > 0 and the central 2 gammaincinv(df/2, q)
-    where nc = 0."""
-    q, nc = np.broadcast_arrays(np.asarray(q, dtype=float), np.asarray(nc, dtype=float))
-    out = np.asarray(sp_special.chndtrix(q, df, nc))
-    central = nc == 0.0
-    if central.any():
-        out[central] = 2.0 * sp_special.gammaincinv(0.5 * df, q[central])
-    return out
-
-
 def ncx2_rule_batch(scale, df: float, nc, order: int):
-    """Quadrature rules against scaled noncentral chi-square laws.
+    """Quadrature rules against scaled noncentral chi-square laws (df > 0).
 
-    Gauss-Legendre applied to each density on a wide bracket of its
-    support, weights normalized to total mass 1; valid when the density
-    is bounded (df >= 2).  nc is the noncentrality of each rule (a scalar
-    gives one rule) and scale broadcasts against it; returns (nodes,
-    weights) of shape rules + (order,) in rate units.
+    Each density is integrated over a bracket of its support with weights
+    normalized to total mass 1.  The density is x^nu times an entire
+    function of x, nu = df/2 - 1, so a bracket that starts at the origin
+    takes Gauss-Jacobi in the weight x^nu while nu < 2, which integrates
+    the cusp or pole there exactly; every other bracket, and every
+    bracket once nu >= 2, takes Gauss-Legendre.  nc is the
+    noncentrality of each rule (a scalar gives one rule) and scale
+    broadcasts against it; returns (nodes, weights) of shape rules +
+    (order,) in rate units.
     """
+    if not df > 0.0:
+        raise NumericsError(f"a chi-square rule needs df > 0, got {df}: the law has "
+                            "an atom at the origin")
     nc = np.atleast_1d(np.asarray(nc, dtype=float))[..., None]
     scale = np.asarray(scale, dtype=float)[..., None]
     mean = scale * (df + nc)
     std = scale * np.sqrt(2.0 * df + 4.0 * nc)
 
-    # bracket tight enough that the rule resolves the density bump:
-    # Gauss-Legendre node spacing at mid-interval is ~pi*width/(2*order)
+    # the bracket resolves the density bump (Gauss-Legendre node spacing
+    # at mid-interval is ~pi*width/(2*order)) and reaches `reach` above
+    # sqrt(nc) on the scale of sqrt(x), whose spread is about 1: 9 below
+    # df = 6, where 8 would dominate the Jacobi rule's error (1.8e-9 of
+    # the variance at df 5.85), and 8 above, where df = 16
+    # (single_regime_cir) stays on mean + 12 std, at least 0.12 clear
+    nu = 0.5 * df - 1.0
+    reach = 9.0 if nu < 2.0 else 8.0
     lo = np.maximum(mean - 10.0 * std, 0.0)
-    hi = mean + 12.0 * std
-    x, w = gauss_legendre_rule(order)
+    hi = np.maximum(mean + 12.0 * std, scale * (np.sqrt(nc) + reach) ** 2)
+    x, w = gauss_jacobi_rule(order, 0.0)
+    if nu < 2.0:
+        origin = lo == 0.0
+        x_o, w_o = gauss_jacobi_rule(order, nu)
+        x, w = np.where(origin, x_o, x), np.where(origin, w_o, w)
     half = 0.5 * (hi - lo)
     nodes = lo + half * (x + 1.0)
     dens = ncx2_pdf(nodes / scale, df, nc) / scale

@@ -159,6 +159,42 @@ def test_command_fields_exit_2_at_parse_time(tmp_path, capsys, block, key, value
     assert f"field {field}:" in capsys.readouterr().err
 
 
+def _set(path, value):
+    """A config edit: path is a list of keys into the shipped config."""
+    def edit(data):
+        *parents, key = path
+        for name in parents:
+            data = data[name]
+        data[key] = value
+    return edit
+
+
+@pytest.mark.parametrize("command, edit, field", [
+    ("simulate", _set(["simulate", "targets"], [5]), "simulate.targets[0]"),
+    ("moments", _set(["moments", "orders"], 2), "moments.orders"),
+    ("moments", _set(["moments", "lags"], 0.5), "moments.lags"),
+    ("moments", _set(["moments"], [1]), "moments"),
+    ("phi", _set(["phi", "age"], "x"), "phi.age"),
+    ("validate", _set(["validate", "ages"], ["a"]), "validate.ages[0]"),
+    ("phi", _set(["kernel", "sojourns"], []), "kernel.sojourns"),
+    ("phi", _set(["kernel", "states"], 2), "kernel.states"),
+    ("validate", _set(["validate", "z_threshold"], "x"), "validate.z_threshold"),
+    ("simulate", _set(["simulate", "r0"], "x"), "simulate.r0"),
+    ("simulate", _set(["seed"], True), "seed"),
+])
+def test_malformed_field_shapes_exit_2(tmp_path, capsys, command, edit, field):
+    # each of these used to end in a traceback (exit 1), or, for a
+    # boolean seed, to run as seed 1
+    data = load_config(SINGLE)
+    edit(data)
+    with pytest.raises(ConfigError, match=re.escape(f"field {field}:")):
+        ExperimentConfig.from_dict(data)
+    rc = main([command, "--config", str(dump(tmp_path, data)),
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert f"field {field}:" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("targets, field", [
     (_zcb_target(s=2.5), "simulate.targets[0].s"),
     (_zcb_target() + [{"quantity": "sharpe_ratio", "s": 1.0}],

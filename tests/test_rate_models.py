@@ -1,3 +1,5 @@
+import warnings
+
 import mpmath
 import numpy as np
 import pytest
@@ -19,13 +21,12 @@ from smrates import (
 from smrates.errors import NumericsError
 from smrates.moment_engine import _law_nodes_weights
 from smrates.rate_models import (
-    _GL_ORDER,
     _bessel_series,
     cir_discounted_transition_constants,
     cir_exact_step,
     cir_transition_constants,
     gauss_hermite_rule,
-    gauss_legendre_rule,
+    gauss_jacobi_rule,
     gaussian_quadrature_batch,
     gl_cumulative,
     ncx2_pdf,
@@ -133,7 +134,7 @@ def test_gl_cumulative_integrates_each_distinct_time_once():
 
     t = np.full(10**5, 1.5)
     out = gl_cumulative(fn, knots, t)
-    assert sum(points) <= (len(knots) + 1) * _GL_ORDER
+    assert sum(points) <= (len(knots) + 1) * 24   # 24-point Gauss-Legendre panels
     assert out.shape == t.shape
     assert np.all(out == gl_cumulative(fn, knots, 1.5))
     # mixed and repeated times give each time's own value, bit for bit
@@ -284,7 +285,6 @@ def test_cir_integrated_moments_unsupported(cir):
     r0=st.floats(0.0, 0.2),
 )
 def test_cir_joint_laplace_identity(a, b, sig, t, r0):
-    import warnings
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         params = CIRParams(a, b, sig)
@@ -373,10 +373,12 @@ def _rule_moments(nodes, weights):
     return mean, float(weights @ (nodes - mean) ** 2)
 
 
-@pytest.mark.parametrize("rule, mass", [(gauss_hermite_rule, 1.0), (gauss_legendre_rule, 2.0)])
-def test_cached_rules_are_read_only(rule, mass):
-    g, w = rule(24)
-    assert rule(24)[0] is g and rule(24)[1] is w
+@pytest.mark.parametrize("rule, args, mass", [(gauss_hermite_rule, (24,), 1.0),
+                                              (gauss_jacobi_rule, (24, 0.0), 2.0)],
+                         ids=["gauss_hermite_rule-1.0", "gauss_jacobi_rule-2.0"])
+def test_cached_rules_are_read_only(rule, args, mass):
+    g, w = rule(*args)
+    assert rule(*args)[0] is g and rule(*args)[1] is w
     assert not g.flags.writeable and not w.flags.writeable
     with pytest.raises(ValueError):
         g[0] = 0.0
@@ -384,6 +386,19 @@ def test_cached_rules_are_read_only(rule, mass):
         w *= 2.0
     assert g.sum() == pytest.approx(0.0, abs=1e-12)
     assert w.sum() == pytest.approx(mass, abs=1e-14)
+
+
+@pytest.mark.parametrize("beta", [-0.92, -0.5, 0.5, 1.0, 1.9])
+def test_gauss_jacobi_rule_integrates_the_origin_power(beta):
+    # beta = 0 is leggauss bit for bit; otherwise the folded weights
+    # integrate (1 + x)^beta times any polynomial of degree below 2 order
+    legendre = np.polynomial.legendre.leggauss(24)
+    assert all(np.array_equal(a, b) for a, b in zip(gauss_jacobi_rule(24, 0.0), legendre))
+    x, w = gauss_jacobi_rule(24, beta)
+    assert not x.flags.writeable and not w.flags.writeable
+    for k in range(48):
+        exact = 2.0 ** (beta + k + 1) / (beta + k + 1)
+        assert w @ (1.0 + x) ** (beta + k) == pytest.approx(exact, rel=1e-12)
 
 
 def test_gaussian_quadrature_batch_returns_fresh_arrays():
@@ -415,18 +430,6 @@ def test_quadrature_cir(cir):
     assert abs(mean - cir.mean(0, 0.03, 0.5)) < 1e-4
     assert abs(var - cir.variance(0, 0.03, 0.5)) < 1e-4
     assert abs(weights[0] @ np.exp(-nodes[0]) - cir_laplace_rate(CIRP, 1.0, 0.5, 0.03)) < 1e-4
-    # attainable origin: the equal-weight quantile rule the solver uses
-    import warnings
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        params = CIRParams(0.002, 1.0, 0.1)
-    rough = RegimeRateModel.cir([params])
-    nodes, weights = _law_nodes_weights(rough, 0, 0.03, 0.5, 40)
-    c, df, decay = cir_transition_constants(params, 0.5)
-    q = (np.arange(40) + 0.5) / 40
-    assert np.all(weights == 1.0 / 40)
-    assert np.array_equal(nodes[0], c * sp_stats.ncx2.ppf(q, df, 0.03 * decay / c))
-    assert abs(_rule_moments(nodes[0], weights[0])[0] - rough.mean(0, 0.03, 0.5)) < 1e-4
 
 
 @pytest.mark.parametrize("a_b_sigma", [(0.04, 1.0, 0.1), (0.002, 1.0, 0.1), (0.04, 1.0, 0.0)],
@@ -435,7 +438,6 @@ def test_quadrature_cir(cir):
 def test_aged_cir_rules_match_scalar_time_calls(a_b_sigma, tilt):
     # the aged pass builds all elapsed times at once; one scalar-time
     # call per time is the oracle, bit for bit
-    import warnings
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         model = RegimeRateModel.cir([CIRParams(*a_b_sigma)])
@@ -534,26 +536,33 @@ def test_ncx2_pdf_limits_of_the_closed_form():
         ncx2_rule_batch(1.0, 100.0, [np.nan, 5.0], 2)
 
 
-@pytest.mark.parametrize("tilt", [0, 1])
-def test_attainable_origin_rules_are_ncx2_ppf_bitwise(tilt):
-    import warnings
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        params = CIRParams(0.002, 1.0, 0.1)
-    rough = RegimeRateModel.cir([params])
-    r0 = np.array([0.0, 1e-4, 0.03, 0.2])   # the first row has nc = 0
-    q = (np.arange(40) + 0.5) / 40
-    for t in (0.01, 0.5, 3.0):
-        nodes, weights = _law_nodes_weights(rough, 0, r0, t, 40, tilt=tilt)
-        if tilt:
-            c, df, coef = cir_discounted_transition_constants(params, float(tilt), t)
-            nc = r0 * coef
-        else:
-            c, df, decay = cir_transition_constants(params, t)
-            nc = r0 * decay / c   # in the solver's order of operations
-        ref = np.reshape(c, (-1, 1)) * sp_stats.ncx2.ppf(q[None, :], df, nc[:, None])
-        assert np.array_equal(nodes, ref)
-        assert np.all(weights == 1.0 / 40)
+# df from 0.16 (nu = -0.92) through the Jacobi-Legendre switch at df = 6
+# to 200, against noncentralities from 0 to 1e5
+_SCAN_DF = np.unique(np.concatenate([np.geomspace(0.16, 200.0, 61), [2.0, 5.99, 6.0, 16.0]]))
+_SCAN_NC = np.concatenate([[0.0], 10.0 ** np.arange(-3.0, 6.0)])
+
+
+def test_ncx2_rule_moment_scan():
+    # one rule for every df: below df = 6 (Gauss-Jacobi at the origin)
+    # mass, mean and variance are exact to 1e-9 relative; above it
+    # Gauss-Legendre, which leaves the x^(df/2 - 1) factor inexact, and
+    # its bracket are 1.1e-7 off at worst over this scan
+    worst = {}
+    for df in _SCAN_DF:
+        scale = np.geomspace(1e-4, 1.0, _SCAN_NC.size)   # one per rule, in rate units
+        nodes, weights = ncx2_rule_batch(scale, df, _SCAN_NC, 48)
+        mean = (weights * nodes).sum(axis=1)
+        var = (weights * (nodes - mean[:, None]) ** 2).sum(axis=1)
+        worst[df] = max(np.abs(weights.sum(axis=1) - 1.0).max(),
+                        np.abs(mean / (scale * (df + _SCAN_NC)) - 1.0).max(),
+                        np.abs(var / (scale**2 * (2.0 * df + 4.0 * _SCAN_NC)) - 1.0).max())
+    assert max(err for df, err in worst.items() if df < 6.0) <= 1e-9
+    assert max(err for df, err in worst.items() if df >= 6.0) <= 1e-6
+
+
+def test_ncx2_rule_refuses_a_law_with_an_atom():
+    with pytest.raises(NumericsError, match="df > 0"):
+        ncx2_rule_batch(1.0, 0.0, 0.5, 48)
 
 
 def test_subnormal_mean_reversion_gives_the_zero_reversion_rule():
@@ -570,7 +579,7 @@ def test_subnormal_mean_reversion_gives_the_zero_reversion_rule():
 
 @settings(max_examples=40, deadline=None)
 @given(
-    feller=st.floats(1.0, 12.0),
+    feller=st.floats(0.04, 12.0),
     sig=st.floats(0.02, 0.3),
     b=st.floats(-0.5, 2.0),
     t=st.floats(0.01, 3.0),
@@ -578,7 +587,9 @@ def test_subnormal_mean_reversion_gives_the_zero_reversion_rule():
     tilt=st.sampled_from([0, 1, 2]),
 )
 def test_ncx2_rule_batch_reproduces_chi_square_moments(feller, sig, b, t, r0, tilt):
-    params = CIRParams(0.5 * feller * sig * sig, b, sig)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)   # attainable origin
+        params = CIRParams(0.5 * feller * sig * sig, b, sig)
     if tilt:
         c, df, coef = cir_discounted_transition_constants(params, float(tilt), t)
         nc = r0 * coef
@@ -588,13 +599,10 @@ def test_ncx2_rule_batch_reproduces_chi_square_moments(feller, sig, b, t, r0, ti
     nodes, weights = ncx2_rule_batch(c, df, nc, 48)
     assert abs(weights.sum() - 1.0) <= 1e-12
     mean, var = _rule_moments(nodes[0], weights[0])
-    # the rule's own error: its bracket ends 12 std above the mean (at
-    # df = 2, nc = 0 that leaves out 2e-6 of the mass and moves the
-    # variance by 3.8e-4), and Gauss-Legendre resolves the x^(df/2 - 1)
-    # cusp at the origin poorly for df just above 2 (mean off by 2.3e-4
-    # at df = 2.3, nc = 0); both relative, the worst over df in [2, 24]
-    assert mean == pytest.approx(c * (df + nc), rel=5e-4)
-    assert var == pytest.approx(c * c * (2.0 * df + 4.0 * nc), rel=1e-3)
+    # the rule's own error is below 1e-9 for df < 6 and 1.1e-7 above
+    # (test_ncx2_rule_moment_scan); df here runs from 0.16 to 48
+    assert mean == pytest.approx(c * (df + nc), rel=1e-6)
+    assert var == pytest.approx(c * c * (2.0 * df + 4.0 * nc), rel=1e-6)
 
 
 # ---------------------------------------------------------------------------

@@ -95,7 +95,7 @@ def _models():
     )
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)   # attainable origin
-        attainable = CIRParams(0.01, 1.0, 0.5)
+        attainable = CIRParams(0.002, 1.0, 0.1)        # df 0.8
     return {
         "vasicek": RegimeRateModel.vasicek([
             {"a": 1.0, "b": 0.02, "sigma": 0.015},
@@ -149,6 +149,22 @@ def test_first_moment_law_is_the_same_on_lattice_and_point(kernel, name):
                                                 ws.config.quad_order)
             blocks = _scatter(ws.x_nodes, nodes[None], (weights * nodes)[None])[0]
             assert np.allclose(on_lattice[l - 1, i], blocks @ vs[i], rtol=0.0, atol=1e-15)
+
+
+def test_extreme_attainable_regime_refusal_matches_oracle(kernel):
+    # df 0.16: the chi-square rule sees the law's real tail, and 1.6e-5 of
+    # it escapes the auto-sized lattice, above coverage_tol; the build and
+    # the oracle refuse it with the same message
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        model = RegimeRateModel.cir([CIRParams(0.01, 1.0, 0.5), CIRParams(0.04, 1.0, 0.1)])
+    ws = LatticeWorkspace(kernel, model, CFG)
+    with pytest.raises(GridCoverageError) as oracle:
+        _oracle_stack(ws)
+    assert "at state 0, elapsed" in str(oracle.value)
+    with pytest.raises(GridCoverageError) as built:
+        ws.transfer()
+    assert str(built.value) == str(oracle.value)
 
 
 def test_narrow_lattice_refusal_matches_oracle():
