@@ -115,6 +115,18 @@ class SolverConfig:
                 raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
         if not self.mc_step > 0:
             raise ValueError("mc_step must be positive")
+        if (self.rate_lo is None) != (self.rate_hi is None):
+            raise ValueError("rate_lo and rate_hi must be given together")
+        if self.rate_lo is not None:
+            if not self.rate_lo < self.rate_hi:
+                raise ValueError(f"rate_hi {self.rate_hi!r} must exceed rate_lo {self.rate_lo!r}")
+            if not self.rate_lo <= self.reference_rate <= self.rate_hi:
+                raise ValueError(f"reference_rate {self.reference_rate!r} must lie in "
+                                 f"[rate_lo, rate_hi] = [{self.rate_lo!r}, {self.rate_hi!r}]")
+        if not self.grid_pad > 0:
+            raise ValueError(f"grid_pad must be positive, got {self.grid_pad!r}")
+        if not self.coverage_tol >= 0:
+            raise ValueError(f"coverage_tol must be nonnegative, got {self.coverage_tol!r}")
         TimeGrid(self.step, self.horizon)  # validates divisibility
 
     def time_grid(self) -> TimeGrid:
@@ -203,10 +215,8 @@ def _rate_envelope(model: RegimeRateModel, config: SolverConfig):
 
 def build_rate_grid(model: RegimeRateModel, config: SolverConfig) -> np.ndarray:
     """Uniform rate lattice covering every regime's transition laws."""
-    if config.rate_lo is not None and config.rate_hi is not None:
+    if config.rate_lo is not None:
         lo, hi = float(config.rate_lo), float(config.rate_hi)
-        if hi <= lo:
-            raise ValueError("rate_hi must exceed rate_lo")
     else:
         mean_lo, mean_hi, std_max = _rate_envelope(model, config)
         pad = config.grid_pad * std_max

@@ -24,8 +24,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as sp_special
 
+# scipy.special is imported inside the CIR functions that use it: it
+# costs more at start-up than numpy, and Gaussian runs never call it
 from .errors import NumericsError
 
 VASICEK = "vasicek"
@@ -274,6 +275,8 @@ def cir_transition_constants(params: CIRParams, dt):
     a, b, sig = params.a, params.b, params.sigma
     if sig == 0.0:
         raise ValueError("no chi-square transition for sigma = 0")
+    from scipy import special as sp_special
+
     dt = np.asarray(dt, dtype=float)
     # sigma^2 (1 - e^{-b dt}) / (4b), written through exprel so that it
     # tends to its b = 0 limit instead of underflowing for a tiny b
@@ -340,6 +343,8 @@ def gauss_jacobi_rule(order: int, beta: float):
     if beta == 0.0:
         x, w = np.polynomial.legendre.leggauss(order)
     else:
+        from scipy import special as sp_special
+
         x, w = sp_special.roots_jacobi(order, 0.0, beta)
         w = w * (1.0 + x) ** -beta
     x.flags.writeable = False
@@ -382,6 +387,8 @@ def _bessel_series(nu: float):
     omitted term is below 2^-53; the exponentially small part of I_nu is
     e^-2z below the sum.  The arrays are read-only.
     """
+    from scipy import special as sp_special
+
     k = np.arange(1, _BESSEL_TERMS + 1)
     power = np.concatenate([[1.0], np.cumprod(1.0 / (k * (nu + k)))])
     log_next = -(sp_special.gammaln(_BESSEL_TERMS + 1.0)
@@ -425,6 +432,8 @@ def ncx2_pdf(x, df: float, nc):
         leaves the normal floats while the power factor is large (df
         above about 1000) the entry is NaN rather than inexact.
     """
+    from scipy import special as sp_special
+
     nu = 0.5 * df - 1.0
     power, z_power, hankel, z_hankel = _bessel_series(nu)
     x, nc = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(nc, dtype=float))
@@ -441,7 +450,8 @@ def ncx2_pdf(x, df: float, nc):
         hank = zh >= z_hankel
         bessel = np.empty(zh.shape)
         bessel[hank] = _horner(hankel, 1.0 / zh[hank]) / np.sqrt(2.0 * np.pi * zh[hank])
-        bessel[~hank] = sp_special.ive(nu, zh[~hank])
+        if not hank.all():
+            bessel[~hank] = sp_special.ive(nu, zh[~hank])
         with np.errstate(over="ignore", invalid="ignore"):
             dens_h = np.exp(log_f) * (0.5 * bessel)
         dens_h[(bessel < _TINY) & (log_f > 0.0)] = np.nan

@@ -11,8 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as sp_special
 
+# scipy.special is imported inside the gamma and Weibull branches that use
+# it: it costs more at start-up than numpy, and the other laws never call it
 
 _FAMILIES = ("exponential", "weibull", "gamma", "uniform")
 
@@ -80,6 +81,8 @@ class SojournDistribution:
             z = np.maximum(t, 0.0) / lam
             out = np.where(pos, -np.expm1(-(z**k)), 0.0)
         elif self.family == "gamma":
+            from scipy import special as sp_special
+
             k, lam = self.params
             out = np.where(pos, sp_special.gammainc(k, np.maximum(t, 0.0) / lam), 0.0)
         else:
@@ -106,6 +109,8 @@ class SojournDistribution:
                     np.inf if k < 1 else (1.0 / lam if k == 1 else 0.0),
                 )
         elif self.family == "gamma":
+            from scipy import special as sp_special
+
             k, lam = self.params
             with np.errstate(divide="ignore", invalid="ignore"):
                 out = np.where(
@@ -134,6 +139,8 @@ class SojournDistribution:
             k, lam = self.params
             out = lam * (-np.log1p(-q)) ** (1.0 / k)
         elif self.family == "gamma":
+            from scipy import special as sp_special
+
             k, lam = self.params
             out = lam * sp_special.gammaincinv(k, q)
         else:
@@ -150,10 +157,14 @@ class SojournDistribution:
             (rate,) = self.params
             out = (1.0 - np.exp(-rate * tm) * (1.0 + rate * tm)) / rate
         elif self.family == "weibull":
+            from scipy import special as sp_special
+
             k, lam = self.params
             z = (tm / lam) ** k
             out = lam * sp_special.gamma(1.0 + 1.0 / k) * sp_special.gammainc(1.0 + 1.0 / k, z)
         elif self.family == "gamma":
+            from scipy import special as sp_special
+
             k, lam = self.params
             out = k * lam * sp_special.gammainc(k + 1.0, tm / lam)
         else:
@@ -170,6 +181,8 @@ class SojournDistribution:
         if self.family == "exponential":
             return 1.0 / self.params[0]
         if self.family == "weibull":
+            from scipy import special as sp_special
+
             k, lam = self.params
             return lam * float(sp_special.gamma(1.0 + 1.0 / k))
         if self.family == "gamma":

@@ -236,6 +236,33 @@ def test_solver_integer_fields_exit_2(tmp_path, capsys, key, value):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fields, message", [
+    pytest.param({"rate_lo": 0.0}, "rate_lo and rate_hi must be given together", id="lo_only"),
+    pytest.param({"rate_hi": 0.1}, "rate_lo and rate_hi must be given together", id="hi_only"),
+    pytest.param({"rate_lo": 0.05, "rate_hi": 0.05}, "rate_hi 0.05 must exceed rate_lo 0.05",
+                 id="empty"),
+    pytest.param({"rate_lo": 0.1, "rate_hi": 0.0}, "rate_hi 0.0 must exceed rate_lo 0.1",
+                 id="inverted"),
+    pytest.param({"rate_lo": 0.04, "rate_hi": 0.1},
+                 "reference_rate 0.03 must lie in [rate_lo, rate_hi]", id="reference_outside"),
+    pytest.param({"grid_pad": 0.0}, "grid_pad must be positive", id="pad_zero"),
+    pytest.param({"grid_pad": -8.0}, "grid_pad must be positive", id="pad_negative"),
+    pytest.param({"coverage_tol": -1.0}, "coverage_tol must be nonnegative", id="tol_negative"),
+])
+def test_solver_lattice_fields_exit_2(tmp_path, capsys, fields, message):
+    # a lone bound used to be ignored, an empty or inverted range to end
+    # in a traceback (exit 1), and the rest to reach the march and exit 3
+    data = load_config(SINGLE)
+    data["solver"].update(fields)
+    message = f"field solver: {message}"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        ExperimentConfig.from_dict(data)
+    rc = main(["moments", "--config", str(dump(tmp_path, data)),
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+
+
 def test_numeric_failure_exit_3(tmp_path, capsys):
     data = load_config(SINGLE)
     data["solver"]["rate_lo"] = 0.029
@@ -714,7 +741,8 @@ def test_thread_count_lattice_spans_panels():
 # import footprint
 # ---------------------------------------------------------------------------
 
-_NO_STATS = """
+_FOOTPRINT = """
+import json
 import sys
 
 import smrates
@@ -722,23 +750,42 @@ import smrates.cli
 from smrates import (CIRParams, RegimeRateModel, SemiMarkovKernel, SojournDistribution,
                      SolverConfig, solve_zcb_moment)
 
+
+def scipy_modules():
+    return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+
+
+testbed, single, out = sys.argv[1:]
+for command, config in (("moments", testbed), ("simulate", testbed), ("moments", single)):
+    assert smrates.cli.main([command, "--config", config, "--out", f"{out}/{command}"]) == 0
+gaussian = scipy_modules()
 kern = SemiMarkovKernel([[1.0]], [[SojournDistribution.exponential(1.0)]])
 cir = RegimeRateModel.cir([CIRParams(0.04, 1.0, 0.1)])
 solve_zcb_moment(1, kern, cir, SolverConfig(step=0.05, horizon=1.0, rate_nodes=31))
-assert smrates.cli.main(["moments", "--config", sys.argv[1], "--out", sys.argv[2]]) == 0
-print(sorted(name for name in sys.modules if name.startswith("scipy.stats")))
+assert smrates.cli.main(["phi", "--config", testbed, "--out", f"{out}/phi"]) == 0
+print(json.dumps([gaussian, scipy_modules()]))
 """
 
 
-def test_commands_do_not_import_scipy_stats(tmp_path):
-    # scipy.stats costs about 0.4 s and 45 MiB at start-up; the package
-    # needs only scipy.special
-    data = load_config(TESTBED)
-    data["solver"].update(step=0.05, horizon=1.0)
+def test_scipy_loads_only_where_a_law_needs_it(tmp_path):
+    # scipy.special costs about 0.3 s and 20 MiB at start-up (scipy.stats
+    # more): Gaussian moments and simulate runs, whose sojourn laws are
+    # closed forms, never load scipy; CIR rules and the Weibull partial
+    # means of phi load scipy.special alone
+    testbed = load_config(TESTBED)
+    testbed["solver"].update(step=0.05, rate_nodes=31)
+    for target in testbed["simulate"]["targets"]:
+        target["reps"] = 1000
+    single = load_config(SINGLE)
+    single["solver"].update(step=0.05, horizon=1.0, rate_nodes=31)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", _NO_STATS, str(dump(tmp_path, data)),
-                           str(tmp_path / "out")], env=env, capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", _FOOTPRINT, str(dump(tmp_path, testbed)),
+                           str(dump(tmp_path, single, "single.json")), str(tmp_path)],
+                          env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
-    assert len(list((tmp_path / "out").iterdir())) == 9
+    gaussian, after_cir = json.loads(proc.stdout)
+    assert gaussian == []
+    assert "scipy.special" in after_cir
+    assert not [name for name in after_cir if name.startswith("scipy.stats")]
+    assert len(list((tmp_path / "moments").iterdir())) == 9
