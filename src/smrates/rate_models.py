@@ -25,9 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NumericsError
+
 # scipy.special is imported inside the CIR functions that use it: it
 # costs more at start-up than numpy, and Gaussian runs never call it
-from .errors import NumericsError
 
 VASICEK = "vasicek"
 HULL_WHITE = "hull_white"

@@ -756,8 +756,9 @@ def scipy_modules():
 
 
 testbed, single, out = sys.argv[1:]
-for command, config in (("moments", testbed), ("simulate", testbed), ("moments", single)):
-    assert smrates.cli.main([command, "--config", config, "--out", f"{out}/{command}"]) == 0
+runs = (("moments", testbed), ("simulate", testbed), ("moments", single))
+for k, (command, config) in enumerate(runs):
+    assert smrates.cli.main([command, "--config", config, "--out", f"{out}/{k}"]) == 0
 gaussian = scipy_modules()
 kern = SemiMarkovKernel([[1.0]], [[SojournDistribution.exponential(1.0)]])
 cir = RegimeRateModel.cir([CIRParams(0.04, 1.0, 0.1)])
@@ -788,4 +789,4 @@ def test_scipy_loads_only_where_a_law_needs_it(tmp_path):
     assert gaussian == []
     assert "scipy.special" in after_cir
     assert not [name for name in after_cir if name.startswith("scipy.stats")]
-    assert len(list((tmp_path / "moments").iterdir())) == 9
+    assert len(list((tmp_path / "0").iterdir())) == 9
