@@ -286,14 +286,15 @@ def cmd_validate(cfg: ExperimentConfig, out: Path) -> int:
 
     # one batch of paths per start age, on the streams after the occupancy
     # walks'; each check reads the first reps_zcb or reps_rate paths of its
-    # age's batch, and every lag's rate_mean check reads the same one.  The
-    # batches run before the solves, whose peak RSS is about 0.3 MiB
-    # higher when the batch arrays have fragmented the heap first
+    # age's batch, and every lag's rate_mean check reads the same one, so
+    # with no lag there is no rate check.  The batches run before the
+    # solves, whose peak RSS is about 0.3 MiB higher when the batch arrays
+    # have fragmented the heap first
     targets = {("zcb_moment", n, s): {"quantity": "zcb_moment", "order": n, "s": s,
                                       "reps": reps_zcb}
                for n in orders for s in maturities}
     targets.update({("rate_mean", s): {"quantity": "rate_mean", "s": s, "reps": reps_rate}
-                    for s in maturities})
+                    for s in maturities if lags})
     targets.update({("product_moment", lag, s): {"quantity": "product_moment", "s": s,
                                                  "lag": lag, "reps": reps_rate}
                     for lag in lags for s in maturities})
@@ -313,7 +314,7 @@ def cmd_validate(cfg: ExperimentConfig, out: Path) -> int:
                 add(f"zcb_moment[n={n},age={age},s={s}]", analytic, est["zcb_moment", n, s])
     mean_an = {(a, s): evaluate_rate_mean(rate_surface, cfg.kernel, cfg.model,
                                           start_state, age, r0, s)
-               for a, age in enumerate(ages) for s in maturities}
+               for a, age in enumerate(ages) for s in maturities if lags}
     for lag in lags:
         for a, (age, est) in enumerate(zip(ages, estimates)):
             for s in maturities:

@@ -213,6 +213,15 @@ class ExperimentConfig:
         return cls.from_dict(data)
 
     def _check_cross_fields(self):
+        # a CIR rate stays at or above 0, and so must its lattice
+        solver = self.solver
+        if self.model.kind == CIR:
+            if solver.rate_hi is not None and solver.rate_hi <= 0:
+                raise ConfigError(f"field solver: rate_hi {solver.rate_hi!r} must be "
+                                  "positive for a CIR model")
+            if solver.reference_rate < 0:
+                raise ConfigError(f"field solver: reference_rate {solver.reference_rate!r} "
+                                  "must be nonnegative for a CIR model")
         for name in ("phi", "moments", "simulate", "validate"):
             for key, value in getattr(self, name).items():
                 if key in _FIELD_SHAPES:

@@ -1,24 +1,27 @@
 """Path simulation and Monte Carlo estimators for the modulated rate.
 
 The simulator reproduces the model exactly up to the time stepping of
-the running integral: every regime sojourn, the age-conditioned first
-one included, is one exact inverse-cdf draw
-(``SemiMarkovKernel.sample_sojourns``, no bisection), the rate moves
-between grid nodes by exact transition draws, the grid is refined so
-every regime switch lands on a node (the rate is continuous across
-switches), and the integral of the rate accumulates by the trapezoid
-rule, the only source of discretization bias.
+the running integral.  A path is its regime skeleton plus the rate
+moved between jumps.  The skeleton (``_Skeleton``) draws every regime
+sojourn, the age-conditioned first one included, by one exact
+inverse-cdf draw (``SemiMarkovKernel.sample_sojourns``, no bisection);
+the rate moves between grid nodes by exact transition draws, the grid
+is refined so every regime switch lands on a node (the rate is
+continuous across switches), and the integral of the rate accumulates
+by the trapezoid rule, the only source of discretization bias.
 
 There is one engine: a vectorized batch march that moves every path by
-``RegimeRateModel.step``, the only exact transition draw.  The
-estimators read it at snapshot times: ``estimate_moments`` reads several
-targets off one batch, each from a prefix of its paths, and the
-one-target estimators are calls of it.  ``simulate_path`` is a one-path
-run of the engine recorded at every node it visits.  One counter-based
-generator drives each run, so results are reproducible bit for bit
-from (seed, configuration).  The estimators cross-check every analytic
-quantity of the solvers: discount-factor moments, the rate mean, the
-lagged product moment, and the occupancy law of the switching process.
+``RegimeRateModel.step``, the only exact transition draw, and switches
+it on its skeleton.  The estimators read it at snapshot times:
+``estimate_moments`` reads several targets off one batch, each from a
+prefix of its paths, and the one-target estimators are calls of it.
+``simulate_path`` is a one-path run of the engine recorded at every
+node it visits, and the occupancy estimator walks the same skeleton
+with no rate at all.  One counter-based generator drives each run, so
+results are reproducible bit for bit from (seed, configuration).  The
+estimators cross-check every analytic quantity of the solvers:
+discount-factor moments, the rate mean, the lagged product moment, and
+the occupancy law of the switching process.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .rate_models import CIR, HULL_WHITE, RegimeRateModel
-from .semi_markov import BackwardState, SemiMarkovKernel, sample_states_at
+from .semi_markov import BackwardState, SemiMarkovKernel
 
 # the estimators' floor on replications
 MIN_REPLICATIONS = 100
@@ -151,6 +154,41 @@ class _DrawPlan:
         return np.concatenate([z, -z])
 
 
+class _Skeleton:
+    """The regime skeleton of a plan's paths: per path the ``state`` in
+    force, the ``next_state`` it jumps to and the time ``next_jump`` of
+    that jump.  The first sojourn is drawn at the start's age, every
+    later one at age 0 from the jump that begins it."""
+
+    def __init__(self, kernel: SemiMarkovKernel, start: BackwardState, plan: _DrawPlan):
+        self.kernel = kernel
+        self.plan = plan
+        self.state = np.full(plan.n, start.state, dtype=np.int64)
+        u_wait = plan.uniform()   # the first draw takes its wait uniforms first
+        self.next_state, self.next_jump = kernel.sample_sojourns(
+            self.state, start.age, plan.uniform(), u_wait)
+
+    def jump(self, mask):
+        """Switch the masked paths and draw their next sojourns."""
+        self.state[mask] = self.next_state[mask]
+        u_next = self.plan.uniform(mask=mask)
+        u_wait = self.plan.uniform(mask=mask)
+        self.next_state[mask], wait = self.kernel.sample_sojourns(
+            self.state[mask], 0.0, u_next, u_wait)
+        self.next_jump[mask] += wait
+
+
+def _walk(kernel: SemiMarkovKernel, start: BackwardState, t: float, plan: _DrawPlan):
+    """Walk the plan's skeletons to time t; returns the state at t and
+    the number of jumps in (0, t] per path."""
+    skel = _Skeleton(kernel, start, plan)
+    counts = np.zeros(plan.n, dtype=np.int64)
+    while (jumping := skel.next_jump <= t).any():
+        counts += jumping
+        skel.jump(jumping)
+    return skel.state, counts
+
+
 def _batch_exact_step(model: RegimeRateModel, states, r, dt, local_t0,
                       plan: _DrawPlan, mask=None) -> np.ndarray:
     """Advance each (masked) path by its own dt through the model's exact
@@ -179,22 +217,20 @@ def _run_batch(kernel: SemiMarkovKernel, model: RegimeRateModel,
     """March every path of the plan over the increasing ``nodes``.
 
     A path whose next jump falls at or before a node is first advanced
-    to its jump time by a masked substep, switches regime there and
-    draws its next sojourn (the first one age-conditioned), so every
-    switch lands on its sampled time with the rate continuous through
-    it.  After every advance the generator yields
-    (jumped, times, rates, integrals, states): ``jumped`` marks the
-    paths that just switched, or is None once the whole batch stands on
-    the node.  The yielded arrays are live; copy what must persist.
+    to its jump time by a masked substep and then switches regime on
+    its skeleton, so every switch lands on its sampled time with the
+    rate continuous through it.  After every advance the generator
+    yields (jumped, times, rates, integrals, states): ``jumped`` marks
+    the paths that just switched, or is None once the whole batch
+    stands on the node.  The yielded arrays are live; copy what must
+    persist.
     """
     n = plan.n
     cur_r = np.full(n, float(r0))
     cur_i = np.zeros(n)
     cur_t = np.zeros(n)
-    cur_state = np.full(n, start.state, dtype=np.int64)
     reg_start = np.zeros(n)
-    u_wait = plan.uniform()   # the first draw takes its wait uniforms first
-    next_state, next_jump = kernel.sample_sojourns(cur_state, start.age, plan.uniform(), u_wait)
+    skel = _Skeleton(kernel, start, plan)
 
     def advance(target, mask):
         nonlocal cur_r, cur_i, cur_t
@@ -202,7 +238,7 @@ def _run_batch(kernel: SemiMarkovKernel, model: RegimeRateModel,
         r_prev = cur_r
         # only the Hull-White coefficients read the regime-local clock
         local_t0 = cur_t - reg_start if model.kind == HULL_WHITE else 0.0
-        cur_r = _batch_exact_step(model, cur_state, cur_r, dt, local_t0,
+        cur_r = _batch_exact_step(model, skel.state, cur_r, dt, local_t0,
                                   plan, mask=None if mask.all() else mask)
         cur_i = cur_i + 0.5 * (r_prev + cur_r) * dt
         cur_t = np.where(mask, target, cur_t)
@@ -210,20 +246,15 @@ def _run_batch(kernel: SemiMarkovKernel, model: RegimeRateModel,
     all_mask = np.ones(n, dtype=bool)
     for tb in nodes:
         while True:
-            jumping = next_jump <= tb
+            jumping = skel.next_jump <= tb
             if not jumping.any():
                 break
-            advance(np.where(jumping, next_jump, cur_t), jumping)
-            cur_state[jumping] = next_state[jumping]
+            advance(np.where(jumping, skel.next_jump, cur_t), jumping)
+            skel.jump(jumping)
             reg_start[jumping] = cur_t[jumping]
-            nxt2, w2 = kernel.sample_sojourns(
-                cur_state[jumping], 0.0, plan.uniform(mask=jumping), plan.uniform(mask=jumping)
-            )
-            next_state[jumping] = nxt2
-            next_jump[jumping] = cur_t[jumping] + w2
-            yield jumping, cur_t, cur_r, cur_i, cur_state
+            yield jumping, cur_t, cur_r, cur_i, skel.state
         advance(np.full(n, tb), all_mask)
-        yield None, cur_t, cur_r, cur_i, cur_state
+        yield None, cur_t, cur_r, cur_i, skel.state
 
 
 def simulate_batch(kernel: SemiMarkovKernel, model: RegimeRateModel,
@@ -406,8 +437,12 @@ def estimate_state_occupancy(kernel: SemiMarkovKernel, start: BackwardState,
     (frequencies, standard errors) over the m states."""
     if reps < MIN_REPLICATIONS:
         raise ValueError(f"need at least {MIN_REPLICATIONS} replications")
-    rng = _stream(seed).generator()
-    states = sample_states_at(kernel, start, t, reps, rng)
+    if t < 0:
+        raise ValueError("t must be nonnegative")
+    if t == 0:
+        states = np.full(reps, start.state, dtype=np.int64)
+    else:
+        states = _walk(kernel, start, t, _DrawPlan(_stream(seed).generator(), reps, False))[0]
     freqs = np.bincount(states, minlength=kernel.m) / reps
     ses = np.sqrt(np.maximum(freqs * (1.0 - freqs), 0.0) / reps)
     return freqs, ses

@@ -5,10 +5,11 @@ chain P plus a parametric holding-time law per edge.  On top of that
 this module computes the interval transition probabilities phi_ij(t)
 (time-marched Volterra equation of the second kind), their aged variant
 for a process that entered its current state u years ago, and the one
-sojourn draw of the simulator, ``sample_sojourns``: next state and wait
-from the kernel conditioned on the current state's age, each wait by
-closed-form inversion of its edge law, with no root finding.  Age 0 is
-the plain renewal draw.
+sojourn draw, ``sample_sojourns``: next state and wait from the kernel
+conditioned on the current state's age, each wait by closed-form
+inversion of its edge law, with no root finding.  Age 0 is the plain
+renewal draw.  The jump skeleton that strings these draws into paths
+lives with the path engine in ``monte_carlo``.
 """
 
 from __future__ import annotations
@@ -147,36 +148,29 @@ class SemiMarkovKernel:
                 acc = acc + self.P[i, j] * self._G[i][j].cdf(t)
         return acc if acc.ndim else float(acc)
 
-    def density_matrix(self, ts) -> np.ndarray:
-        """Stacked kernel derivative: shape (len(ts), m, m)."""
+    def _edge_matrix(self, law, ts) -> np.ndarray:
+        """p_ij law(G_ij, t) on every edge: shape (len(ts), m, m), zero
+        where p_ij = 0."""
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         out = np.zeros((ts.size, self.m, self.m))
         for i in range(self.m):
             for j in range(self.m):
                 if self.P[i, j] > 0.0:
-                    out[:, i, j] = self.P[i, j] * self._G[i][j].pdf(ts)
+                    out[:, i, j] = self.P[i, j] * law(self._G[i][j], ts)
         return out
+
+    def density_matrix(self, ts) -> np.ndarray:
+        """Stacked kernel derivative: shape (len(ts), m, m)."""
+        return self._edge_matrix(SojournDistribution.pdf, ts)
 
     def cdf_matrix(self, ts) -> np.ndarray:
         """Stacked kernel cdf Q_ij: shape (len(ts), m, m)."""
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        out = np.zeros((ts.size, self.m, self.m))
-        for i in range(self.m):
-            for j in range(self.m):
-                if self.P[i, j] > 0.0:
-                    out[:, i, j] = self.P[i, j] * self._G[i][j].cdf(ts)
-        return out
+        return self._edge_matrix(SojournDistribution.cdf, ts)
 
     def partial_mean_matrix(self, ts) -> np.ndarray:
         """Stacked truncated first moments p_ij E[W 1(W <= t)]:
         shape (len(ts), m, m)."""
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        out = np.zeros((ts.size, self.m, self.m))
-        for i in range(self.m):
-            for j in range(self.m):
-                if self.P[i, j] > 0.0:
-                    out[:, i, j] = self.P[i, j] * self._G[i][j].partial_mean(ts)
-        return out
+        return self._edge_matrix(SojournDistribution.partial_mean, ts)
 
     def survival_matrix(self, ts) -> np.ndarray:
         """1 - H_i at each time: shape (len(ts), m)."""
@@ -397,60 +391,3 @@ def backward_transition_probabilities(
             f"aged transition-probability rows drift from 1 by up to {drift:.3e}"
         )
     return bphi
-
-
-# ---------------------------------------------------------------------------
-# Path sampling
-# ---------------------------------------------------------------------------
-
-def _renewal_walk(
-    kernel: SemiMarkovKernel,
-    start: BackwardState,
-    t: float,
-    n_paths: int,
-    rng: np.random.Generator,
-):
-    """Walk n_paths jump skeletons to time t (vectorized; the diffusion
-    layer is not involved).  Returns the occupied state at t and the
-    number of jumps in (0, t] per path."""
-    counts = np.zeros(n_paths, dtype=np.int64)
-    cur = np.full(n_paths, start.state, dtype=np.int64)
-    u_wait = rng.random(n_paths)   # the first draw takes its wait uniforms first
-    state_next, t_next = kernel.sample_sojourns(cur, start.age, rng.random(n_paths), u_wait)
-    active = t_next <= t
-    while active.any():
-        counts[active] += 1
-        cur[active] = state_next[active]
-        nxt2, w2 = kernel.sample_sojourns(
-            cur[active], 0.0, rng.random(active.sum()), rng.random(active.sum())
-        )
-        t_next[active] = t_next[active] + w2
-        state_next[active] = nxt2
-        active = active & (t_next <= t)
-    return cur, counts
-
-
-def sample_states_at(
-    kernel: SemiMarkovKernel,
-    start: BackwardState,
-    t: float,
-    n_paths: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Occupied state at time t for n_paths independent trajectories."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    if t == 0:
-        return np.full(n_paths, start.state, dtype=np.int64)
-    return _renewal_walk(kernel, start, t, n_paths, rng)[0]
-
-
-def count_jumps_by(
-    kernel: SemiMarkovKernel,
-    start: BackwardState,
-    t: float,
-    n_paths: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Number of jumps in (0, t] per path."""
-    return _renewal_walk(kernel, start, t, n_paths, rng)[1]

@@ -173,10 +173,6 @@ class SojournDistribution:
             out = (tc * tc - lo * lo) / (2.0 * (hi - lo))
         return out if out.ndim else float(out)
 
-    def sample(self, rng: np.random.Generator, size=None):
-        """Draw waiting times through the exact inverse cdf."""
-        return self.ppf(rng.random(size))
-
     def mean(self) -> float:
         if self.family == "exponential":
             return 1.0 / self.params[0]

@@ -17,6 +17,7 @@ from smrates.moment_engine import _PANEL, LatticeWorkspace, covariance_surface
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 TESTBED = CONFIG_DIR / "testbed_weibull_vasicek.json"
 SINGLE = CONFIG_DIR / "single_regime_vasicek.json"
+CIR_CONFIG = CONFIG_DIR / "single_regime_cir.json"
 
 
 def load_config(path):
@@ -236,23 +237,35 @@ def test_solver_integer_fields_exit_2(tmp_path, capsys, key, value):
     assert message in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("fields, message", [
-    pytest.param({"rate_lo": 0.0}, "rate_lo and rate_hi must be given together", id="lo_only"),
-    pytest.param({"rate_hi": 0.1}, "rate_lo and rate_hi must be given together", id="hi_only"),
+@pytest.mark.parametrize("fields, message, config", [
+    pytest.param({"rate_lo": 0.0}, "rate_lo and rate_hi must be given together", SINGLE,
+                 id="lo_only"),
+    pytest.param({"rate_hi": 0.1}, "rate_lo and rate_hi must be given together", SINGLE,
+                 id="hi_only"),
     pytest.param({"rate_lo": 0.05, "rate_hi": 0.05}, "rate_hi 0.05 must exceed rate_lo 0.05",
-                 id="empty"),
+                 SINGLE, id="empty"),
     pytest.param({"rate_lo": 0.1, "rate_hi": 0.0}, "rate_hi 0.0 must exceed rate_lo 0.1",
-                 id="inverted"),
+                 SINGLE, id="inverted"),
     pytest.param({"rate_lo": 0.04, "rate_hi": 0.1},
-                 "reference_rate 0.03 must lie in [rate_lo, rate_hi]", id="reference_outside"),
-    pytest.param({"grid_pad": 0.0}, "grid_pad must be positive", id="pad_zero"),
-    pytest.param({"grid_pad": -8.0}, "grid_pad must be positive", id="pad_negative"),
-    pytest.param({"coverage_tol": -1.0}, "coverage_tol must be nonnegative", id="tol_negative"),
+                 "reference_rate 0.03 must lie in [rate_lo, rate_hi]", SINGLE,
+                 id="reference_outside"),
+    pytest.param({"grid_pad": 0.0}, "grid_pad must be positive", SINGLE, id="pad_zero"),
+    pytest.param({"grid_pad": -8.0}, "grid_pad must be positive", SINGLE, id="pad_negative"),
+    pytest.param({"coverage_tol": -1.0}, "coverage_tol must be nonnegative", SINGLE,
+                 id="tol_negative"),
+    pytest.param({"step": 0.05, "rate_lo": -0.5, "rate_hi": -0.1, "reference_rate": -0.3},
+                 "rate_hi -0.1 must be positive for a CIR model", CIR_CONFIG,
+                 id="cir_bounds_negative"),
+    pytest.param({"step": 0.05, "reference_rate": -0.3},
+                 "reference_rate -0.3 must be nonnegative for a CIR model", CIR_CONFIG,
+                 id="cir_reference_negative"),
 ])
-def test_solver_lattice_fields_exit_2(tmp_path, capsys, fields, message):
+def test_solver_lattice_fields_exit_2(tmp_path, capsys, fields, message, config):
     # a lone bound used to be ignored, an empty or inverted range to end
-    # in a traceback (exit 1), and the rest to reach the march and exit 3
-    data = load_config(SINGLE)
+    # in a traceback (exit 1), and the rest to reach the march and exit 3;
+    # a CIR lattice below the origin ended in exit 3, or in exit 0 with
+    # sqrt warnings off a lattice clipped to start above the reference
+    data = load_config(config)
     data["solver"].update(fields)
     message = f"field solver: {message}"
     with pytest.raises(ConfigError, match=re.escape(message)):
@@ -506,7 +519,8 @@ def test_cmd_validate_single_regime(tmp_path):
 
 def test_cmd_validate_draws_one_batch_per_age(tmp_path, monkeypatch):
     # every Monte Carlo check of an age reads one shared batch: the zcb
-    # checks its first reps_zcb paths, the rate checks its first reps_rate
+    # checks its first reps_zcb paths, the rate checks its first reps_rate;
+    # with no lag there is no rate check, so the batch has reps_zcb paths
     import smrates.monte_carlo as mc
 
     data = load_config(TESTBED)
@@ -522,32 +536,39 @@ def test_cmd_validate_draws_one_batch_per_age(tmp_path, monkeypatch):
         return out
 
     monkeypatch.setattr(mc, "simulate_batch", counted)
-    rc = main(["validate", "--config", str(dump(tmp_path, data)), "--out", str(tmp_path)])
-    assert rc in (0, 4)
-    assert len(batches) == len(val["ages"])
-    checks = {c["check"]: c for c in json.loads((tmp_path / "validation.json").read_text())
-              ["checks"]}
+    for lags in (val["lags"], []):
+        val["lags"] = lags
+        out = tmp_path / f"lags{len(lags)}"
+        batches.clear()
+        rc = main(["validate", "--config", str(dump(tmp_path, data)), "--out", str(out)])
+        assert rc in (0, 4)
+        assert len(batches) == len(val["ages"])
+        checks = {c["check"]: c for c in json.loads((out / "validation.json").read_text())
+                  ["checks"]}
+        if not lags:
+            assert not [name for name in checks if name.startswith(("rate", "product"))]
 
-    def expect(name, samples):
-        assert checks[name]["estimate"] == float(samples.mean())
-        assert checks[name]["std_error"] == float(samples.std(ddof=1) / np.sqrt(samples.size))
+        def expect(name, samples):
+            assert checks[name]["estimate"] == float(samples.mean())
+            assert checks[name]["std_error"] == float(samples.std(ddof=1)
+                                                      / np.sqrt(samples.size))
 
-    first_stream = len(val["ages"]) * len(val["occupancy_times"])
-    for a, (age, (args, kwargs, (rates, integ))) in enumerate(zip(val["ages"], batches)):
-        start, snaps, rng, n_paths = args[2], list(args[4]), args[6], args[7]
-        assert (start.age, rng.seed, rng.stream, n_paths) == (age, data["seed"],
-                                                              first_stream + a, 500)
-        assert not kwargs.get("antithetic", False)
-        row = {t: k for k, t in enumerate(snaps)}
-        for s in val["maturities"]:
-            for n in val["orders"]:
-                expect(f"zcb_moment[n={n},age={age},s={s}]",
-                       np.exp(-n * integ[row[s], :300]))
-            for lag in val["lags"]:
-                r_s = rates[row[s], :500]
-                expect(f"rate_mean[age={age},s={s},lag={lag}]", r_s)
-                expect(f"product_moment[age={age},s={s},lag={lag}]",
-                       r_s * rates[row[s + lag], :500])
+        first_stream = len(val["ages"]) * len(val["occupancy_times"])
+        for a, (age, (args, kwargs, (rates, integ))) in enumerate(zip(val["ages"], batches)):
+            start, snaps, rng, n_paths = args[2], list(args[4]), args[6], args[7]
+            assert (start.age, rng.seed, rng.stream, n_paths) == (
+                age, data["seed"], first_stream + a, 500 if lags else 300)
+            assert not kwargs.get("antithetic", False)
+            row = {t: k for k, t in enumerate(snaps)}
+            for s in val["maturities"]:
+                for n in val["orders"]:
+                    expect(f"zcb_moment[n={n},age={age},s={s}]",
+                           np.exp(-n * integ[row[s], :300]))
+                for lag in lags:
+                    r_s = rates[row[s], :500]
+                    expect(f"rate_mean[age={age},s={s},lag={lag}]", r_s)
+                    expect(f"product_moment[age={age},s={s},lag={lag}]",
+                           r_s * rates[row[s + lag], :500])
 
 
 def test_neighbouring_seeds_share_no_stream(tmp_path, monkeypatch):
@@ -634,7 +655,7 @@ def test_cmd_simulate_testbed_agreement_flags(tmp_path):
 
 
 def test_parse_cir_and_hull_white_models():
-    cir_cfg = load_config(CONFIG_DIR / "single_regime_cir.json")
+    cir_cfg = load_config(CIR_CONFIG)
     parsed = ExperimentConfig.from_dict(cir_cfg)
     assert parsed.model.kind == "cir"
     hw_raw = load_config(SINGLE)
@@ -655,7 +676,7 @@ def test_parse_cir_and_hull_white_models():
 
 
 def test_cmd_validate_cir_kind(tmp_path):
-    data = load_config(CONFIG_DIR / "single_regime_cir.json")
+    data = load_config(CIR_CONFIG)
     data["solver"]["step"] = 0.005
     data["solver"]["horizon"] = 1.0
     data["validate"]["reps_zcb"] = 10000

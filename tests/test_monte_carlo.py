@@ -3,6 +3,7 @@ import pytest
 
 from smrates import (
     BackwardState,
+    CIRParams,
     EstimatorReport,
     RegimeRateModel,
     RngStream,
@@ -15,6 +16,7 @@ from smrates import (
     simulate_batch,
     simulate_path,
 )
+from smrates.monte_carlo import _DrawPlan, _walk
 from smrates.semi_markov import TimeGrid, transition_probabilities
 
 
@@ -80,6 +82,24 @@ def test_path_is_a_one_path_batch(request, kern_testbed, kern_single, start0, mo
                                   RngStream(31, 2), 1)
     assert rec.rates[-1] == rates[0, 0]
     assert rec.integral[-1] == integ[0, 0]
+
+
+def test_path_and_occupancy_walk_share_one_skeleton(kern_testbed):
+    # with sigma = 0 no rate step draws, so the stream feeds the skeleton
+    # alone: a path and a one-path occupancy walk on the same stream must
+    # stand in the same regime after the same number of jumps
+    model = RegimeRateModel.cir([CIRParams(0.04, 1.0, 0.0), CIRParams(0.02, 0.5, 0.0)])
+    start = BackwardState(1, 0.3)
+    jumps = 0
+    for stream in range(8):
+        rec = simulate_path(kern_testbed, model, start, 0.03, 3.0, 0.01, RngStream(41, stream))
+        for t in (0.2, 1.0, 2.5, 3.0):
+            state, count = _walk(kern_testbed, start, t,
+                                 _DrawPlan(RngStream(41, stream).generator(), 1, False))
+            assert state[0] == rec.states[np.searchsorted(rec.times, t, side="right") - 1]
+            assert count[0] == np.count_nonzero(rec.jump_times <= t)
+            jumps += count[0]
+    assert jumps > 0
 
 
 def test_self_renewals_are_recorded(kern_single, vas_single, start0):

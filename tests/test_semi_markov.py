@@ -18,7 +18,7 @@ from smrates import (
     estimate_state_occupancy,
     transition_probabilities,
 )
-from smrates.semi_markov import count_jumps_by, sample_states_at
+from smrates.monte_carlo import _DrawPlan, _walk
 
 
 def two_state_mixed():
@@ -205,7 +205,8 @@ def test_jump_counts_poisson(kern_alt_exp):
     # with exponential(1) sojourns everywhere the jump clock is Poisson(1)
     rng = RngStream(11).generator()
     horizon = 2.0
-    counts = count_jumps_by(kern_alt_exp, BackwardState(0, 0.0), horizon, 200000, rng)
+    _, counts = _walk(kern_alt_exp, BackwardState(0, 0.0), horizon,
+                      _DrawPlan(rng, 200000, False))
     top = 10
     observed = np.bincount(np.minimum(counts, top), minlength=top + 1)
     pmf = sp_stats.poisson.pmf(np.arange(top), horizon)
@@ -220,7 +221,7 @@ def test_occupancy_matches_phi(kern_testbed):
     phi = transition_probabilities(kern_testbed, grid)
     rng = RngStream(17).generator()
     n = 200000
-    states = sample_states_at(kern_testbed, BackwardState(0, 0.0), 1.0, n, rng)
+    states = _walk(kern_testbed, BackwardState(0, 0.0), 1.0, _DrawPlan(rng, n, False))[0]
     freq = np.bincount(states, minlength=2) / n
     se = np.sqrt(freq * (1 - freq) / n)
     assert np.all(np.abs(freq - phi[-1, 0]) <= 3 * se)
@@ -232,7 +233,7 @@ def test_aged_occupancy_matches_backward(kern_testbed):
     aged = backward_transition_probabilities(kern_testbed, 0.5, grid, phi)
     rng = RngStream(19).generator()
     n = 1000000
-    states = sample_states_at(kern_testbed, BackwardState(0, 0.5), 0.5, n, rng)
+    states = _walk(kern_testbed, BackwardState(0, 0.5), 0.5, _DrawPlan(rng, n, False))[0]
     freq = np.bincount(states, minlength=2) / n
     se = np.sqrt(freq * (1 - freq) / n)
     assert np.all(np.abs(freq - aged[-1, 0]) <= 3 * se)
@@ -354,12 +355,12 @@ def test_phi_uniform_and_gamma_families_vs_occupancy():
     assert np.abs(phi.sum(axis=2) - 1.0).max() < 1e-6
     rng = RngStream(61).generator()
     n = 200000
-    states = sample_states_at(kern, BackwardState(0, 0.0), 1.0, n, rng)
+    states = _walk(kern, BackwardState(0, 0.0), 1.0, _DrawPlan(rng, n, False))[0]
     freq = np.bincount(states, minlength=2) / n
     se = np.sqrt(freq * (1 - freq) / n)
     assert np.all(np.abs(freq - phi[-1, 0]) <= 3.5 * se)
     aged = backward_transition_probabilities(kern, 0.1, grid, phi)
-    states = sample_states_at(kern, BackwardState(0, 0.1), 1.0, n, rng)
+    states = _walk(kern, BackwardState(0, 0.1), 1.0, _DrawPlan(rng, n, False))[0]
     freq = np.bincount(states, minlength=2) / n
     se = np.sqrt(freq * (1 - freq) / n)
     assert np.all(np.abs(freq - aged[-1, 0]) <= 3.5 * se)

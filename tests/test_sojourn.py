@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from smrates import SojournDistribution
+from smrates import SemiMarkovKernel, SojournDistribution
 
 
 ALL_FAMILIES = [
@@ -59,9 +59,12 @@ def test_weibull_shape_below_one_blows_up_at_origin():
 
 
 def test_sampling_matches_cdf():
+    # the kernel's one sojourn draw, on a state that renews itself
     rng = np.random.default_rng(1)
     law = SojournDistribution.gamma(2.5, 0.8)
-    draws = law.sample(rng, 200000)
+    kern = SemiMarkovKernel([[1.0]], [[law]])
+    u = rng.random(200000)
+    _, draws = kern.sample_sojourns(np.zeros(u.size, dtype=np.int64), 0.0, u, u)
     for q in (0.25, 0.5, 0.9):
         edge = law.ppf(q)
         freq = (draws <= edge).mean()
