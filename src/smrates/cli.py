@@ -118,9 +118,11 @@ def cmd_phi(cfg: ExperimentConfig, out: Path) -> int:
     return 0
 
 
-def _moment_surfaces(cfg: ExperimentConfig, ws: LatticeWorkspace, orders=None, lags=None):
+def _moment_surfaces(cfg: ExperimentConfig, ws: LatticeWorkspace, orders=None, lags=None,
+                     rate_mean: bool = True):
     """The zcb surface of every order, the rate mean and the product
-    moment of every lag; orders and lags default to the moments block."""
+    moment of every lag; orders and lags default to the moments block.
+    With no lag, ``rate_mean=False`` skips the rate mean (None)."""
     if orders is None:
         orders = [int(n) for n in cfg.moments.get("orders", [1, 2])]
     if lags is None:
@@ -129,6 +131,8 @@ def _moment_surfaces(cfg: ExperimentConfig, ws: LatticeWorkspace, orders=None, l
     # product evaluations read, is built last (after the discount orders)
     zcb = {n: solve_zcb_moment(n, cfg.kernel, cfg.model, cfg.solver, workspace=ws)
            for n in orders}
+    if not (rate_mean or lags):
+        return zcb, None, {}
     rate = solve_rate_mean(cfg.kernel, cfg.model, cfg.solver, workspace=ws)
     products = {lag: solve_product_moment(lag, cfg.kernel, cfg.model, cfg.solver,
                                           rate_mean_surface=rate, workspace=ws)
@@ -186,7 +190,10 @@ def cmd_simulate(cfg: ExperimentConfig, out: Path) -> int:
 
     reports = []
     if targets:
-        ws = LatticeWorkspace(cfg.kernel, cfg.model, cfg.solver)
+        # the march ends at the last node a target reads: its maturity's
+        # upper node, or its lag's node for the rate mean
+        until = max(max(float(t["s"]), float(t.get("lag", 0.0))) for t in targets)
+        ws = LatticeWorkspace(cfg.kernel, cfg.model, cfg.solver, until=until)
         # discount orders first, as in _moment_surfaces: each stack is built once
         zcb_surfaces = {n: solve_zcb_moment(n, cfg.kernel, cfg.model, cfg.solver, workspace=ws)
                         for n in sorted({int(t.get("order", 1)) for t in targets
@@ -237,6 +244,17 @@ def cmd_simulate(cfg: ExperimentConfig, out: Path) -> int:
         "reports": reports,
     })
     return 0
+
+
+def _validate_surfaces(cfg: ExperimentConfig, maturities, orders, lags):
+    """The surfaces validate's checks read, marched to the last node they
+    read: each maturity's upper node, and each lag's node of the rate
+    mean.  With no maturity no check reads a surface, and with no lag
+    none reads the rate mean."""
+    if not maturities:
+        return {}, None, {}
+    ws = LatticeWorkspace(cfg.kernel, cfg.model, cfg.solver, until=max(maturities + lags))
+    return _moment_surfaces(cfg, ws, orders, lags, rate_mean=False)
 
 
 def cmd_validate(cfg: ExperimentConfig, out: Path) -> int:
@@ -304,8 +322,7 @@ def cmd_validate(cfg: ExperimentConfig, out: Path) -> int:
                                    r0, targets.values(), next(streams), step=mc_step)
         estimates.append(dict(zip(targets, reports)))
 
-    ws = LatticeWorkspace(cfg.kernel, cfg.model, cfg.solver)
-    zcb, rate_surface, products = _moment_surfaces(cfg, ws, orders, lags)
+    zcb, rate_surface, products = _validate_surfaces(cfg, maturities, orders, lags)
     for n in orders:
         for age, est in zip(ages, estimates):
             for s in maturities:

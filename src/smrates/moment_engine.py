@@ -324,10 +324,20 @@ def _blocks(stack: np.ndarray, i: int) -> np.ndarray:
 class LatticeWorkspace:
     """Reusable per-(kernel, model, config) solver state: the rate
     lattice, kernel tables on the time grid, the factored implicit-step
-    matrix, and one packed transfer stack, the one last asked for."""
+    matrix, and one packed transfer stack, the one last asked for.
+
+    Its marches end at the grid node at or above ``until`` (default: the
+    config horizon), rounded up to a whole _PANEL of steps and capped at
+    the horizon.  Every panel and every build chunk of a shorter march
+    then has the shape it has in the full march, so each value it
+    computes equals the full march's bit for bit; ``thetas`` holds the
+    march's nodes.  The rate lattice, its core rows and the coverage
+    check still cover the whole config horizon, so a shorter march
+    refuses the same configs.
+    """
 
     def __init__(self, kernel: SemiMarkovKernel, model: RegimeRateModel,
-                 config: SolverConfig):
+                 config: SolverConfig, until: float | None = None):
         if kernel.m != model.n_states:
             raise ValueError(
                 f"kernel has {kernel.m} states but the model has {model.n_states}"
@@ -337,7 +347,13 @@ class LatticeWorkspace:
         self.config = config
         self.grid = config.time_grid()
         self.x_nodes = build_rate_grid(model, config)
-        self.thetas = self.grid.nodes
+        k_max = self.grid.n_steps
+        if until is not None:
+            if until < 0:
+                raise ValueError(f"until must be nonnegative, got {until!r}")
+            k_need = int(np.ceil(until / config.step - 1e-9))
+            k_max = min(-(-k_need // _PANEL) * _PANEL, k_max)
+        self.thetas = self.grid.nodes[:k_max + 1]
         self.qdot = kernel.density_matrix(self.thetas)          # (K+1, m, m)
         if not np.all(np.isfinite(self.qdot)):
             raise NumericsError(
@@ -372,8 +388,9 @@ class LatticeWorkspace:
             )
 
     def transfer(self, tilt: int = 0) -> np.ndarray:
-        """Packed (m, Nx, (K+1)*Nx) stack: column block l of state i's
-        matrix maps lattice values v to E[vhat(r(theta_l)) | r(0)=x].
+        """Packed (m, Nx, (K+1)*Nx) stack over the march's K steps:
+        column block l of state i's matrix maps lattice values v to
+        E[vhat(r(theta_l)) | r(0)=x].
         With tilt = n > 0 the law is the discount-tilted one and row x
         carries the no-switch discount E[exp(-n int_0^theta_l r)], so the
         block maps v to E[exp(-n int_0^theta_l r) vhat(r(theta_l))]."""
@@ -385,20 +402,23 @@ class LatticeWorkspace:
     def _build(self, tilt: int) -> np.ndarray:
         """One packed stack, _SCATTER_CHUNK elapsed times at a time: one
         rule call and one scatter per chunk; a tilted stack's rows are
-        scaled by the discount after the scatter."""
+        scaled by the discount after the scatter.  Past the march the
+        chunks' rules are built for the coverage check alone."""
         m, nx, kp1 = self.m, self.x_nodes.size, self.thetas.size
         order = self.config.quad_order
+        every = self.grid.nodes
         packed = np.empty((m, nx, kp1 * nx))
         for i in range(m):
             blocks = _blocks(packed, i)
             blocks[0] = np.eye(nx)
-            for l0 in range(1, kp1, _SCATTER_CHUNK):
-                l1 = min(l0 + _SCATTER_CHUNK, kp1)
+            for l0 in range(1, every.size, _SCATTER_CHUNK):
+                l1 = min(l0 + _SCATTER_CHUNK, every.size)
                 nodes, weights = _law_nodes_weights(self.model, i, self.x_nodes,
-                                                    self.thetas[l0:l1, None], order, tilt=tilt)
+                                                    every[l0:l1, None], order, tilt=tilt)
                 for l, escape in zip(range(l0, l1), _escaped(self.x_nodes, nodes, weights)):
-                    self._check_coverage(escape, f"state {i}, elapsed {self.thetas[l]:.4g}")
-                blocks[l0:l1] = _scatter(self.x_nodes, nodes, weights)
+                    self._check_coverage(escape, f"state {i}, elapsed {every[l]:.4g}")
+                if l0 < kp1:
+                    blocks[l0:l1] = _scatter(self.x_nodes, nodes, weights)
             if tilt:
                 discount = _no_switch_discount(self.model, tilt)(i, self.x_nodes[:, None],
                                                                  self.thetas)
@@ -544,7 +564,7 @@ def _march(ws: LatticeWorkspace, spec: _Spec) -> np.ndarray:
     """
     ctx = _Lattice(ws, spec)
     h = ctx.h
-    k_max = ws.grid.n_steps
+    k_max = ws.thetas.size - 1
     m = ws.m
     nx = ws.x_nodes.size
     qd = ws.qdot
@@ -690,6 +710,8 @@ def _rate_spec(ws: LatticeWorkspace) -> _Spec:
 
 def _product_spec(ws: LatticeWorkspace, lag: float, rate_surface: MomentSurface) -> _Spec:
     lag_idx = ws.grid.index_of(lag)
+    if lag_idx >= ws.thetas.size:
+        raise ValueError(f"lag {lag} lies beyond the workspace's march to {ws.thetas[-1]:.6g}")
     h = ws.config.step
     model = ws.model
     r_lag = rate_surface.values[:, lag_idx, :]
@@ -778,7 +800,7 @@ def _require_companion(surface: MomentSurface, quantity: str, ws: LatticeWorkspa
         raise ValueError(f"this operation needs the {quantity} surface on matching grids")
     if surface.quantity != quantity:
         raise ValueError(f"companion surface is {surface.quantity}, expected {quantity}")
-    if (surface.s_nodes.size != ws.grid.n_steps + 1
+    if (surface.s_nodes.size != ws.thetas.size
             or not np.allclose(surface.s_nodes, ws.thetas)
             or not np.allclose(surface.x_nodes, ws.x_nodes)):
         raise ValueError(f"{quantity} surface grids do not match the solver config")
@@ -821,7 +843,7 @@ def _workspace_for(surface: MomentSurface, quantity: str, kernel: SemiMarkovKern
     cfg = surface.meta.get("config")
     if cfg is None:
         raise ValueError("surface carries neither a workspace nor a config snapshot")
-    ws = LatticeWorkspace(kernel, model, SolverConfig(**cfg))
+    ws = LatticeWorkspace(kernel, model, SolverConfig(**cfg), until=float(surface.s_nodes[-1]))
     surface.workspace = ws
     return ws
 

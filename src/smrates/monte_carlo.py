@@ -12,7 +12,10 @@ by the trapezoid rule, the only source of discretization bias.
 
 There is one engine: a vectorized batch march that moves every path by
 ``RegimeRateModel.step``, the only exact transition draw, and switches
-it on its skeleton.  The estimators read it at snapshot times:
+it on its skeleton.  The paths still on a grid node share the step to
+the next one, so they move with one call per regime; only the paths a
+jump moved off the node, and the jumping paths' own substeps, step
+path by path.  The estimators read it at snapshot times:
 ``estimate_moments`` reads several targets off one batch, each from a
 prefix of its paths, and the one-target estimators are calls of it.
 ``simulate_path`` is a one-path run of the engine recorded at every
@@ -127,9 +130,10 @@ def _report(samples: np.ndarray, rng: RngStream, target: dict) -> EstimatorRepor
 # ---------------------------------------------------------------------------
 
 class _DrawPlan:
-    """Uniform/normal draws for a batch; in antithetic mode the halves
-    form pairs that share their jump uniforms and negate their Gaussian
-    increments, so a pair walks the same regime history."""
+    """Uniform/normal draws for a batch, one per path or one per path of
+    a sorted index array; in antithetic mode the halves form pairs that
+    share their jump uniforms and negate their Gaussian increments, so a
+    pair walks the same regime history."""
 
     def __init__(self, gen: np.random.Generator, n_paths: int, antithetic: bool):
         if antithetic and n_paths % 2:
@@ -139,19 +143,20 @@ class _DrawPlan:
         self.anti = antithetic
         self.half = n_paths // 2
 
-    def uniform(self, mask=None) -> np.ndarray:
-        if not self.anti:
-            return self.gen.random(self.n if mask is None else int(mask.sum()))
-        count = self.half if mask is None else int(mask[: self.half].sum())
-        u = self.gen.random(count)
-        return np.concatenate([u, u])
+    def _count(self, idx) -> int:
+        """Draws for the paths idx (all when None): in antithetic mode only
+        the first half's, which the second half mirrors."""
+        if idx is None:
+            return self.half if self.anti else self.n
+        return int(np.searchsorted(idx, self.half)) if self.anti else idx.size
 
-    def normal(self, mask=None) -> np.ndarray:
-        if not self.anti:
-            return self.gen.standard_normal(self.n if mask is None else int(mask.sum()))
-        count = self.half if mask is None else int(mask[: self.half].sum())
-        z = self.gen.standard_normal(count)
-        return np.concatenate([z, -z])
+    def uniform(self, idx=None) -> np.ndarray:
+        u = self.gen.random(self._count(idx))
+        return np.concatenate([u, u]) if self.anti else u
+
+    def normal(self, idx=None) -> np.ndarray:
+        z = self.gen.standard_normal(self._count(idx))
+        return np.concatenate([z, -z]) if self.anti else z
 
 
 class _Skeleton:
@@ -168,14 +173,15 @@ class _Skeleton:
         self.next_state, self.next_jump = kernel.sample_sojourns(
             self.state, start.age, plan.uniform(), u_wait)
 
-    def jump(self, mask):
-        """Switch the masked paths and draw their next sojourns."""
-        self.state[mask] = self.next_state[mask]
-        u_next = self.plan.uniform(mask=mask)
-        u_wait = self.plan.uniform(mask=mask)
-        self.next_state[mask], wait = self.kernel.sample_sojourns(
-            self.state[mask], 0.0, u_next, u_wait)
-        self.next_jump[mask] += wait
+    def jump(self, idx):
+        """Switch the paths of the sorted indices idx and draw their next
+        sojourns, in place."""
+        state = self.next_state[idx]
+        self.state[idx] = state
+        u_next = self.plan.uniform(idx)
+        u_wait = self.plan.uniform(idx)
+        self.next_state[idx], wait = self.kernel.sample_sojourns(state, 0.0, u_next, u_wait)
+        self.next_jump[idx] += wait
 
 
 def _walk(kernel: SemiMarkovKernel, start: BackwardState, t: float, plan: _DrawPlan):
@@ -183,24 +189,10 @@ def _walk(kernel: SemiMarkovKernel, start: BackwardState, t: float, plan: _DrawP
     the number of jumps in (0, t] per path."""
     skel = _Skeleton(kernel, start, plan)
     counts = np.zeros(plan.n, dtype=np.int64)
-    while (jumping := skel.next_jump <= t).any():
-        counts += jumping
+    while (jumping := np.flatnonzero(skel.next_jump <= t)).size:
+        counts[jumping] += 1
         skel.jump(jumping)
     return skel.state, counts
-
-
-def _batch_exact_step(model: RegimeRateModel, states, r, dt, local_t0,
-                      plan: _DrawPlan, mask=None) -> np.ndarray:
-    """Advance each (masked) path by its own dt through the model's exact
-    step on the plan's normals.  Gaussian kinds take a normal for every
-    masked path, still ones included, so antithetic halves stay aligned."""
-    z = plan.normal(mask) if model.gaussian_transition else None
-    if mask is None:
-        return model.step(states, r, dt, plan.gen, t0=local_t0, z=z)
-    out = r.copy()
-    out[mask] = model.step(states[mask], r[mask], dt[mask], plan.gen,
-                           t0=local_t0[mask] if np.ndim(local_t0) else local_t0, z=z)
-    return out
 
 
 def _grid_nodes(horizon: float, step: float, extra=()) -> np.ndarray:
@@ -217,13 +209,18 @@ def _run_batch(kernel: SemiMarkovKernel, model: RegimeRateModel,
     """March every path of the plan over the increasing ``nodes``.
 
     A path whose next jump falls at or before a node is first advanced
-    to its jump time by a masked substep and then switches regime on
-    its skeleton, so every switch lands on its sampled time with the
-    rate continuous through it.  After every advance the generator
-    yields (jumped, times, rates, integrals, states): ``jumped`` marks
-    the paths that just switched, or is None once the whole batch
-    stands on the node.  The yielded arrays are live; copy what must
-    persist.
+    to its jump time by a substep of the jumping paths alone and then
+    switches regime on its skeleton, so every switch lands on its
+    sampled time with the rate continuous through it.  The node advance
+    then draws one normal per path, in path order, and moves the paths
+    still on the previous node with one ``model.step`` call per regime at
+    their shared step; only the paths a jump moved off that node step by
+    their own dt.  CIR, which draws regime by regime in entry order,
+    moves the whole batch in one call.  After every advance the
+    generator yields (jumped, times, rates, integrals, states):
+    ``jumped`` holds the indices of the paths that just switched, or is
+    None once the whole batch stands on the node.  The yielded arrays
+    are live and updated in place; copy what must persist.
     """
     n = plan.n
     cur_r = np.full(n, float(r0))
@@ -231,29 +228,42 @@ def _run_batch(kernel: SemiMarkovKernel, model: RegimeRateModel,
     cur_t = np.zeros(n)
     reg_start = np.zeros(n)
     skel = _Skeleton(kernel, start, plan)
+    gaussian = model.gaussian_transition
 
-    def advance(target, mask):
-        nonlocal cur_r, cur_i, cur_t
-        dt = np.where(mask, target - cur_t, 0.0)
-        r_prev = cur_r
+    def move(idx, states, dt, z):
+        """Step the paths idx, in regimes ``states``, by dt on normals z."""
+        r_prev = cur_r[idx]
         # only the Hull-White coefficients read the regime-local clock
-        local_t0 = cur_t - reg_start if model.kind == HULL_WHITE else 0.0
-        cur_r = _batch_exact_step(model, skel.state, cur_r, dt, local_t0,
-                                  plan, mask=None if mask.all() else mask)
-        cur_i = cur_i + 0.5 * (r_prev + cur_r) * dt
-        cur_t = np.where(mask, target, cur_t)
+        t0 = cur_t[idx] - reg_start[idx] if model.kind == HULL_WHITE else 0.0
+        r_new = model.step(states, r_prev, dt, plan.gen, t0=t0, z=z)
+        cur_i[idx] += 0.5 * (r_prev + r_new) * dt
+        cur_r[idx] = r_new
 
-    all_mask = np.ones(n, dtype=bool)
+    every = np.arange(n)
+    t_prev = 0.0
     for tb in nodes:
-        while True:
-            jumping = skel.next_jump <= tb
-            if not jumping.any():
-                break
-            advance(np.where(jumping, skel.next_jump, cur_t), jumping)
+        while (jumping := np.flatnonzero(skel.next_jump <= tb)).size:
+            target = skel.next_jump[jumping]
+            move(jumping, skel.state[jumping], target - cur_t[jumping],
+                 plan.normal(jumping) if gaussian else None)
+            cur_t[jumping] = target
             skel.jump(jumping)
-            reg_start[jumping] = cur_t[jumping]
+            reg_start[jumping] = target
             yield jumping, cur_t, cur_r, cur_i, skel.state
-        advance(np.full(n, tb), all_mask)
+        if gaussian:
+            z = plan.normal()
+            on = cur_t == t_prev
+            for k in range(model.n_states):
+                idx = np.flatnonzero(on & (skel.state == k))
+                if idx.size:
+                    move(idx, k, tb - t_prev, z[idx])
+            off = np.flatnonzero(~on)
+            if off.size:
+                move(off, skel.state[off], tb - cur_t[off], z[off])
+        else:
+            move(every, skel.state, tb - cur_t, None)
+        cur_t.fill(tb)
+        t_prev = tb
         yield None, cur_t, cur_r, cur_i, skel.state
 
 

@@ -611,6 +611,75 @@ def test_cmd_validate_without_maturities_runs_occupancy_only(tmp_path):
     assert checks and all(c["check"].startswith("occupancy[") for c in checks)
 
 
+@pytest.mark.parametrize("edit, solved", [
+    ({"lags": []}, ["zcb", "zcb"]),
+    ({"maturities": []}, []),
+    # a lag past every maturity: the march reaches the lag's rate rows
+    ({"maturities": [0.25], "lags": [0.0, 0.8]},
+     ["zcb", "zcb", "rate_mean", "product", "product"]),
+])
+def test_cmd_validate_solves_only_what_its_checks_read(tmp_path, monkeypatch, edit, solved):
+    # validate solves only the surfaces its checks read, each marched to
+    # the panel of the last node they read, and its verdict keeps the
+    # bytes of a run that solves every surface over the whole horizon
+    import smrates.cli as cli
+
+    data = load_config(TESTBED)
+    data["solver"].update(step=0.02, rate_nodes=21)
+    data["validate"].update(reps_occupancy=1000, reps_zcb=300, reps_rate=500, **edit)
+    cfg = dump(tmp_path, data)
+    calls = []
+
+    def counted(real, name):
+        def solve(*args, **kwargs):
+            surface = real(*args, **kwargs)
+            calls.append((name, surface.s_nodes.size - 1))
+            return surface
+        return solve
+
+    for name, attr in (("zcb", "solve_zcb_moment"), ("rate_mean", "solve_rate_mean"),
+                       ("product", "solve_product_moment")):
+        monkeypatch.setattr(cli, attr, counted(getattr(cli, attr), name))
+    lean = tmp_path / "lean"
+    rc = main(["validate", "--config", str(cfg), "--out", str(lean)])
+    assert rc in (0, 4)
+    assert [name for name, _ in calls] == solved
+    val = data["validate"]
+    if solved:
+        last = round(max(val["maturities"] + val["lags"]) / 0.02)
+        assert {steps for _, steps in calls} == {-(-last // _PANEL) * _PANEL}
+    monkeypatch.setattr(cli, "_validate_surfaces", lambda cfg, maturities, orders, lags:
+                        _moment_surfaces(cfg, LatticeWorkspace(cfg.kernel, cfg.model, cfg.solver),
+                                         orders, lags))
+    full = tmp_path / "full"
+    assert main(["validate", "--config", str(cfg), "--out", str(full)]) == rc
+    assert (lean / "validation.json").read_bytes() == (full / "validation.json").read_bytes()
+
+
+def test_lattice_refusal_is_the_same_for_every_command(tmp_path, capsys):
+    # validate and simulate march only to the last node they read, yet
+    # check lattice coverage over the whole horizon: a law that escapes
+    # only at later elapsed times is refused by all three commands alike
+    data = load_config(SINGLE)
+    data["model"]["params"] = [{"a": 0.5, "b": 0.03, "sigma": 0.02}]
+    data["solver"].update(step=0.01, horizon=2.0, rate_nodes=41, rate_lo=-0.05, rate_hi=0.11)
+    data["moments"] = {"orders": [1], "lags": [0.0]}
+    data["validate"].update(maturities=[0.05], orders=[1], lags=[0.0], reps_occupancy=1000,
+                            reps_zcb=200, reps_rate=200)
+    data["simulate"].update(paths=0, targets=[
+        {"quantity": "zcb_moment", "order": 1, "s": 0.05, "reps": 200}])
+    cfg = dump(tmp_path, data)
+    errors = []
+    for command in ("moments", "validate", "simulate"):
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / command)]) == 3
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] == errors[2]
+    assert "escapes the rate lattice" in errors[0]
+    # the refused elapsed time lies past the shorter marches' last node
+    march_end = _PANEL * 0.01
+    assert float(re.search(r"elapsed ([0-9.]+)", errors[0]).group(1)) > march_end
+
+
 def test_cmd_validate_zero_threshold_fails(tmp_path):
     data = load_config(SINGLE)
     data["validate"]["z_threshold"] = 0.0

@@ -299,3 +299,76 @@ def test_lattice_refusal_never_returns_a_number(data, below, above, tilt):
             solve()
     else:
         assert np.all(np.isfinite(solve().values))
+
+
+# ---------------------------------------------------------------------------
+# a march that ends before the horizon
+# ---------------------------------------------------------------------------
+
+def _two_regime_kernel():
+    return SemiMarkovKernel([[0.0, 1.0], [1.0, 0.0]],
+                            [[None, SojournDistribution.weibull(2.0, 1.0)],
+                             [SojournDistribution.gamma(2.0, 0.5), None]])
+
+
+def _two_regime_model(kind):
+    if kind == "vasicek":
+        return RegimeRateModel.vasicek([{"a": 1.0, "b": 0.02, "sigma": 0.015},
+                                        {"a": 0.8, "b": 0.06, "sigma": 0.02}])
+    if kind == "hull_white":
+        # a knot at 1.0: the full march's integrals cross it, the short
+        # march's do not
+        return RegimeRateModel.hull_white([
+            HullWhiteParams(PiecewiseLinear([0.0, 1.0], [0.02, 0.05]),
+                            PiecewiseLinear([0.0, 1.0], [1.0, 0.6]),
+                            PiecewiseLinear([0.0, 1.0], [0.015, 0.025])),
+            HullWhiteParams.from_constants(0.048, 0.8, 0.02)])
+    return RegimeRateModel.cir([CIRParams(0.04, 1.0, 0.1), CIRParams(0.03, 0.8, 0.08)])
+
+
+@pytest.mark.parametrize("kind", ["vasicek", "hull_white", "cir"])
+def test_short_march_rows_are_the_full_march_rows(kind):
+    # a march to an earlier node keeps the full march's panels and build
+    # chunks, so every row it computes is the full march's, bit for bit
+    kernel, model = _two_regime_kernel(), _two_regime_model(kind)
+    cfg = _config(3 * _PANEL + 5)
+    lag = 5 * STEP
+    rows = {}
+    for until in (None, (_PANEL + 3) * STEP):
+        ws = LatticeWorkspace(kernel, model, cfg, until=until)
+        rate = solve_rate_mean(kernel, model, cfg, workspace=ws)
+        rows[until] = {f"zcb n={n}": solve_zcb_moment(n, kernel, model, cfg, workspace=ws)
+                       for n in (1, 2)}
+        rows[until]["rate mean"] = rate
+        for h in (0.0, lag):
+            rows[until][f"product lag {h}"] = solve_product_moment(h, kernel, model, cfg, rate,
+                                                                   workspace=ws)
+    full, short = rows.values()
+    for label, surface in short.items():
+        k = surface.s_nodes.size
+        assert k == 2 * _PANEL + 1, label
+        assert np.array_equal(surface.s_nodes, full[label].s_nodes[:k]), label
+        assert np.array_equal(surface.values, full[label].values[:, :k]), label
+
+
+def test_march_ends_at_the_panel_of_the_upper_node():
+    kernel, model = _two_regime_kernel(), _two_regime_model("vasicek")
+    k_steps = 3 * _PANEL + 5
+    cfg = _config(k_steps)
+    for until, steps in ((None, k_steps), (0.0, 0), (_PANEL * STEP, _PANEL),
+                         (_PANEL * STEP + 1e-12, _PANEL), ((_PANEL + 0.5) * STEP, 2 * _PANEL),
+                         (k_steps * STEP, k_steps), (10.0, k_steps)):
+        assert LatticeWorkspace(kernel, model, cfg, until=until).thetas.size == steps + 1, until
+    # a maturity between nodes reads its upper node, the first of the
+    # next panel: the aged value is the full march's
+    s = (_PANEL + 0.5) * STEP
+    values = []
+    for until in (None, s):
+        ws = LatticeWorkspace(kernel, model, cfg, until=until)
+        zcb = solve_zcb_moment(1, kernel, model, cfg, workspace=ws)
+        values.append(evaluate_zcb_moment(zcb, kernel, model, 1, 0.3, 0.03, s))
+    assert values[0] == values[1]
+    # a lag past the march has no rate rows to read
+    rate = solve_rate_mean(kernel, model, cfg, workspace=ws)
+    with pytest.raises(ValueError, match="beyond the workspace's march"):
+        solve_product_moment((2 * _PANEL + 1) * STEP, kernel, model, cfg, rate, workspace=ws)

@@ -16,7 +16,8 @@ from smrates import (
     simulate_batch,
     simulate_path,
 )
-from smrates.monte_carlo import _DrawPlan, _walk
+from smrates.monte_carlo import _DrawPlan, _grid_nodes, _run_batch, _Skeleton, _walk
+from smrates.rate_models import HULL_WHITE
 from smrates.semi_markov import TimeGrid, transition_probabilities
 
 
@@ -366,3 +367,149 @@ def test_path_records_its_stream(kern_testbed, vas_testbed, start0):
     rec = simulate_path(kern_testbed, vas_testbed, start0, 0.03, 1.0, 0.01,
                         RngStream(77, 3))
     assert rec.seed == (77, 3)
+
+
+# ---------------------------------------------------------------------------
+# the batch engine against the masked engine
+# ---------------------------------------------------------------------------
+
+def _masked_run_batch(kernel, model, start, r0, nodes, plan):
+    """The oracle: the batch engine as a masked march.  Every advance
+    steps the whole batch, or a boolean mask of it, in one ``model.step``
+    call with a dt per path, and a jump switches the masked paths; the
+    draws come in the same order as in ``_run_batch``."""
+    n = plan.n
+    cur_r = np.full(n, float(r0))
+    cur_i = np.zeros(n)
+    cur_t = np.zeros(n)
+    reg_start = np.zeros(n)
+    skel = _Skeleton(kernel, start, plan)
+
+    def jump(mask):
+        skel.state[mask] = skel.next_state[mask]
+        u_next = plan.uniform(np.flatnonzero(mask))
+        u_wait = plan.uniform(np.flatnonzero(mask))
+        skel.next_state[mask], wait = kernel.sample_sojourns(skel.state[mask], 0.0,
+                                                             u_next, u_wait)
+        skel.next_jump[mask] += wait
+
+    def advance(target, mask):
+        nonlocal cur_r, cur_i, cur_t
+        dt = np.where(mask, target - cur_t, 0.0)
+        r_prev = cur_r
+        local_t0 = cur_t - reg_start if model.kind == HULL_WHITE else 0.0
+        whole = mask.all()
+        z = (plan.normal(None if whole else np.flatnonzero(mask))
+             if model.gaussian_transition else None)
+        if whole:
+            cur_r = model.step(skel.state, cur_r, dt, plan.gen, t0=local_t0, z=z)
+        else:
+            cur_r = cur_r.copy()
+            cur_r[mask] = model.step(skel.state[mask], r_prev[mask], dt[mask], plan.gen,
+                                     t0=local_t0[mask] if np.ndim(local_t0) else local_t0,
+                                     z=z)
+        cur_i = cur_i + 0.5 * (r_prev + cur_r) * dt
+        cur_t = np.where(mask, target, cur_t)
+
+    all_mask = np.ones(n, dtype=bool)
+    for tb in nodes:
+        while True:
+            jumping = skel.next_jump <= tb
+            if not jumping.any():
+                break
+            advance(np.where(jumping, skel.next_jump, cur_t), jumping)
+            jump(jumping)
+            reg_start[jumping] = cur_t[jumping]
+            yield jumping, cur_t, cur_r, cur_i, skel.state
+        advance(np.full(n, tb), all_mask)
+        yield None, cur_t, cur_r, cur_i, skel.state
+
+
+def _hull_white_two_regimes():
+    from smrates import HullWhiteParams, PiecewiseLinear
+
+    return RegimeRateModel.hull_white([
+        HullWhiteParams(PiecewiseLinear([0.0, 0.4], [0.02, 0.05]),
+                        PiecewiseLinear([0.0, 0.4], [1.0, 0.6]),
+                        PiecewiseLinear([0.0, 0.4], [0.015, 0.025])),
+        HullWhiteParams.from_constants(0.048, 0.8, 0.02)])
+
+
+@pytest.mark.parametrize("case", ["vasicek 1", "vasicek 2", "hull-white", "cir 1", "cir 2",
+                                  "antithetic", "aged", "jump on a node", "snapshot by a node"])
+def test_batch_engine_matches_masked_engine(case, kern_single, kern_testbed, vas_single,
+                                            vas_testbed, cir_single):
+    # the per-regime node step and the indexed jump substeps compute every
+    # yield of the masked engine bit for bit
+    kernel, model, start, n, antithetic = kern_testbed, vas_testbed, BackwardState(1, 0.0), 400, False
+    nodes = _grid_nodes(1.2, 0.05, [0.3, 0.77])
+    if case == "vasicek 1":
+        kernel, model, start = kern_single, vas_single, BackwardState(0, 0.0)
+    elif case == "hull-white":
+        model = _hull_white_two_regimes()
+    elif case == "cir 1":
+        kernel, model, start = kern_single, cir_single, BackwardState(0, 0.0)
+    elif case == "cir 2":
+        model = RegimeRateModel.cir([CIRParams(0.04, 1.0, 0.1), CIRParams(0.02, 0.5, 0.08)])
+    elif case == "antithetic":
+        antithetic = True
+    elif case == "aged":
+        start = BackwardState(0, 0.7)
+    elif case == "jump on a node":
+        g = SojournDistribution.exponential(1.0)
+        kernel = _Clockwork([[0.0, 1.0], [1.0, 0.0]], [[None, g], [g, None]])
+    elif case == "snapshot by a node":
+        # a node 5e-16 past another: the step between them is below the
+        # still threshold, so no rate moves across it
+        nodes = _grid_nodes(1.2, 0.05, [0.5 + 5e-16])
+        assert np.diff(nodes).min() < 1e-15
+    engines = [engine(kernel, model, start, 0.03, nodes,
+                      _DrawPlan(RngStream(46, 2).generator(), n, antithetic))
+               for engine in (_run_batch, _masked_run_batch)]
+    jumps, on_node, at_node = 0, False, {}
+    for (jumped, *arrays), (mask, *expected) in zip(*engines, strict=True):
+        assert (jumped is None) == (mask is None)
+        if mask is None:
+            at_node[float(arrays[0][0])] = arrays[1].copy()
+        else:
+            assert np.array_equal(jumped, np.flatnonzero(mask))
+            jumps += jumped.size
+            on_node |= bool(np.isin(arrays[0][jumped], nodes).any())
+        for got, want in zip(arrays, expected):
+            assert np.array_equal(got, want)
+    assert jumps > 0 and list(at_node) == nodes.tolist()
+    if case == "jump on a node":
+        assert on_node
+    if case == "snapshot by a node":
+        close = np.flatnonzero(np.diff(nodes) < 1e-15)[0]
+        assert np.array_equal(at_node[nodes[close]], at_node[nodes[close + 1]])
+
+
+def test_node_advance_steps_each_regime_once(kern_testbed, vas_testbed, monkeypatch):
+    # a Vasicek node advance moves the paths still on the previous node
+    # with one shared-dt call per regime, plus at most one call for the
+    # paths a jump moved off it
+    calls = []
+    real = vas_testbed.step
+
+    def counted(i, r, dt, rng, t0=0.0, z=None):
+        calls.append((np.ndim(i), np.ndim(dt), np.size(r)))
+        return real(i, r, dt, rng, t0=t0, z=z)
+
+    monkeypatch.setattr(vas_testbed, "step", counted)
+    n = 2000
+    nodes = _grid_nodes(1.0, 0.01)
+    off_node = 0
+    for jumped, *_ in _run_batch(kern_testbed, vas_testbed, BackwardState(0, 0.0), 0.03,
+                                 nodes, _DrawPlan(RngStream(47).generator(), n, False)):
+        if jumped is not None:
+            assert calls == [(1, 1, jumped.size)]   # one substep of the jumping paths
+        else:
+            shared = [c for c in calls if c[:2] == (0, 0)]
+            own = [c for c in calls if c[:2] != (0, 0)]
+            assert 1 <= len(shared) <= vas_testbed.n_states
+            assert [c[:2] for c in own] in ([], [(1, 1)])
+            assert sum(c[2] for c in calls) == n
+            off_node += bool(own)
+        calls.clear()
+    assert off_node > 0
