@@ -441,7 +441,7 @@ def test_batch_engine_matches_masked_engine(case, kern_single, kern_testbed, vas
                                             vas_testbed, cir_single):
     # the per-regime node step and the indexed jump substeps compute every
     # yield of the masked engine bit for bit
-    kernel, model, start, n, antithetic = kern_testbed, vas_testbed, BackwardState(1, 0.0), 400, False
+    kernel, model, start, antithetic = kern_testbed, vas_testbed, BackwardState(1, 0.0), False
     nodes = _grid_nodes(1.2, 0.05, [0.3, 0.77])
     if case == "vasicek 1":
         kernel, model, start = kern_single, vas_single, BackwardState(0, 0.0)
@@ -464,7 +464,7 @@ def test_batch_engine_matches_masked_engine(case, kern_single, kern_testbed, vas
         nodes = _grid_nodes(1.2, 0.05, [0.5 + 5e-16])
         assert np.diff(nodes).min() < 1e-15
     engines = [engine(kernel, model, start, 0.03, nodes,
-                      _DrawPlan(RngStream(46, 2).generator(), n, antithetic))
+                      _DrawPlan(RngStream(46, 2).generator(), 400, antithetic))
                for engine in (_run_batch, _masked_run_batch)]
     jumps, on_node, at_node = 0, False, {}
     for (jumped, *arrays), (mask, *expected) in zip(*engines, strict=True):
