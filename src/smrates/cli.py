@@ -31,6 +31,8 @@ from .exports import (
 from .moment_engine import (
     LatticeWorkspace,
     MomentSurface,
+    build_rate_grid,
+    check_lattice_rate,
     covariance_surface,
     evaluate_product_moment,
     evaluate_rate_mean,
@@ -43,9 +45,7 @@ from .monte_carlo import (
     EstimatorReport,
     RngStream,
     estimate_moments,
-    estimate_rate_moments,
     estimate_state_occupancy,
-    estimate_zcb_moment,
     simulate_path,
 )
 from .semi_markov import (
@@ -118,15 +118,11 @@ def cmd_phi(cfg: ExperimentConfig, out: Path) -> int:
     return 0
 
 
-def _moment_surfaces(cfg: ExperimentConfig, ws: LatticeWorkspace, orders=None, lags=None,
-                     rate_mean: bool = True):
-    """The zcb surface of every order, the rate mean and the product
-    moment of every lag; orders and lags default to the moments block.
-    With no lag, ``rate_mean=False`` skips the rate mean (None)."""
-    if orders is None:
-        orders = [int(n) for n in cfg.moments.get("orders", [1, 2])]
-    if lags is None:
-        lags = [float(v) for v in cfg.moments.get("lags", [0.0])]
+def _surfaces(cfg: ExperimentConfig, orders, lags, rate_mean: bool = False, until=None):
+    """The zcb surface of every order, the rate mean (None unless
+    rate_mean is set or there is a lag) and the product moment of every
+    lag, on one workspace marched to until (default: the horizon)."""
+    ws = LatticeWorkspace(cfg.kernel, cfg.model, cfg.solver, until=until)
     # the workspace holds one transfer stack: the plain one, which the aged
     # product evaluations read, is built last (after the discount orders)
     zcb = {n: solve_zcb_moment(n, cfg.kernel, cfg.model, cfg.solver, workspace=ws)
@@ -140,9 +136,35 @@ def _moment_surfaces(cfg: ExperimentConfig, ws: LatticeWorkspace, orders=None, l
     return zcb, rate, products
 
 
+def _target_surfaces(cfg: ExperimentConfig, targets):
+    """The surfaces that estimate_moments targets read, marched to the
+    last node they read: each maturity's upper node, and each lag's node
+    of the rate mean.  With no target there is no surface to solve."""
+    if not targets:
+        return {}, None, {}
+    orders = sorted({t["order"] for t in targets if t["quantity"] == "zcb_moment"})
+    lags = list(dict.fromkeys(t["lag"] for t in targets if t["quantity"] == "product_moment"))
+    return _surfaces(cfg, orders, lags,
+                     rate_mean=any(t["quantity"] == "rate_mean" for t in targets),
+                     until=max(max(t["s"], t.get("lag", 0.0)) for t in targets))
+
+
+def _analytic(cfg: ExperimentConfig, surfaces, target: dict, start: BackwardState,
+              r0: float) -> float:
+    """The aged analytic value of one estimate_moments target."""
+    zcb, rate, products = surfaces
+    at = (cfg.kernel, cfg.model, start.state, start.age, r0, target["s"])
+    if target["quantity"] == "zcb_moment":
+        return evaluate_zcb_moment(zcb[target["order"]], *at)
+    if target["quantity"] == "rate_mean":
+        return evaluate_rate_mean(rate, *at)
+    return evaluate_product_moment(products[target["lag"]], rate, *at)
+
+
 def cmd_moments(cfg: ExperimentConfig, out: Path) -> int:
-    ws = LatticeWorkspace(cfg.kernel, cfg.model, cfg.solver)
-    zcb, rate, products = _moment_surfaces(cfg, ws)
+    zcb, rate, products = _surfaces(cfg, [int(n) for n in cfg.moments.get("orders", [1, 2])],
+                                    [float(v) for v in cfg.moments.get("lags", [0.0])],
+                                    rate_mean=True)
     meta = _meta(cfg)
 
     def write_csv(name, surf):
@@ -182,79 +204,42 @@ def cmd_simulate(cfg: ExperimentConfig, out: Path) -> int:
     n_paths = int(sim.get("paths", 1))
     step = float(sim.get("step", cfg.solver.mc_step))
     meta = _meta(cfg)
+    if targets:   # refused before any path: every analytic value reads the lattice at r0
+        check_lattice_rate(build_rate_grid(cfg.model, cfg.solver), r0)
 
     for p in range(n_paths):
         record = simulate_path(cfg.kernel, cfg.model, start, r0, horizon, step,
                                RngStream(cfg.seed, p)) if horizon > 0 else None
         write_path_csv(out / f"path_{p:03d}.csv", record, meta=meta)
 
+    # a rate_moments target estimates its rate mean and product moment on
+    # common paths; each target's batch draws the stream after the paths'
+    groups = []
+    for tgt in targets:
+        s, reps = float(tgt["s"]), int(tgt.get("reps", 10000))
+        groups.append(
+            [{"quantity": "zcb_moment", "order": int(tgt.get("order", 1)), "s": s, "reps": reps}]
+            if tgt["quantity"] == "zcb_moment" else
+            [{"quantity": "rate_mean", "s": s, "reps": reps},
+             {"quantity": "product_moment", "s": s, "lag": float(tgt.get("lag", 0.0)),
+              "reps": reps}])
+    surfaces = _target_surfaces(cfg, [t for group in groups for t in group])
     reports = []
-    if targets:
-        # the march ends at the last node a target reads: its maturity's
-        # upper node, or its lag's node for the rate mean
-        until = max(max(float(t["s"]), float(t.get("lag", 0.0))) for t in targets)
-        ws = LatticeWorkspace(cfg.kernel, cfg.model, cfg.solver, until=until)
-        # discount orders first, as in _moment_surfaces: each stack is built once
-        zcb_surfaces = {n: solve_zcb_moment(n, cfg.kernel, cfg.model, cfg.solver, workspace=ws)
-                        for n in sorted({int(t.get("order", 1)) for t in targets
-                                         if t["quantity"] == "zcb_moment"})}
-        rate_surface = None
-        product_surfaces = {}
-        for idx, tgt in enumerate(targets):
-            rng = RngStream(cfg.seed, n_paths + idx)   # after the paths' streams
-            reps = int(tgt.get("reps", 10000))
-            s = float(tgt["s"])
-            quantity = tgt["quantity"]
-            if quantity == "zcb_moment":
-                n = int(tgt.get("order", 1))
-                rep = estimate_zcb_moment(cfg.kernel, cfg.model, start, r0, n, s,
-                                          reps, rng, step=step,
-                                          antithetic=bool(tgt.get("antithetic", False)))
-                analytic = evaluate_zcb_moment(zcb_surfaces[n], cfg.kernel, cfg.model,
-                                               start.state, start.age, r0, s)
-                entries = [(rep, analytic)]
-            else:  # rate_moments
-                lag = float(tgt.get("lag", 0.0))
-                if rate_surface is None:
-                    rate_surface = solve_rate_mean(cfg.kernel, cfg.model, cfg.solver,
-                                                   workspace=ws)
-                if lag not in product_surfaces:
-                    product_surfaces[lag] = solve_product_moment(
-                        lag, cfg.kernel, cfg.model, cfg.solver,
-                        rate_mean_surface=rate_surface, workspace=ws)
-                mean_rep, prod_rep = estimate_rate_moments(
-                    cfg.kernel, cfg.model, start, r0, s, lag, reps, rng, step=step)
-                mean_an = evaluate_rate_mean(rate_surface, cfg.kernel, cfg.model,
-                                             start.state, start.age, r0, s)
-                prod_an = evaluate_product_moment(
-                    product_surfaces[lag], rate_surface, cfg.kernel, cfg.model,
-                    start.state, start.age, r0, s)
-                entries = [(mean_rep, mean_an), (prod_rep, prod_an)]
-            for rep, analytic in entries:
-                z = rep.z_score(analytic)
-                reports.append({
-                    **rep.to_dict(),
-                    "analytic": analytic,
-                    "z": z,
-                    "within_3se": bool(abs(z) <= 3.0),
-                })
+    for j, (tgt, group) in enumerate(zip(targets, groups)):
+        estimates = estimate_moments(cfg.kernel, cfg.model, start, r0, group,
+                                     RngStream(cfg.seed, n_paths + j), step=step,
+                                     antithetic=tgt.get("antithetic", False))
+        for target, rep in zip(group, estimates):
+            analytic = _analytic(cfg, surfaces, target, start, r0)
+            z = rep.z_score(analytic)
+            reports.append({**rep.to_dict(), "analytic": analytic, "z": z,
+                            "within_3se": bool(abs(z) <= 3.0)})
     write_json(out / "estimates.json", {
         "config_sha256": cfg.config_hash(),
         "seed": cfg.seed,
         "reports": reports,
     })
     return 0
-
-
-def _validate_surfaces(cfg: ExperimentConfig, maturities, orders, lags):
-    """The surfaces validate's checks read, marched to the last node they
-    read: each maturity's upper node, and each lag's node of the rate
-    mean.  With no maturity no check reads a surface, and with no lag
-    none reads the rate mean."""
-    if not maturities:
-        return {}, None, {}
-    ws = LatticeWorkspace(cfg.kernel, cfg.model, cfg.solver, until=max(maturities + lags))
-    return _moment_surfaces(cfg, ws, orders, lags, rate_mean=False)
 
 
 def cmd_validate(cfg: ExperimentConfig, out: Path) -> int:
@@ -270,6 +255,9 @@ def cmd_validate(cfg: ExperimentConfig, out: Path) -> int:
     reps_zcb = int(val.get("reps_zcb", 20000))
     reps_rate = int(val.get("reps_rate", 50000))
     mc_step = cfg.solver.mc_step
+
+    if maturities:   # refused before any Monte Carlo, as in cmd_simulate
+        check_lattice_rate(build_rate_grid(cfg.model, cfg.solver), r0)
 
     checks = []
     # every estimator draws its own stream of the run's seed, numbered in
@@ -316,31 +304,25 @@ def cmd_validate(cfg: ExperimentConfig, out: Path) -> int:
     targets.update({("product_moment", lag, s): {"quantity": "product_moment", "s": s,
                                                  "lag": lag, "reps": reps_rate}
                     for lag in lags for s in maturities})
-    estimates = []
-    for age in ages:
-        reports = estimate_moments(cfg.kernel, cfg.model, BackwardState(start_state, age),
-                                   r0, targets.values(), next(streams), step=mc_step)
-        estimates.append(dict(zip(targets, reports)))
+    starts = [BackwardState(start_state, age) for age in ages]
+    estimates = [dict(zip(targets, estimate_moments(cfg.kernel, cfg.model, start, r0,
+                                                    targets.values(), next(streams),
+                                                    step=mc_step)))
+                 for start in starts]
 
-    zcb, rate_surface, products = _validate_surfaces(cfg, maturities, orders, lags)
-    for n in orders:
-        for age, est in zip(ages, estimates):
-            for s in maturities:
-                analytic = evaluate_zcb_moment(zcb[n], cfg.kernel, cfg.model,
-                                               start_state, age, r0, s)
-                add(f"zcb_moment[n={n},age={age},s={s}]", analytic, est["zcb_moment", n, s])
-    mean_an = {(a, s): evaluate_rate_mean(rate_surface, cfg.kernel, cfg.model,
-                                          start_state, age, r0, s)
-               for a, age in enumerate(ages) for s in maturities if lags}
-    for lag in lags:
-        for a, (age, est) in enumerate(zip(ages, estimates)):
-            for s in maturities:
-                prod_an = evaluate_product_moment(products[lag], rate_surface, cfg.kernel,
-                                                  cfg.model, start_state, age, r0, s)
-                add(f"rate_mean[age={age},s={s},lag={lag}]", mean_an[a, s],
-                    est["rate_mean", s])
-                add(f"product_moment[age={age},s={s},lag={lag}]", prod_an,
-                    est["product_moment", lag, s])
+    # one row per check, in order: (age index, target key, check name);
+    # every lag's rate_mean check of an age reads one evaluation
+    rows = [(a, ("zcb_moment", n, s), f"zcb_moment[n={n},age={age},s={s}]")
+            for n in orders for a, age in enumerate(ages) for s in maturities]
+    for lag, (a, age), s in itertools.product(lags, enumerate(ages), maturities):
+        rows += [(a, ("rate_mean", s), f"rate_mean[age={age},s={s},lag={lag}]"),
+                 (a, ("product_moment", lag, s), f"product_moment[age={age},s={s},lag={lag}]")]
+    surfaces = _target_surfaces(cfg, list(targets.values()))
+    analytic = {}
+    for a, key, name in rows:
+        if (a, key) not in analytic:
+            analytic[a, key] = _analytic(cfg, surfaces, targets[key], starts[a], r0)
+        add(name, analytic[a, key], estimates[a][key])
 
     all_pass = all(c["pass"] for c in checks)
     write_json(out / "validation.json", {

@@ -84,6 +84,22 @@ def _check_on_grid(path: str, values, grid, horizon: float):
             raise ConfigError(f"field {path}: {exc} within horizon {horizon}") from exc
 
 
+def _antithetic_refusal(tgt: dict, kind: str) -> str | None:
+    """Why a simulate target's antithetic option cannot run, or None."""
+    antithetic = tgt.get("antithetic", False)
+    if not isinstance(antithetic, bool):
+        return f"{antithetic!r} must be a JSON boolean"
+    if not antithetic:
+        return None
+    if tgt["quantity"] != "zcb_moment":
+        return "only a zcb_moment target draws antithetic pairs"
+    if kind == CIR:
+        return "antithetic variates need a Gaussian transition law"
+    if "reps" in tgt and tgt["reps"] % 2:   # the default reps is even
+        return f"antithetic pairs need an even reps, got {tgt['reps']!r}"
+    return None
+
+
 def _need(mapping: dict, key: str, path: str):
     if key not in mapping:
         raise ConfigError(f"field {path}.{key}: missing")
@@ -281,6 +297,8 @@ class ExperimentConfig:
             _check_number("simulate.step", value, positive=True)
         for value in given(sim, "horizon"):
             _check_number("simulate.horizon", value)
+        for value in given(val, "z_threshold"):
+            _check_number("validate.z_threshold", value)
 
     def validate_times(self) -> tuple[list[float], list[float]]:
         """validate's maturities and occupancy times, defaults included.
@@ -306,6 +324,9 @@ class ExperimentConfig:
             if _need(tgt, "quantity", path) not in ("zcb_moment", "rate_moments"):
                 raise ConfigError(f"field {path}.quantity: unknown {tgt['quantity']!r}")
             _check_maturities(f"{path}.s", [_need(tgt, "s", path)], self.solver.horizon)
+            refusal = _antithetic_refusal(tgt, self.model.kind)
+            if refusal:
+                raise ConfigError(f"field {path}.antithetic: {refusal}")
         return targets
 
     def config_hash(self) -> str:

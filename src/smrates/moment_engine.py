@@ -175,12 +175,7 @@ class MomentSurface:
         return float(self.s_nodes[1] - self.s_nodes[0])
 
     def check_rate(self, x: float):
-        if x < self.x_nodes[0] - 1e-12 or x > self.x_nodes[-1] + 1e-12:
-            raise GridCoverageError(
-                f"rate {x} lies outside the lattice "
-                f"[{self.x_nodes[0]:.6g}, {self.x_nodes[-1]:.6g}]; "
-                "extrapolation is refused"
-            )
+        check_lattice_rate(self.x_nodes, x)
 
     def value(self, i: int, s: float, x: float) -> float:
         """Bilinear lattice read at (state, maturity, start rate)."""
@@ -211,6 +206,17 @@ def _rate_envelope(model: RegimeRateModel, config: SolverConfig):
             np.sqrt(np.atleast_1d(model.variance(i, ref, probe_ts))).tolist()
         )
     return min(means), max(means), max(stds)
+
+
+def check_lattice_rate(x_nodes: np.ndarray, x: float):
+    """Refuse a start rate x outside the lattice x_nodes: every read at
+    x interpolates between lattice rates and never extrapolates."""
+    if x < x_nodes[0] - 1e-12 or x > x_nodes[-1] + 1e-12:
+        raise GridCoverageError(
+            f"rate {x} lies outside the lattice "
+            f"[{x_nodes[0]:.6g}, {x_nodes[-1]:.6g}]; "
+            "extrapolation is refused"
+        )
 
 
 def build_rate_grid(model: RegimeRateModel, config: SolverConfig) -> np.ndarray:

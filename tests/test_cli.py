@@ -10,9 +10,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from smrates import ConfigError, ExperimentConfig, SolverConfig, evaluate_product_moment
-from smrates.cli import _moment_surfaces, main
-from smrates.moment_engine import _PANEL, LatticeWorkspace, covariance_surface
+from smrates import (
+    BackwardState,
+    ConfigError,
+    ExperimentConfig,
+    RngStream,
+    SolverConfig,
+    estimate_rate_moments,
+    estimate_zcb_moment,
+    evaluate_product_moment,
+)
+from smrates.cli import _surfaces, main
+from smrates.moment_engine import _PANEL, LatticeWorkspace, build_rate_grid, covariance_surface
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 TESTBED = CONFIG_DIR / "testbed_weibull_vasicek.json"
@@ -147,6 +156,7 @@ def _zcb_target(**fields):
     ("simulate", "targets", _zcb_target(order=1.5), "simulate.targets[].order"),
     ("simulate", "age", 40.0, "simulate.age"),               # H(40) rounds to 1
     ("validate", "ages", [0.5, 40.0], "validate.ages"),
+    ("validate", "z_threshold", -1.0, "validate.z_threshold"),   # used to fail every check
 ])
 def test_command_fields_exit_2_at_parse_time(tmp_path, capsys, block, key, value,
                                                 field):
@@ -196,6 +206,22 @@ def test_malformed_field_shapes_exit_2(tmp_path, capsys, command, edit, field):
     assert f"field {field}:" in capsys.readouterr().err
 
 
+def _refused_before_simulating(tmp_path, capsys, monkeypatch, data, message):
+    # refused before any path or Monte Carlo runs; the other commands
+    # still parse the config
+    ExperimentConfig.from_dict(data)
+
+    def no_monte_carlo(*args, **kwargs):
+        raise AssertionError("simulation ran before the config check")
+
+    monkeypatch.setattr("smrates.cli.simulate_path", no_monte_carlo)
+    monkeypatch.setattr("smrates.cli.estimate_moments", no_monte_carlo)
+    rc = main(["simulate", "--config", str(dump(tmp_path, data)),
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("targets, field", [
     (_zcb_target(s=2.5), "simulate.targets[0].s"),
     (_zcb_target() + [{"quantity": "sharpe_ratio", "s": 1.0}],
@@ -203,21 +229,27 @@ def test_malformed_field_shapes_exit_2(tmp_path, capsys, command, edit, field):
 ])
 def test_simulate_targets_exit_2_before_simulating(tmp_path, capsys, monkeypatch,
                                                    targets, field):
-    # refused before any path or Monte Carlo runs; the other commands
-    # still parse the config
     data = load_config(SINGLE)
     data["simulate"]["targets"] = targets
-    ExperimentConfig.from_dict(data)
+    _refused_before_simulating(tmp_path, capsys, monkeypatch, data, f"field {field}:")
 
-    def no_monte_carlo(*args, **kwargs):
-        raise AssertionError("simulation ran before the config check")
 
-    monkeypatch.setattr("smrates.cli.simulate_path", no_monte_carlo)
-    monkeypatch.setattr("smrates.cli.estimate_zcb_moment", no_monte_carlo)
-    rc = main(["simulate", "--config", str(dump(tmp_path, data)),
-               "--out", str(tmp_path / "o")])
-    assert rc == 2
-    assert f"field {field}:" in capsys.readouterr().err
+@pytest.mark.parametrize("config, fields, message", [
+    (CIR_CONFIG, {"antithetic": True, "reps": 1000},
+     "antithetic variates need a Gaussian transition law"),
+    (SINGLE, {"antithetic": True, "reps": 1001}, "antithetic pairs need an even reps, got 1001"),
+    (SINGLE, {"antithetic": "no"}, "'no' must be a JSON boolean"),
+    (SINGLE, {"quantity": "rate_moments", "lag": 0.0, "antithetic": True},
+     "only a zcb_moment target draws antithetic pairs"),
+])
+def test_simulate_antithetic_options_exit_2_before_simulating(tmp_path, capsys, monkeypatch,
+                                                              config, fields, message):
+    # these used to end in a traceback (exit 1), to run antithetic on the
+    # string "no", or to run a rate_moments target without the pairs
+    data = load_config(config)
+    data["simulate"]["targets"] = _zcb_target(**fields)
+    _refused_before_simulating(tmp_path, capsys, monkeypatch, data,
+                               f"field simulate.targets[0].antithetic: {message}")
 
 
 @pytest.mark.parametrize("key, value", [
@@ -388,8 +420,8 @@ def test_cmd_moments_csv_and_json_carry_the_same_strings(tmp_path):
         ("product_moment", None, "0.5"), ("product_moment", None, "0.0")]
 
     cfg = ExperimentConfig.from_file(path)
-    zcb, rate, products = _moment_surfaces(cfg, LatticeWorkspace(cfg.kernel, cfg.model,
-                                                                 cfg.solver))
+    zcb, rate, products = _surfaces(cfg, cfg.moments["orders"], cfg.moments["lags"],
+                                    rate_mean=True)
     names = cfg.kernel.states
 
     def csv_values(name, shape):
@@ -438,8 +470,9 @@ def test_moment_surfaces_hold_one_transfer_stack(monkeypatch):
         return stack
 
     monkeypatch.setattr(LatticeWorkspace, "_build", recorded_build)
-    ws = LatticeWorkspace(cfg.kernel, cfg.model, cfg.solver)
-    zcb, rate, products = _moment_surfaces(cfg, ws)
+    zcb, rate, products = _surfaces(cfg, cfg.moments["orders"], cfg.moments["lags"],
+                                    rate_mean=True)
+    ws = rate.workspace
     assert [tilt for tilt, _ in built] == [1, 2, 0]
     assert [ref() is None for _, ref in built] == [True, True, False]
     assert ws._held[0] == 0 and ws._held[1] is built[-1][1]()
@@ -611,6 +644,31 @@ def test_cmd_validate_without_maturities_runs_occupancy_only(tmp_path):
     assert checks and all(c["check"].startswith("occupancy[") for c in checks)
 
 
+def _record_solves(monkeypatch) -> list:
+    """(surface, march steps) of every solve the CLI makes, in order."""
+    import smrates.cli as cli
+
+    calls = []
+
+    def counted(real, name):
+        def solve(*args, **kwargs):
+            surface = real(*args, **kwargs)
+            calls.append((name, surface.s_nodes.size - 1))
+            return surface
+        return solve
+
+    for name, attr in (("zcb", "solve_zcb_moment"), ("rate_mean", "solve_rate_mean"),
+                       ("product", "solve_product_moment")):
+        monkeypatch.setattr(cli, attr, counted(getattr(cli, attr), name))
+    return calls
+
+
+def _solve_full_horizon(monkeypatch):
+    """Make the CLI solve every surface it may read over the whole horizon."""
+    monkeypatch.setattr("smrates.cli._surfaces", lambda cfg, orders, lags, rate_mean, until:
+                        _surfaces(cfg, orders, lags, rate_mean=True))
+
+
 @pytest.mark.parametrize("edit, solved", [
     ({"lags": []}, ["zcb", "zcb"]),
     ({"maturities": []}, []),
@@ -628,32 +686,115 @@ def test_cmd_validate_solves_only_what_its_checks_read(tmp_path, monkeypatch, ed
     data["solver"].update(step=0.02, rate_nodes=21)
     data["validate"].update(reps_occupancy=1000, reps_zcb=300, reps_rate=500, **edit)
     cfg = dump(tmp_path, data)
-    calls = []
-
-    def counted(real, name):
-        def solve(*args, **kwargs):
-            surface = real(*args, **kwargs)
-            calls.append((name, surface.s_nodes.size - 1))
-            return surface
-        return solve
-
-    for name, attr in (("zcb", "solve_zcb_moment"), ("rate_mean", "solve_rate_mean"),
-                       ("product", "solve_product_moment")):
-        monkeypatch.setattr(cli, attr, counted(getattr(cli, attr), name))
+    calls = _record_solves(monkeypatch)
+    evaluations = []
+    for attr in ("evaluate_zcb_moment", "evaluate_rate_mean", "evaluate_product_moment"):
+        monkeypatch.setattr(cli, attr, lambda *args, real=getattr(cli, attr), attr=attr:
+                            evaluations.append(attr) or real(*args))
     lean = tmp_path / "lean"
     rc = main(["validate", "--config", str(cfg), "--out", str(lean)])
     assert rc in (0, 4)
     assert [name for name, _ in calls] == solved
     val = data["validate"]
+    # one aged evaluation per (age, maturity) and order or lag, and one
+    # of the rate mean per (age, maturity) that every lag's check reads
+    per_point = len(val["orders"]) + (len(val["lags"]) + 1 if val["lags"] else 0)
+    assert len(evaluations) == len(val["ages"]) * len(val["maturities"]) * per_point
     if solved:
         last = round(max(val["maturities"] + val["lags"]) / 0.02)
         assert {steps for _, steps in calls} == {-(-last // _PANEL) * _PANEL}
-    monkeypatch.setattr(cli, "_validate_surfaces", lambda cfg, maturities, orders, lags:
-                        _moment_surfaces(cfg, LatticeWorkspace(cfg.kernel, cfg.model, cfg.solver),
-                                         orders, lags))
+    _solve_full_horizon(monkeypatch)
     full = tmp_path / "full"
     assert main(["validate", "--config", str(cfg), "--out", str(full)]) == rc
     assert (lean / "validation.json").read_bytes() == (full / "validation.json").read_bytes()
+
+
+def test_cmd_simulate_marches_only_to_its_last_node(tmp_path, monkeypatch):
+    # simulate solves the surfaces its targets read, each marched to the
+    # panel of max(s, lag), and its estimates keep the bytes of a run
+    # that solves every surface over the whole horizon
+    data = load_config(TESTBED)
+    data["solver"].update(step=0.02, rate_nodes=21)
+    data["simulate"].update(paths=0, targets=[
+        {"quantity": "zcb_moment", "order": 2, "s": 0.3, "reps": 200},
+        # a lag past every maturity: the march reaches the lag's rate rows
+        {"quantity": "rate_moments", "s": 0.25, "lag": 0.5, "reps": 200},
+    ])
+    cfg = dump(tmp_path, data)
+    calls = _record_solves(monkeypatch)
+    lean = tmp_path / "lean"
+    assert main(["simulate", "--config", str(cfg), "--out", str(lean)]) == 0
+    last = round(0.5 / 0.02)
+    assert calls == [(name, -(-last // _PANEL) * _PANEL)
+                     for name in ("zcb", "rate_mean", "product")]
+    assert calls[0][1] < round(data["solver"]["horizon"] / 0.02)
+    _solve_full_horizon(monkeypatch)
+    full = tmp_path / "full"
+    assert main(["simulate", "--config", str(cfg), "--out", str(full)]) == 0
+    assert (lean / "estimates.json").read_bytes() == (full / "estimates.json").read_bytes()
+
+
+def test_simulate_reports_are_the_one_target_estimators(tmp_path):
+    # target j's reports are the library's one-target estimator run on
+    # the stream after the paths' streams, RngStream(seed, paths + j)
+    data = load_config(TESTBED)
+    data["solver"].update(step=0.02, rate_nodes=21)
+    sim = data["simulate"]
+    sim["paths"] = 1
+    for tgt in sim["targets"]:
+        tgt["reps"] = 2000
+    sim["targets"].append({"quantity": "zcb_moment", "order": 1, "s": 1.5, "reps": 1000,
+                           "antithetic": True})
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(dump(tmp_path, data)), "--out", str(out)]) == 0
+    reports = json.loads((out / "estimates.json").read_text())["reports"]
+    cfg = ExperimentConfig.from_dict(data)
+    start = BackwardState(sim["start_state"], sim["age"])
+    expected = []
+    for j, tgt in enumerate(sim["targets"]):
+        rng = RngStream(cfg.seed, sim["paths"] + j)
+        if tgt["quantity"] == "zcb_moment":
+            expected.append(estimate_zcb_moment(
+                cfg.kernel, cfg.model, start, sim["r0"], tgt["order"], tgt["s"], tgt["reps"],
+                rng, step=sim["step"], antithetic=tgt.get("antithetic", False)))
+        else:
+            expected.extend(estimate_rate_moments(
+                cfg.kernel, cfg.model, start, sim["r0"], tgt["s"], tgt["lag"], tgt["reps"],
+                rng, step=sim["step"]))
+    assert len(reports) == len(expected) == 5
+    for report, rep in zip(reports, expected):
+        assert {key: report[key] for key in rep.to_dict()} == rep.to_dict()
+
+
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+def test_off_lattice_r0_exit_3_before_monte_carlo(tmp_path, capsys, monkeypatch, command):
+    # an r0 off the rate lattice used to be refused at the first aged
+    # evaluation, after every Monte Carlo batch and solve had run
+    import smrates.cli as cli
+
+    data = load_config(TESTBED)
+    data["solver"].update(step=0.02, rate_nodes=21)
+    data["validate"].update(reps_occupancy=1000)
+    data[command]["r0"] = 0.5
+    cfg = ExperimentConfig.from_dict(data)
+    x_nodes = build_rate_grid(cfg.model, cfg.solver)
+    message = (f"rate 0.5 lies outside the lattice [{x_nodes[0]:.6g}, {x_nodes[-1]:.6g}]; "
+               "extrapolation is refused")
+
+    def no_monte_carlo(*args, **kwargs):
+        raise AssertionError("Monte Carlo ran before the r0 check")
+
+    for attr in ("estimate_state_occupancy", "estimate_moments", "simulate_path"):
+        monkeypatch.setattr(cli, attr, no_monte_carlo)
+    rc = main([command, "--config", str(dump(tmp_path, data)), "--out", str(tmp_path / "o")])
+    assert rc == 3
+    assert capsys.readouterr().err == f"numerical error: {message}\n"
+    # with no maturity or no target no surface is read, and r0 is not checked
+    monkeypatch.undo()
+    data["validate"]["maturities"] = []
+    data["simulate"]["targets"] = []
+    rc = main([command, "--config", str(dump(tmp_path, data)), "--out", str(tmp_path / "p")])
+    assert rc == 0
 
 
 def test_lattice_refusal_is_the_same_for_every_command(tmp_path, capsys):
