@@ -123,8 +123,9 @@ def _surfaces(cfg: ExperimentConfig, orders, lags, rate_mean: bool = False, unti
     rate_mean is set or there is a lag) and the product moment of every
     lag, on one workspace marched to until (default: the horizon)."""
     ws = LatticeWorkspace(cfg.kernel, cfg.model, cfg.solver, until=until)
-    # the workspace holds one transfer stack: the plain one, which the aged
-    # product evaluations read, is built last (after the discount orders)
+    # the workspace holds one transfer stack, so the discount orders are
+    # solved first and the plain stack, which the rate mean and product
+    # marches read, last; aged evaluations read no stack
     zcb = {n: solve_zcb_moment(n, cfg.kernel, cfg.model, cfg.solver, workspace=ws)
            for n in orders}
     if not (rate_mean or lags):
@@ -255,6 +256,9 @@ def cmd_validate(cfg: ExperimentConfig, out: Path) -> int:
     reps_zcb = int(val.get("reps_zcb", 20000))
     reps_rate = int(val.get("reps_rate", 50000))
     mc_step = cfg.solver.mc_step
+    if not ages or not (occupancy_times or (maturities and (orders or lags))):
+        raise ConfigError("field validate: no check to run; it needs ages, and occupancy "
+                          "times or maturities with orders or lags")
 
     if maturities:   # refused before any Monte Carlo, as in cmd_simulate
         check_lattice_rate(build_rate_grid(cfg.model, cfg.solver), r0)

@@ -42,6 +42,16 @@ _FIELD_SHAPES = {
     "lags": ("list", None), "maturities": ("list", None), "occupancy_times": ("list", None),
 }
 _JSON_TYPES = {"object": dict, "list": list, "number": (int, float)}
+# the keys some command reads, per block; any other key is refused
+_BLOCK_KEYS = {
+    "phi": {"age"},
+    "moments": {"orders", "lags"},
+    "simulate": {"start_state", "age", "r0", "horizon", "paths", "step", "targets"},
+    "validate": {"r0", "start_state", "ages", "maturities", "orders", "lags",
+                 "occupancy_times", "reps_occupancy", "reps_zcb", "reps_rate", "z_threshold"},
+}
+_TOP_KEYS = {"seed", "kernel", "model", "solver", *_BLOCK_KEYS}
+_TARGET_KEYS = {"quantity", "s", "order", "lag", "reps", "antithetic"}
 
 
 def _check_maturities(path: str, values, horizon: float):
@@ -49,6 +59,12 @@ def _check_maturities(path: str, values, horizon: float):
         _check_number(path, s)
         if s > horizon + 1e-12:
             raise ConfigError(f"field {path}: maturity {s} exceeds the solver horizon {horizon}")
+
+
+def _check_keys(path: str, block: dict, known):
+    unknown = set(block) - set(known)
+    if unknown:
+        raise ConfigError(f"field {path}: unknown keys {sorted(unknown)}")
 
 
 def _check_shape(path: str, value, shape: str, entries: str | None = None):
@@ -171,10 +187,7 @@ def parse_model(spec: dict, path: str = "model") -> RegimeRateModel:
 
 
 def parse_solver(spec: dict, path: str = "solver") -> SolverConfig:
-    known = {f for f in SolverConfig.__dataclass_fields__}
-    unknown = set(spec) - known
-    if unknown:
-        raise ConfigError(f"field {path}: unknown keys {sorted(unknown)}")
+    _check_keys(path, spec, SolverConfig.__dataclass_fields__)
     try:
         return SolverConfig(**spec)
     except (TypeError, ValueError) as exc:
@@ -199,6 +212,7 @@ class ExperimentConfig:
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         if not isinstance(data, dict):
             raise ConfigError("top level: config must be a JSON object")
+        _check_keys("top level", data, _TOP_KEYS)
         kernel = parse_kernel(_need(data, "kernel", "top level"))
         model = parse_model(_need(data, "model", "top level"))
         solver = parse_solver(data.get("solver", {}))
@@ -238,19 +252,19 @@ class ExperimentConfig:
             if solver.reference_rate < 0:
                 raise ConfigError(f"field solver: reference_rate {solver.reference_rate!r} "
                                   "must be nonnegative for a CIR model")
-        for name in ("phi", "moments", "simulate", "validate"):
-            for key, value in getattr(self, name).items():
+        for name, known in _BLOCK_KEYS.items():
+            block = getattr(self, name)
+            _check_keys(name, block, known)
+            for key, value in block.items():
                 if key in _FIELD_SHAPES:
                     _check_shape(f"{name}.{key}", value, *_FIELD_SHAPES[key])
+        targets = self.simulate.get("targets", [])
+        for idx, tgt in enumerate(targets):
+            _check_keys(f"simulate.targets[{idx}]", tgt, _TARGET_KEYS)
         horizon = self.solver.horizon
-        for path, values in (
-            ("moments.maturities", self.moments.get("maturities", [])),
-            ("validate.maturities", self.validate.get("maturities", [])),
-        ):
-            _check_maturities(path, values, horizon)
+        _check_maturities("validate.maturities", self.validate.get("maturities", []), horizon)
         # lags and occupancy times index the solver grid
         grid = self.solver.time_grid()
-        targets = self.simulate.get("targets", [])
         for path, values in (
             ("moments.lags", self.moments.get("lags", [])),
             ("validate.lags", self.validate.get("lags", [])),

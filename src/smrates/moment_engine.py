@@ -45,7 +45,7 @@ from __future__ import annotations
 import functools
 import numbers
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -141,7 +141,8 @@ class MomentSurface:
     "product_moment" (with ``lag`` h).  values[i, k, p] holds the
     quantity started in state i at rate x_nodes[p] for time-to-maturity
     s_nodes[k]; reads interpolate linearly in x and s and refuse to
-    extrapolate.
+    extrapolate.  A solved surface keeps the workspace and the spec it
+    was marched with; its aged evaluations run on those.
     """
 
     quantity: str
@@ -150,8 +151,8 @@ class MomentSurface:
     values: np.ndarray
     order: int | None = None
     lag: float | None = None
-    meta: dict = field(default_factory=dict)
-    workspace: "LatticeWorkspace | None" = field(default=None, repr=False, compare=False)
+    workspace: LatticeWorkspace | None = field(default=None, repr=False, compare=False)
+    spec: _Spec | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.values)):
@@ -165,23 +166,13 @@ class MomentSurface:
 
     @property
     def step(self) -> float:
-        """Grid step, from the solver config snapshot when there is one
+        """Grid step, from the solver config when there is a workspace
         (a covariance surface at lag = horizon keeps a single row)."""
-        cfg = self.meta.get("config")
-        if cfg is not None:
-            return float(cfg["step"])
+        if self.workspace is not None:
+            return float(self.workspace.config.step)
         if self.s_nodes.size < 2:
-            raise ValueError("a one-row surface without a config snapshot has no step")
+            raise ValueError("a one-row surface without a workspace has no step")
         return float(self.s_nodes[1] - self.s_nodes[0])
-
-    def check_rate(self, x: float):
-        check_lattice_rate(self.x_nodes, x)
-
-    def value(self, i: int, s: float, x: float) -> float:
-        """Bilinear lattice read at (state, maturity, start rate)."""
-        self.check_rate(x)
-        return float(sum(w * np.interp(x, self.x_nodes, self.values[i, k])
-                         for k, w in _node_pair(self, s)))
 
 
 # ---------------------------------------------------------------------------
@@ -430,14 +421,6 @@ class LatticeWorkspace:
                                                                  self.thetas)
                 blocks *= np.asarray(discount).T[:, :, None]
         return packed
-
-    def meta(self) -> dict:
-        return {
-            "config": asdict(self.config),
-            "model": self.model.kind,
-            "rate_lo": float(self.x_nodes[0]),
-            "rate_hi": float(self.x_nodes[-1]),
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -735,20 +718,17 @@ def _product_spec(ws: LatticeWorkspace, lag: float, rate_surface: MomentSurface)
         # first-moment law at elapsed time s_k
         return ctx.law_m1(k, np.stack([np.einsum("j,jy->y", q, r_lag) for q in ctx.qd[k]]))
 
-    @functools.cache
-    def restart_table():
-        # [i][l, j] = w_l * block_{i,l} @ rate_window[j, l]: the window's
-        # restarts read the fixed rate surface, so every step and the
-        # aged pass contract this one table with their kernel densities
-        transfer = ws.transfer()
-        return np.stack([
-            (win_w[:, None, None] * np.matmul(_blocks(transfer, i)[:lag_idx + 1],
-                                              rate_window.transpose(1, 2, 0))
-             ).transpose(0, 2, 1).reshape(-1, ws.x_nodes.size)
-            for i in range(ws.m)])                                  # (m, (L+1)*m, Nx)
+    # [i][l, j] = w_l * block_{i,l} @ rate_window[j, l]: the window's
+    # restarts read the fixed rate surface, so the march and every aged
+    # pass contract this one table, built once here, with their densities
+    transfer = ws.transfer()
+    table = np.stack([
+        (win_w[:, None, None] * np.matmul(_blocks(transfer, i)[:lag_idx + 1],
+                                          rate_window.transpose(1, 2, 0))
+         ).transpose(0, 2, 1).reshape(-1, ws.x_nodes.size)
+        for i in range(ws.m)])                                      # (m, (L+1)*m, Nx)
 
     def window(ctx, k):
-        table = restart_table()
         restarts = [h * (ctx.qd[k:k + lag_idx + 1, row, :].ravel() @ table[i])
                     for row, i in enumerate(ctx.rows)]
         return ctx.law_m1(k, np.stack(restarts))
@@ -764,11 +744,23 @@ def _product_spec(ws: LatticeWorkspace, lag: float, rate_surface: MomentSurface)
     )
 
 
+def _workspace(kernel: SemiMarkovKernel, model: RegimeRateModel, config: SolverConfig,
+               workspace: LatticeWorkspace | None) -> LatticeWorkspace:
+    """A new workspace when none is given; a given one must hold these
+    kernel and model objects and an equal config."""
+    if workspace is None:
+        return LatticeWorkspace(kernel, model, config)
+    if (workspace.kernel is not kernel or workspace.model is not model
+            or workspace.config != config):
+        raise ValueError("the workspace was built for other kernel or model objects or config")
+    return workspace
+
+
 def _solve(ws: LatticeWorkspace, spec: _Spec, **labels) -> MomentSurface:
     vals = _march(ws, spec)
     return MomentSurface(
         spec.quantity, ws.thetas.copy(), ws.x_nodes.copy(), vals.transpose(1, 0, 2).copy(),
-        meta=ws.meta(), workspace=ws, **labels,
+        workspace=ws, spec=spec, **labels,
     )
 
 
@@ -789,7 +781,7 @@ def solve_zcb_moment(n: int, kernel: SemiMarkovKernel, model: RegimeRateModel,
     """
     if n < 1 or int(n) != n:
         raise ValueError("moment order n must be a positive integer")
-    ws = workspace or LatticeWorkspace(kernel, model, config)
+    ws = _workspace(kernel, model, config, workspace)
     return _solve(ws, _zcb_spec(ws, int(n)), order=int(n))
 
 
@@ -797,19 +789,16 @@ def solve_rate_mean(kernel: SemiMarkovKernel, model: RegimeRateModel,
                     config: SolverConfig,
                     workspace: LatticeWorkspace | None = None) -> MomentSurface:
     """First moment of the modulated rate, backward-zero, on the lattice."""
-    ws = workspace or LatticeWorkspace(kernel, model, config)
+    ws = _workspace(kernel, model, config, workspace)
     return _solve(ws, _rate_spec(ws))
 
 
-def _require_companion(surface: MomentSurface, quantity: str, ws: LatticeWorkspace):
-    if surface is None:
-        raise ValueError(f"this operation needs the {quantity} surface on matching grids")
-    if surface.quantity != quantity:
-        raise ValueError(f"companion surface is {surface.quantity}, expected {quantity}")
-    if (surface.s_nodes.size != ws.thetas.size
-            or not np.allclose(surface.s_nodes, ws.thetas)
-            or not np.allclose(surface.x_nodes, ws.x_nodes)):
-        raise ValueError(f"{quantity} surface grids do not match the solver config")
+def _require_companion(surface: MomentSurface | None, ws: LatticeWorkspace | None):
+    if surface is None or surface.quantity != RATE_MEAN:
+        raise ValueError(f"this operation needs the {RATE_MEAN} surface, got "
+                         f"{surface and surface.quantity}")
+    if surface.workspace is not ws:
+        raise ValueError(f"the {RATE_MEAN} surface was solved on another workspace")
 
 
 def solve_product_moment(h_lag: float, kernel: SemiMarkovKernel,
@@ -829,8 +818,10 @@ def solve_product_moment(h_lag: float, kernel: SemiMarkovKernel,
     restarts the product moment itself, the recursive part handled by
     the shared march.
     """
-    ws = workspace or LatticeWorkspace(kernel, model, config)
-    _require_companion(rate_mean_surface, RATE_MEAN, ws)
+    # with no workspace given, march on the rate-mean surface's
+    ws = _workspace(kernel, model, config,
+                    workspace or getattr(rate_mean_surface, "workspace", None))
+    _require_companion(rate_mean_surface, ws)
     return _solve(ws, _product_spec(ws, h_lag, rate_mean_surface), lag=float(h_lag))
 
 
@@ -838,20 +829,18 @@ def solve_product_moment(h_lag: float, kernel: SemiMarkovKernel,
 # Evaluation with a positive initial age
 # ---------------------------------------------------------------------------
 
-def _workspace_for(surface: MomentSurface, quantity: str, kernel: SemiMarkovKernel,
-                   model: RegimeRateModel, r: float) -> LatticeWorkspace:
+def _evaluate(surface: MomentSurface, quantity: str, kernel: SemiMarkovKernel,
+              model: RegimeRateModel, i: int, u: float, r: float, s: float) -> float:
+    """The aged pass of the spec the surface was marched with, on its own
+    workspace; kernel and model must be that workspace's objects."""
     if surface.quantity != quantity:
         raise ValueError(f"need a {quantity} surface, got {surface.quantity}")
-    surface.check_rate(r)
     ws = surface.workspace
-    if ws is not None and ws.kernel is kernel and ws.model is model:
-        return ws
-    cfg = surface.meta.get("config")
-    if cfg is None:
-        raise ValueError("surface carries neither a workspace nor a config snapshot")
-    ws = LatticeWorkspace(kernel, model, SolverConfig(**cfg), until=float(surface.s_nodes[-1]))
-    surface.workspace = ws
-    return ws
+    if ws is None or surface.spec is None or kernel is not ws.kernel or model is not ws.model:
+        raise ValueError(f"evaluate a solved {quantity} surface with the kernel and model "
+                         "objects it was solved with")
+    check_lattice_rate(surface.x_nodes, r)
+    return _aged(ws, surface.spec, surface, i, u, r, _node_pair(surface, s))
 
 
 def evaluate_zcb_moment(surface: MomentSurface, kernel: SemiMarkovKernel,
@@ -864,26 +853,22 @@ def evaluate_zcb_moment(surface: MomentSurface, kernel: SemiMarkovKernel,
     comes from the stored lattice with the same quadratures the solver
     used, so u = 0 reproduces lattice values exactly.
     """
-    ws = _workspace_for(surface, ZCB_MOMENT, kernel, model, r)
-    return _aged(ws, _zcb_spec(ws, surface.order), surface, i, u, r, _node_pair(surface, s))
+    return _evaluate(surface, ZCB_MOMENT, kernel, model, i, u, r, s)
 
 
 def evaluate_rate_mean(surface: MomentSurface, kernel: SemiMarkovKernel,
                        model: RegimeRateModel, i: int, u: float, r: float,
                        s: float) -> float:
     """Mean of the modulated rate at s for a start state already u old."""
-    ws = _workspace_for(surface, RATE_MEAN, kernel, model, r)
-    return _aged(ws, _rate_spec(ws), surface, i, u, r, _node_pair(surface, s))
+    return _evaluate(surface, RATE_MEAN, kernel, model, i, u, r, s)
 
 
 def evaluate_product_moment(surface: MomentSurface, rate_mean_surface: MomentSurface,
                             kernel: SemiMarkovKernel, model: RegimeRateModel,
                             i: int, u: float, r: float, s: float) -> float:
     """Lagged product moment E[delta(s) delta(s+lag)] for an aged start."""
-    ws = _workspace_for(surface, PRODUCT_MOMENT, kernel, model, r)
-    _require_companion(rate_mean_surface, RATE_MEAN, ws)
-    spec = _product_spec(ws, float(surface.lag), rate_mean_surface)
-    return _aged(ws, spec, surface, i, u, r, _node_pair(surface, s))
+    _require_companion(rate_mean_surface, surface.workspace)
+    return _evaluate(surface, PRODUCT_MOMENT, kernel, model, i, u, r, s)
 
 
 def covariance_surface(xi_surface: MomentSurface,
@@ -904,7 +889,7 @@ def covariance_surface(xi_surface: MomentSurface,
             - r_vals[:, :k_top, :] * r_vals[:, lag_idx:lag_idx + k_top, :])
     return MomentSurface(
         "covariance", xi_surface.s_nodes[:k_top].copy(), xi_surface.x_nodes.copy(),
-        vals, lag=xi_surface.lag, meta=dict(xi_surface.meta),
+        vals, lag=xi_surface.lag, workspace=xi_surface.workspace,
     )
 
 

@@ -192,10 +192,20 @@ def _set(path, value):
     ("validate", _set(["validate", "z_threshold"], "x"), "validate.z_threshold"),
     ("simulate", _set(["simulate", "r0"], "x"), "simulate.r0"),
     ("simulate", _set(["seed"], True), "seed"),
+    pytest.param("moments", lambda data: data.update(solvr=data.pop("solver")), "top level",
+                 id="unknown-top-level"),
+    pytest.param("phi", _set(["phi", "ages"], [0.5]), "phi", id="unknown-phi"),
+    pytest.param("moments", _set(["moments", "maturities"], [1.0]), "moments",
+                 id="unknown-moments"),
+    pytest.param("validate", _set(["validate", "reps_zbc"], 1000), "validate",
+                 id="unknown-validate"),
+    pytest.param("simulate", _set(["simulate", "targets", 0, "rep"], 100),
+                 "simulate.targets[0]", id="unknown-target"),
 ])
 def test_malformed_field_shapes_exit_2(tmp_path, capsys, command, edit, field):
     # each of these used to end in a traceback (exit 1), or, for a
-    # boolean seed, to run as seed 1
+    # boolean seed, to run as seed 1; an unknown key (the last five, a
+    # misspelt "solvr" among them) used to be ignored
     data = load_config(SINGLE)
     edit(data)
     with pytest.raises(ConfigError, match=re.escape(f"field {field}:")):
@@ -204,6 +214,27 @@ def test_malformed_field_shapes_exit_2(tmp_path, capsys, command, edit, field):
                "--out", str(tmp_path / "o")])
     assert rc == 2
     assert f"field {field}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fields", [
+    {"ages": []},
+    {"maturities": [], "occupancy_times": []},
+    {"orders": [], "lags": [], "occupancy_times": []},
+])
+def test_validate_with_nothing_to_check_exit_2(tmp_path, capsys, monkeypatch, fields):
+    # each used to print "0/0 checks pass (PASS)" and exit 0
+    data = load_config(SINGLE)
+    data["validate"].update(fields)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("validate worked before the refusal")
+
+    for name in ("transition_probabilities", "estimate_state_occupancy", "estimate_moments"):
+        monkeypatch.setattr(f"smrates.cli.{name}", no_work)
+    rc = main(["validate", "--config", str(dump(tmp_path, data)),
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "field validate: no check to run" in capsys.readouterr().err
 
 
 def _refused_before_simulating(tmp_path, capsys, monkeypatch, data, message):

@@ -5,7 +5,6 @@ indent=2) for every JSON file."""
 import csv
 import json
 import math
-from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -14,7 +13,9 @@ from hypothesis import strategies as st
 
 from smrates import (
     BackwardState,
+    LatticeWorkspace,
     MomentSurface,
+    RegimeRateModel,
     SemiMarkovKernel,
     SojournDistribution,
     SolverConfig,
@@ -96,11 +97,12 @@ def test_surface_csv_bytes_match_reference(tmp_path, states):
 
 def test_one_row_covariance_csv_bytes_match_reference(tmp_path):
     rng = np.random.default_rng(5)
-    cfg = SolverConfig(step=0.1, horizon=0.5)
-    x_nodes = np.linspace(0.0, 0.08, 9)
-    surface = MomentSurface("covariance", np.array([0.0]), x_nodes, _values(1, 9, rng),
-                            lag=0.5, meta={"config": asdict(cfg)})
-    assert _same_bytes(tmp_path, surface, _kernel(("calm", "stressed")), meta="")
+    kernel = _kernel(("calm", "stressed"))
+    model = RegimeRateModel.vasicek([{"a": 1.0, "b": 0.02, "sigma": 0.015}] * 2)
+    ws = LatticeWorkspace(kernel, model, SolverConfig(step=0.1, horizon=0.5, rate_nodes=9))
+    surface = MomentSurface("covariance", np.array([0.0]), ws.x_nodes, _values(1, 9, rng),
+                            lag=0.5, workspace=ws)
+    assert _same_bytes(tmp_path, surface, kernel, meta="")
     assert "step=0.1 " in (tmp_path / "new.csv").read_text()
 
 

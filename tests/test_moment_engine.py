@@ -190,9 +190,9 @@ def test_rate_grid_refusals(solved_testbed):
     with pytest.raises(GridCoverageError):
         evaluate_zcb_moment(v1, kern, model, 0, 0.0, outside, 1.0)
     with pytest.raises(GridCoverageError):
-        v1.value(0, 1.0, outside)
+        evaluate_zcb_moment(v1, kern, model, 1, 0.0, outside, 1.005)
     with pytest.raises(ValueError):
-        v1.value(0, ws.thetas[-1] + 1.0, 0.03)
+        evaluate_zcb_moment(v1, kern, model, 0, 0.0, 0.03, ws.thetas[-1] + 1.0)
 
 
 def test_degenerate_age(solved_testbed):
@@ -227,6 +227,91 @@ def test_product_moment_needs_companion(kern_single, vas_single, cfg_fast):
     with pytest.raises(ValueError):
         solve_product_moment(0.0033, kern_single, vas_single, cfg_fast,
                              rate_mean_surface=good)
+
+
+def test_aged_evaluations_build_no_transfer_stack(kern_testbed, vas_testbed, monkeypatch):
+    # the product surface keeps the spec it was marched with, restart
+    # table included, so an evaluation after a discount solve (which
+    # leaves the tilted stack held) builds no stack and reads the same
+    cfg = SolverConfig(step=0.05, horizon=2.0, rate_nodes=41, reference_rate=0.03)
+    ws = LatticeWorkspace(kern_testbed, vas_testbed, cfg)
+    r = solve_rate_mean(kern_testbed, vas_testbed, cfg, workspace=ws)
+    xi = solve_product_moment(0.5, kern_testbed, vas_testbed, cfg, rate_mean_surface=r,
+                              workspace=ws)
+    at = (kern_testbed, vas_testbed, 0, 0.3, 0.03, 1.02)
+    before = evaluate_product_moment(xi, r, *at)
+    v1 = solve_zcb_moment(1, kern_testbed, vas_testbed, cfg, workspace=ws)
+    assert ws._held[0] == 1
+
+    def no_build(ws, tilt):
+        raise AssertionError(f"an evaluation built the tilt-{tilt} stack")
+
+    monkeypatch.setattr(LatticeWorkspace, "_build", no_build)
+    assert evaluate_product_moment(xi, r, *at) == before
+    evaluate_rate_mean(r, *at)
+    evaluate_zcb_moment(v1, *at)
+    covariance(xi, r, kern_testbed, vas_testbed, 0, 0.3, 0.03, 1.0, 0.5)
+
+
+def test_evaluation_refuses_other_kernel_and_model_objects(solved_single):
+    # an evaluation used to rebuild a workspace for them and answer from it
+    ws, v1, r, xi = solved_single
+    exp20 = SemiMarkovKernel([[1.0]], [[SojournDistribution.exponential(20.0)]])
+    twin = SemiMarkovKernel([[1.0]], [[SojournDistribution.exponential(1.0)]])
+    vas_twin = RegimeRateModel.vasicek([{"a": 1.0, "b": 0.05, "sigma": 0.02}])
+    for kern, model in ((exp20, ws.model), (twin, ws.model), (ws.kernel, vas_twin)):
+        at = (kern, model, 0, 0.3, 0.03, 1.0)
+        for evaluate in (lambda: evaluate_zcb_moment(v1, *at),
+                         lambda: evaluate_rate_mean(r, *at),
+                         lambda: evaluate_product_moment(xi, r, *at),
+                         lambda: covariance(xi, r, *at, 0.5)):
+            with pytest.raises(ValueError, match="objects it was solved with"):
+                evaluate()
+
+
+def test_rate_surface_from_another_workspace_is_refused(solved_single):
+    ws, _, r, xi = solved_single
+    other = LatticeWorkspace(ws.kernel, ws.model, ws.config, until=0.5)
+    r_other = solve_rate_mean(ws.kernel, ws.model, ws.config, workspace=other)
+    at = (ws.kernel, ws.model, 0, 0.3, 0.03, 0.5)
+    with pytest.raises(ValueError, match="another workspace"):
+        evaluate_product_moment(xi, r_other, *at)
+    with pytest.raises(ValueError, match="another workspace"):
+        solve_product_moment(0.5, ws.kernel, ws.model, ws.config, rate_mean_surface=r_other,
+                             workspace=ws)
+    with pytest.raises(ValueError, match="rate_mean surface, got zcb_moment"):
+        evaluate_product_moment(xi, solved_single[1], *at)
+
+
+@pytest.mark.parametrize("solve", ["zcb", "rate_mean", "product"])
+@pytest.mark.parametrize("mismatch", ["kernel", "model", "config"])
+def test_solve_refuses_a_workspace_for_other_inputs(solved_single, solve, mismatch):
+    ws, _, r, _ = solved_single
+    inputs = {"kernel": ws.kernel, "model": ws.model, "config": ws.config}
+    inputs[mismatch] = {
+        "kernel": SemiMarkovKernel([[1.0]], [[SojournDistribution.exponential(1.0)]]),
+        "model": RegimeRateModel.vasicek([{"a": 1.0, "b": 0.05, "sigma": 0.02}]),
+        "config": SolverConfig(step=0.02, horizon=2.0, rate_nodes=61, reference_rate=0.03),
+    }[mismatch]
+    args = (inputs["kernel"], inputs["model"], inputs["config"])
+    with pytest.raises(ValueError, match="the workspace"):
+        if solve == "zcb":
+            solve_zcb_moment(1, *args, workspace=ws)
+        elif solve == "rate_mean":
+            solve_rate_mean(*args, workspace=ws)
+        else:
+            solve_product_moment(0.5, *args, rate_mean_surface=r, workspace=ws)
+
+
+def test_product_solve_runs_on_its_rate_surface_workspace(solved_single, monkeypatch):
+    ws, _, r, xi = solved_single
+    def no_workspace(*args, **kwargs):
+        raise AssertionError("the product solve built a second workspace")
+
+    monkeypatch.setattr(LatticeWorkspace, "__init__", no_workspace)
+    again = solve_product_moment(0.5, ws.kernel, ws.model, ws.config, rate_mean_surface=r)
+    assert again.workspace is ws
+    assert np.array_equal(again.values, xi.values)
 
 
 def test_covariance_deterministic_zero():
