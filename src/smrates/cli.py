@@ -123,9 +123,8 @@ def _surfaces(cfg: ExperimentConfig, orders, lags, rate_mean: bool = False, unti
     rate_mean is set or there is a lag) and the product moment of every
     lag, on one workspace marched to until (default: the horizon)."""
     ws = LatticeWorkspace(cfg.kernel, cfg.model, cfg.solver, until=until)
-    # the workspace holds one transfer stack, so the discount orders are
-    # solved first and the plain stack, which the rate mean and product
-    # marches read, last; aged evaluations read no stack
+    # only the discount orders read a transfer stack (the workspace holds
+    # one, and a rate solve frees it); no aged evaluation reads any
     zcb = {n: solve_zcb_moment(n, cfg.kernel, cfg.model, cfg.solver, workspace=ws)
            for n in orders}
     if not (rate_mean or lags):

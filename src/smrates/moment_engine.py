@@ -1,51 +1,54 @@
 """Forward-marched renewal solvers for the modulated-rate moments.
 
 Three quantities satisfy Volterra equations of the second kind in the
-time-to-maturity variable s, coupled across regime states and across a
-lattice of start rates x:
+time-to-maturity variable s, coupled across regime states and start
+rates x:
 
   * the n-th moment of the discount factor exp(-n int_0^s delta);
   * the first moment of the rate delta(s) itself;
   * the lagged product moment E[delta(s) delta(s+h)].
 
-Each is solved with zero initial age ("backward-zero") on a
-(state, s-node, x-node) lattice by trapezoidal time marching.  The
-unknown at the current node enters the quadrature endpoint at elapsed
-time 0 with weight h/2, so every step solves one fixed m x m linear
-system per rate node; the opposite endpoint is supplied analytically
-from the known initial condition.  Inner integrals over the arriving
-rate use the model's transition-law quadratures, scattered onto the
-lattice as linear-interpolation weights ("transfer operators") that are
-built per (state, elapsed time) for the tilt a solve marches on.
+Each is solved with zero initial age ("backward-zero") by trapezoidal
+time marching.  The unknown at the current node enters the quadrature
+endpoint at elapsed time 0 with weight h/2, so every step solves one
+fixed m x m linear system; the opposite endpoint comes from the known
+initial condition.
 
-The workspace holds one transfer stack, laid out as the march reads it:
-per state one (Nx, (K+1)*Nx) matrix whose column block l is the operator
-at elapsed time theta_l.  The product moment's first-moment law is summed
-from the tilt-0 rules (_law_m1) in both evaluations.  The march advances
-in panels of _PANEL steps: the part of every step's history sum that
-reads values from before the panel is one matrix-matrix product per
-state and panel, so each block is read once per panel, and only the
-history inside the panel is summed step by step (the first level of
-Hairer, Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985).  A
-discount-tilted stack carries its no-switch discount as a row
-weight.  Stacks are built a chunk of elapsed times at a time: the chunk's
-rules come from one call and are scattered onto the lattice in one
-``np.bincount`` pass, which bounds the temporaries and sums every
-lattice cell in the same order as consecutive ``np.add.at`` passes.
+The discount moments are marched on a (state, s-node, x-node) lattice.
+Inner integrals over the arriving rate use the model's transition-law
+quadratures, scattered onto the lattice as linear-interpolation weights
+("transfer operators") built per (state, elapsed time) for the tilt a
+solve marches on.  The workspace holds one transfer stack, laid out as
+the march reads it: per state one (Nx, (K+1)*Nx) matrix whose column
+block l is the operator at elapsed time theta_l; a discount-tilted
+stack carries its no-switch discount as a row weight.  The march
+advances in panels of _PANEL steps: the history before a panel is one
+matrix-matrix product per state and panel, and only the history inside
+the panel is summed step by step (the first level of Hairer, Lubich &
+Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985).  Stacks are built a
+chunk of elapsed times at a time, one rule call and one
+``np.bincount`` scatter per chunk, which sums every lattice cell in the
+same order as consecutive ``np.add.at`` passes.
 
-Each quantity is written down once, as a small spec (_Spec), and every
-spec runs through the same two evaluations: the lattice march and the
-aged pass.  Evaluating at a positive initial age u is a single
-quadrature pass over the stored backward-zero surface that mirrors the
-march term by term, so the u = 0 case reproduces lattice values.
+The rate moments need no lattice: every model kind has a transition
+mean affine in the start rate and a variance affine or constant in it,
+so the rate mean is alpha_i(s) x + beta_i(s) and the product moment a
+quadratic in x (the polynomial-process property: Cuchiero,
+Keller-Ressel & Teichmann, Finance Stoch. 16, 2012).  Their coefficients
+are marched with the same trapezoid and implicit step.
+
+Each quantity is a small spec (_Spec on the lattice, _Poly in
+coefficients) run through two evaluations: the march and the aged
+pass, which evaluates at a positive initial age u in one quadrature
+pass over the stored solution, mirroring the march term by term, so
+u = 0 reproduces the marched values.
 """
 
 from __future__ import annotations
 
-import functools
 import numbers
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -142,7 +145,8 @@ class MomentSurface:
     quantity started in state i at rate x_nodes[p] for time-to-maturity
     s_nodes[k]; reads interpolate linearly in x and s and refuse to
     extrapolate.  A solved surface keeps the workspace and the spec it
-    was marched with; its aged evaluations run on those.
+    was marched with (a rate moment's spec holds its coefficients); its
+    aged evaluations run on those.
     """
 
     quantity: str
@@ -152,7 +156,7 @@ class MomentSurface:
     order: int | None = None
     lag: float | None = None
     workspace: LatticeWorkspace | None = field(default=None, repr=False, compare=False)
-    spec: _Spec | None = field(default=None, repr=False, compare=False)
+    spec: _Spec | _Poly | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.values)):
@@ -305,23 +309,11 @@ def _scatter(x_nodes, nodes, weights) -> np.ndarray:
     return out.reshape(n_blocks, n_rows, nx)
 
 
-def _law_m1(x_nodes, nodes, weights, v) -> np.ndarray:
-    """sum_q w_q * y_q * vhat(y_q) per rule (last axis q), with vhat the
-    interpolant of lattice vector v clamped at the lattice ends."""
-    return (weights * nodes * np.interp(nodes, x_nodes, v)).sum(axis=-1)
-
-
-def _blocks(stack: np.ndarray, i: int) -> np.ndarray:
-    """(K+1, Nx, Nx) view of state i's packed transfer matrix: [l] is the
-    operator at elapsed time theta_l."""
-    nx = stack.shape[1]
-    return stack[i].reshape(nx, -1, nx).transpose(1, 0, 2)
-
-
 class LatticeWorkspace:
     """Reusable per-(kernel, model, config) solver state: the rate
     lattice, kernel tables on the time grid, the factored implicit-step
-    matrix, and one packed transfer stack, the one last asked for.
+    matrix, and one packed transfer stack, the one last asked for (a rate
+    solve frees it).
 
     Its marches end at the grid node at or above ``until`` (default: the
     config horizon), rounded up to a whole _PANEL of steps and capped at
@@ -406,7 +398,7 @@ class LatticeWorkspace:
         every = self.grid.nodes
         packed = np.empty((m, nx, kp1 * nx))
         for i in range(m):
-            blocks = _blocks(packed, i)
+            blocks = packed[i].reshape(nx, -1, nx).transpose(1, 0, 2)   # [l]: at theta_l
             blocks[0] = np.eye(nx)
             for l0 in range(1, every.size, _SCATTER_CHUNK):
                 l1 = min(l0 + _SCATTER_CHUNK, every.size)
@@ -429,12 +421,11 @@ class LatticeWorkspace:
 
 @dataclass(frozen=True)
 class _Spec:
-    """One renewal equation, described once for both evaluations:
+    """One lattice renewal equation, described once for both evaluations:
 
-      V_i(s, x) = S_i(s + shift) f_i(x, s)
+      V_i(s, x) = S_i(s) f_i(x, s)
                 + int_0^s sum_j qdot_ij(theta) w_i(x, theta)
-                    E^tilt[V_j(s - theta, r(theta)) | r(0) = x] dtheta
-                + window term.
+                    E^tilt[V_j(s - theta, r(theta)) | r(0) = x] dtheta.
 
     table(i, r, thetas)  the no-switch moment f_i, broadcast over rates
                          and times.  With tilt = n > 0 the history runs
@@ -444,25 +435,14 @@ class _Spec:
                          The march reads the history from transfer(n),
                          which carries that weight; tilt > 0 therefore
                          means the discount moment of order n.
-    initial(ctx)         (rows, rates) block at s = 0.
-    endpoint(ctx, k)     sum_j qdot_ij(s_k) times the inner integral of
-                         the known initial condition, the far end of the
-                         convolution, supplied so it is never clamped.
-    shift                survival read at s + shift (the product
-                         moment's lag: no switch before s + lag).
-    window(ctx, k)       optional additive known block reading ``reach``
-                         steps of kernel density past s (the product
-                         moment's first switch inside (s, s + lag]).
+    initial(ctx)         (rows, rates) block at s = 0, whose inner
+                         integral at s_k is the table (_known).
     """
 
     quantity: str
     table: Callable
     initial: Callable
-    endpoint: Callable
     tilt: int = 0
-    shift: float = 0.0
-    window: Callable | None = None
-    reach: int = 0
 
 
 class _Lattice:
@@ -470,32 +450,14 @@ class _Lattice:
     age 0."""
 
     def __init__(self, ws: LatticeWorkspace, spec: _Spec):
-        self.ws = ws
         self.h = ws.config.step
         self.rows = range(ws.m)
         self.rates = ws.x_nodes
         self.table = np.empty((ws.m, ws.thetas.size, self.rates.size))
         for i in self.rows:
             self.table[i] = np.asarray(spec.table(i, self.rates[:, None], ws.thetas)).T
-        self.surv = (ws.kernel.survival_matrix(ws.thetas + spec.shift)
-                     if spec.shift else ws.survival)
-        self.qd = (ws.kernel.density_matrix(np.arange(ws.thetas.size + spec.reach) * self.h)
-                   if spec.reach else ws.qdot)
-        self._chunk_rules = functools.lru_cache(maxsize=1)(lambda l0: [
-            _law_nodes_weights(ws.model, i, ws.x_nodes, ws.thetas[l0:l0 + _SCATTER_CHUNK, None],
-                               ws.config.quad_order) for i in range(ws.m)])
-
-    def law_m1(self, l: int, vs: np.ndarray) -> np.ndarray:
-        """E[r(theta_l) vhat(r(theta_l))], l >= 1, from every lattice rate,
-        one lattice vector per row; the tilt-0 rules of l's _SCATTER_CHUNK
-        of elapsed times come from the stack build's call, one chunk kept."""
-        l0 = l - (l - 1) % _SCATTER_CHUNK
-        return np.stack([_law_m1(self.rates, nodes[l - l0], weights[l - l0], vs[i])
-                         for i, (nodes, weights) in enumerate(self._chunk_rules(l0))])
-
-    def start(self, spec: _Spec, surface: MomentSurface, k: int) -> np.ndarray:
-        """The surface's quantity at s_k, started where this context is."""
-        return surface.values[:, k, :]
+        self.surv = ws.survival
+        self.qd = ws.qdot
 
 
 class _Point:
@@ -507,7 +469,7 @@ class _Point:
 
     def __init__(self, ws: LatticeWorkspace, spec: _Spec, i: int, u: float, r: float,
                  k_top: int):
-        self.ws, self.i, self.u, self.r = ws, i, u, float(r)
+        self.r = float(r)
         self.h = ws.config.step
         self.rows = [i]
         self.rates = np.array([self.r])
@@ -516,28 +478,20 @@ class _Point:
         denom = ws.kernel.aged_survival(i, u)
         thetas = ws.thetas[: k_top + 1]
         self.table = np.asarray(spec.table(i, self.rates[:, None], thetas)).T[None]
-        self.surv = ws.kernel.survival_matrix(thetas + spec.shift + u)[:, [i]] / denom
-        self.qd = ws.kernel.density_matrix(
-            np.arange(k_top + 1 + spec.reach) * self.h + u)[:, [i], :] / denom
+        self.surv = ws.kernel.survival_matrix(thetas + u)[:, [i]] / denom
+        self.qd = ws.kernel.density_matrix(thetas + u)[:, [i], :] / denom
         self.nodes, self.weights = _law_nodes_weights(
             ws.model, i, self.r, thetas[1:], ws.config.quad_order, tilt=spec.tilt)
 
-    def law_m1(self, l: int, vs: np.ndarray) -> np.ndarray:
-        return np.array([[_law_m1(self.ws.x_nodes, self.nodes[l - 1], self.weights[l - 1],
-                                  vs[0])]])
-
-    def start(self, spec: _Spec, surface: MomentSurface, k: int) -> np.ndarray:
-        return np.array([[_aged(self.ws, spec, surface, self.i, self.u, self.r,
-                                [(k, 1.0)])]])
-
 
 def _known(spec: _Spec, ctx, k: int) -> np.ndarray:
-    """Known blocks at s_k: no-switch survival term, far endpoint (with
-    its trapezoid weight h/2), and the optional window."""
-    rhs = ctx.surv[k][:, None] * ctx.table[:, k, :] + 0.5 * ctx.h * spec.endpoint(ctx, k)
-    if spec.window is not None:
-        rhs = rhs + spec.window(ctx, k)
-    return rhs
+    """Known blocks at s_k: the no-switch survival term and the far
+    endpoint with its trapezoid weight h/2, sum_j qdot_ij(s_k) times the
+    inner integral of the initial condition.  That integral is the table
+    itself (mass 1 under the tilted law for the discount moments), so it
+    is never clamped."""
+    table = ctx.table[:, k, :]
+    return ctx.surv[k][:, None] * table + 0.5 * ctx.h * (ctx.qd[k].sum(axis=1)[:, None] * table)
 
 
 def _march(ws: LatticeWorkspace, spec: _Spec) -> np.ndarray:
@@ -662,15 +616,124 @@ def _node_pair(surface: MomentSurface, s: float):
 
 
 # ---------------------------------------------------------------------------
-# The three quantities
+# The rate moments: coefficient marches in the start rate
 # ---------------------------------------------------------------------------
 
-def _closed_endpoint(ctx, k: int) -> np.ndarray:
-    # the inner integral of the initial condition is the no-switch table
-    # itself: mass 1 under the tilted law for the discount moments, the
-    # exact transition mean for the rate mean
-    return ctx.qd[k].sum(axis=1)[:, None] * ctx.table[:, k, :]
+@dataclass(frozen=True)
+class _Poly:
+    """A rate moment as coefficients in the start rate: the rate mean
+    (degree 1) or the product moment at ``lag`` steps (degree 2), with
+    its companion rate mean.  maps[i] is state i's _law_maps on the nodes
+    0..K+lag; coefs[k, i, e] multiplies x^e at s_k in state i."""
 
+    quantity: str
+    maps: np.ndarray
+    lag: int = 0
+    rate: _Poly | None = None
+    coefs: np.ndarray | None = None
+
+
+def _law_maps(model: RegimeRateModel, i: int, ts: np.ndarray) -> np.ndarray:
+    """(T, 3, 3) maps of state i's transition law at elapsed times ts on
+    coefficients: column e holds those in x of E[r(t)^e | r(0) = x], so
+    maps @ c is the expectation of sum_e c_e r(t)^e.  Exact for every
+    kind: E[r(t)] = A x + B and Var[r(t)] = V + W x (W = 0 if Gaussian)."""
+    b = np.asarray(model.mean(i, 0.0, ts))
+    v = np.asarray(model.variance(i, 0.0, ts))
+    a, w = model.mean(i, 1.0, ts) - b, model.variance(i, 1.0, ts) - v
+    maps = np.zeros((b.size, 3, 3))
+    maps[:, 0, 0] = 1.0
+    maps[:, :2, 1] = np.stack([b, a], axis=1)
+    maps[:, :, 2] = np.stack([b * b + v, 2.0 * a * b + w, a * a], axis=1)
+    return maps
+
+
+def _horner(coefs: np.ndarray, x) -> np.ndarray:
+    """sum_e coefs[..., e] x^e, elementwise."""
+    out = coefs[..., -1]
+    for e in range(coefs.shape[-1] - 2, -1, -1):
+        out = out * x + coefs[..., e]
+    return out
+
+
+def _terms(ws: LatticeWorkspace, poly: _Poly, i: int, qd: np.ndarray, surv: np.ndarray,
+           k: int, coefs: np.ndarray) -> np.ndarray:
+    """State i's coefficients at s_k of every term but the one at elapsed
+    time 0, from its densities qd and survival surv (read at s + lag):
+    no switch before s_k + lag (the transition mean, or the regime's
+    E[r(s) r(s+lag)]); for a product the window, a switch to j at
+    s_k + theta_l restarting R_j(lag - theta_l, y) = beta + alpha y, which
+    reads alpha E[r(s_k) r(s_k + theta_l)] + beta m(s_k); and the history
+    l = 1..k over coefs[k - l], the far end (weight h/2) at s = 0.  Each
+    sum has the same shape at every k, so a shorter march gives the same
+    bits."""
+    h, maps, d = ws.config.step, poly.maps[i], coefs.shape[-1]
+    if poly.rate is None:
+        out = surv[k] * maps[k, :2, 1]
+    else:
+        # E[r(s) r(s + theta)] = decay E[r(s)^2] + (B(s + theta) - decay B(s)) m(s)
+        at = k + np.arange(poly.lag + 1)
+        decay = np.asarray(ws.model.mean_decay(i, ws.thetas[k], ws.thetas[:poly.lag + 1]))
+        product = decay * maps[k, :, 2, None] \
+            + (maps[at, 0, 1] - decay * maps[k, 0, 1]) * maps[k, :, 1, None]
+        out = surv[k] * product[:, -1]
+        if poly.lag:
+            trap = np.full(poly.lag + 1, h)
+            trap[[0, -1]] *= 0.5
+            beta, alpha = trap * (qd[at, :, None] * poly.rate.coefs[poly.lag::-1]).sum(axis=1).T
+            out = out + product @ alpha + beta.sum() * maps[k, :, 1]
+    mixed = (qd[1:k + 1, :, None] * coefs[k - 1::-1]).sum(axis=1)      # qd[l] . c(s_{k-l})
+    trap = np.full(k, h)
+    trap[-1] *= 0.5
+    return out + trap @ (maps[1:k + 1, :d, :d] * mixed[:, None, :]).sum(axis=-1)
+
+
+def _solve_poly(ws: LatticeWorkspace, quantity: str, steps: int = 0, rate: _Poly | None = None,
+                **labels) -> MomentSurface:
+    """March a rate moment's coefficients with _march's trapezoid and
+    implicit step (the map at elapsed time 0 is the identity), one direct
+    history sum per step; the surface holds the polynomial at x_nodes.
+    No rate moment reads a transfer stack, so the held one is freed first:
+    left below this march's small allocations, its memory could not be
+    reused by the next build (moments-testbed peak RSS 69 -> 85 MiB)."""
+    ws._held = None
+    k_max = ws.thetas.size - 1
+    ts = np.arange(k_max + 1 + steps) * ws.config.step
+    poly = _Poly(quantity, np.stack([_law_maps(ws.model, i, ts) for i in range(ws.m)]),
+                 steps, rate)
+    # x, or x R(lag, x) for a product
+    initial = (np.tile([0.0, 1.0], (ws.m, 1)) if rate is None
+               else np.concatenate([np.zeros((ws.m, 1)), rate.coefs[steps]], axis=1))
+    qd, surv = ws.kernel.density_matrix(ts), ws.kernel.survival_matrix(ws.thetas + ts[steps])
+    coefs = np.empty((k_max + 1,) + initial.shape)
+    coefs[0] = initial
+    for k in range(1, k_max + 1):
+        coefs[k] = ws._a_inv @ np.stack([_terms(ws, poly, i, qd[:, i], surv[:, i], k, coefs)
+                                         for i in range(ws.m)])
+    return MomentSurface(quantity, ws.thetas.copy(), ws.x_nodes.copy(),
+                         _horner(coefs.transpose(1, 0, 2)[:, :, None, :], ws.x_nodes),
+                         workspace=ws, spec=replace(poly, coefs=coefs), **labels)
+
+
+def _aged_coefs(ws: LatticeWorkspace, poly: _Poly, i: int, u: float, k: int) -> np.ndarray:
+    """Coefficients in r of the moment at s_k for state i entered u years
+    ago: _terms on the kernel read at theta + u over 1 - H_i(u), and the
+    known value at s_k at the elapsed-time-0 end.  u = 0 gives the
+    marched row."""
+    if k == 0:
+        if poly.rate is None:
+            return poly.coefs[0, i]
+        # delta(0) is the start rate itself: r times the aged rate mean at the lag
+        return np.concatenate([[0.0], _aged_coefs(ws, poly.rate, i, u, poly.lag)])
+    h, denom = ws.config.step, ws.kernel.aged_survival(i, u)
+    qd = ws.kernel.density_matrix(np.arange(k + 1 + poly.lag) * h + u)[:, i] / denom
+    surv = ws.kernel.survival_matrix(ws.thetas[:k + 1] + poly.lag * h + u)[:, i] / denom
+    return _terms(ws, poly, i, qd, surv, k, poly.coefs) + 0.5 * h * qd[0] @ poly.coefs[k]
+
+
+# ---------------------------------------------------------------------------
+# The three quantities
+# ---------------------------------------------------------------------------
 
 def _no_switch_discount(model: RegimeRateModel, n: int) -> Callable:
     """(i, r, thetas) -> E[exp(-n int_0^theta r) | r(0) = r] in state i:
@@ -683,64 +746,7 @@ def _zcb_spec(ws: LatticeWorkspace, n: int) -> _Spec:
         ZCB_MOMENT,
         table=_no_switch_discount(ws.model, n),
         initial=lambda ctx: np.ones((len(ctx.rows), ctx.rates.size)),
-        endpoint=_closed_endpoint,
         tilt=n,
-    )
-
-
-def _rate_spec(ws: LatticeWorkspace) -> _Spec:
-    return _Spec(
-        RATE_MEAN,
-        table=ws.model.mean,
-        initial=lambda ctx: np.broadcast_to(ctx.rates, (len(ctx.rows), ctx.rates.size)).copy(),
-        endpoint=_closed_endpoint,
-    )
-
-
-def _product_spec(ws: LatticeWorkspace, lag: float, rate_surface: MomentSurface) -> _Spec:
-    lag_idx = ws.grid.index_of(lag)
-    if lag_idx >= ws.thetas.size:
-        raise ValueError(f"lag {lag} lies beyond the workspace's march to {ws.thetas[-1]:.6g}")
-    h = ws.config.step
-    model = ws.model
-    r_lag = rate_surface.values[:, lag_idx, :]
-    # window slices: index l' -> R at remaining time lag - theta_{l'}
-    rate_window = rate_surface.values[:, lag_idx::-1, :]      # (m, L+1, Nx)
-    win_w = np.ones(lag_idx + 1)
-    win_w[0] = win_w[-1] = 0.5
-
-    def initial(ctx):
-        # delta(0) is the start rate itself: Xi(0, lag) = r * R(lag, r)
-        return ctx.rates[None, :] * ctx.start(_rate_spec(ws), rate_surface, lag_idx)
-
-    def endpoint(ctx, k):
-        # inner integral of Xi(0, y) = y * R(lag, y) through the
-        # first-moment law at elapsed time s_k
-        return ctx.law_m1(k, np.stack([np.einsum("j,jy->y", q, r_lag) for q in ctx.qd[k]]))
-
-    # [i][l, j] = w_l * block_{i,l} @ rate_window[j, l]: the window's
-    # restarts read the fixed rate surface, so the march and every aged
-    # pass contract this one table, built once here, with their densities
-    transfer = ws.transfer()
-    table = np.stack([
-        (win_w[:, None, None] * np.matmul(_blocks(transfer, i)[:lag_idx + 1],
-                                          rate_window.transpose(1, 2, 0))
-         ).transpose(0, 2, 1).reshape(-1, ws.x_nodes.size)
-        for i in range(ws.m)])                                      # (m, (L+1)*m, Nx)
-
-    def window(ctx, k):
-        restarts = [h * (ctx.qd[k:k + lag_idx + 1, row, :].ravel() @ table[i])
-                    for row, i in enumerate(ctx.rows)]
-        return ctx.law_m1(k, np.stack(restarts))
-
-    return _Spec(
-        PRODUCT_MOMENT,
-        table=lambda i, r, t: model.product_mean(i, r, t, lag),
-        initial=initial,
-        endpoint=endpoint,
-        shift=lag,
-        window=window if lag_idx else None,
-        reach=lag_idx,
     )
 
 
@@ -754,14 +760,6 @@ def _workspace(kernel: SemiMarkovKernel, model: RegimeRateModel, config: SolverC
             or workspace.config != config):
         raise ValueError("the workspace was built for other kernel or model objects or config")
     return workspace
-
-
-def _solve(ws: LatticeWorkspace, spec: _Spec, **labels) -> MomentSurface:
-    vals = _march(ws, spec)
-    return MomentSurface(
-        spec.quantity, ws.thetas.copy(), ws.x_nodes.copy(), vals.transpose(1, 0, 2).copy(),
-        workspace=ws, spec=spec, **labels,
-    )
 
 
 def solve_zcb_moment(n: int, kernel: SemiMarkovKernel, model: RegimeRateModel,
@@ -782,15 +780,19 @@ def solve_zcb_moment(n: int, kernel: SemiMarkovKernel, model: RegimeRateModel,
     if n < 1 or int(n) != n:
         raise ValueError("moment order n must be a positive integer")
     ws = _workspace(kernel, model, config, workspace)
-    return _solve(ws, _zcb_spec(ws, int(n)), order=int(n))
+    spec = _zcb_spec(ws, int(n))
+    return MomentSurface(ZCB_MOMENT, ws.thetas.copy(), ws.x_nodes.copy(),
+                         _march(ws, spec).transpose(1, 0, 2).copy(), order=int(n),
+                         workspace=ws, spec=spec)
 
 
 def solve_rate_mean(kernel: SemiMarkovKernel, model: RegimeRateModel,
                     config: SolverConfig,
                     workspace: LatticeWorkspace | None = None) -> MomentSurface:
-    """First moment of the modulated rate, backward-zero, on the lattice."""
+    """First moment of the modulated rate, backward-zero:
+    alpha_i(s) x + beta_i(s), its coefficients marched in s."""
     ws = _workspace(kernel, model, config, workspace)
-    return _solve(ws, _rate_spec(ws))
+    return _solve_poly(ws, RATE_MEAN)
 
 
 def _require_companion(surface: MomentSurface | None, ws: LatticeWorkspace | None):
@@ -808,21 +810,19 @@ def solve_product_moment(h_lag: float, kernel: SemiMarkovKernel,
     """Lagged product moment E[delta(s) delta(s+h)], backward-zero.
 
     Marched in s for one fixed lag, which must be a node of the solver
-    grid; three blocks per step.  No switch before s+h: the regime's own
-    two-point moment.  First switch inside (s, s+h]: couples the rate at
-    s with the rate-mean surface restarted at the switch; evaluated with
-    the exact two-stage quadrature E[r(s) * Rhat(arriving rate)] because
-    the rate at s and the arriving rate are correlated (a factorized
-    m(s) * E[Rhat] form drops that covariance, which Monte Carlo
-    resolves at cross-check precision).  First switch before s:
-    restarts the product moment itself, the recursive part handled by
-    the shared march.
+    grid, as three coefficients in the start rate (_terms).  A first
+    switch inside (s, s+h] restarts the rate mean at the arriving rate
+    y, alpha y + beta, read against r(s): the two rates are correlated,
+    and a factorized m(s) * E[R] form would drop that covariance.
     """
     # with no workspace given, march on the rate-mean surface's
     ws = _workspace(kernel, model, config,
                     workspace or getattr(rate_mean_surface, "workspace", None))
     _require_companion(rate_mean_surface, ws)
-    return _solve(ws, _product_spec(ws, h_lag, rate_mean_surface), lag=float(h_lag))
+    steps = ws.grid.index_of(h_lag)
+    if steps >= ws.thetas.size:
+        raise ValueError(f"lag {h_lag} lies beyond the workspace's march to {ws.thetas[-1]:.6g}")
+    return _solve_poly(ws, PRODUCT_MOMENT, steps, rate_mean_surface.spec, lag=float(h_lag))
 
 
 # ---------------------------------------------------------------------------
@@ -840,7 +840,10 @@ def _evaluate(surface: MomentSurface, quantity: str, kernel: SemiMarkovKernel,
         raise ValueError(f"evaluate a solved {quantity} surface with the kernel and model "
                          "objects it was solved with")
     check_lattice_rate(surface.x_nodes, r)
-    return _aged(ws, surface.spec, surface, i, u, r, _node_pair(surface, s))
+    pairs = _node_pair(surface, s)
+    if quantity == ZCB_MOMENT:
+        return _aged(ws, surface.spec, surface, i, u, r, pairs)
+    return sum(w * float(_horner(_aged_coefs(ws, surface.spec, i, u, k), r)) for k, w in pairs)
 
 
 def evaluate_zcb_moment(surface: MomentSurface, kernel: SemiMarkovKernel,
@@ -877,11 +880,7 @@ def covariance_surface(xi_surface: MomentSurface,
     defined for maturities with s + lag still on the grid."""
     if xi_surface.quantity != PRODUCT_MOMENT:
         raise ValueError("first argument must be a product-moment surface")
-    if rate_mean_surface.quantity != RATE_MEAN:
-        raise ValueError("second argument must be a rate-mean surface")
-    if (not np.allclose(xi_surface.s_nodes, rate_mean_surface.s_nodes)
-            or not np.allclose(xi_surface.x_nodes, rate_mean_surface.x_nodes)):
-        raise ValueError("surface grids do not match")
+    _require_companion(rate_mean_surface, xi_surface.workspace)
     lag_idx = round(float(xi_surface.lag) / xi_surface.step)
     k_top = xi_surface.s_nodes.size - lag_idx
     r_vals = rate_mean_surface.values

@@ -487,7 +487,9 @@ def test_cmd_moments_csv_and_json_carry_the_same_strings(tmp_path):
 
 def test_moment_surfaces_hold_one_transfer_stack(monkeypatch):
     # each stack is built once and freed when the workspace moves to the
-    # next tilt; the plain one, last, stays for the aged product evaluations
+    # next tilt; the rate mean and the products march their coefficients
+    # and read none, so no plain (tilt-0) stack is built and the rate
+    # solve frees the last discount order's; no aged evaluation builds one
     data = load_config(TESTBED)
     data["solver"]["step"] = 0.05
     data["moments"] = {"orders": [1, 2], "lags": [0.0, 0.5]}
@@ -504,16 +506,16 @@ def test_moment_surfaces_hold_one_transfer_stack(monkeypatch):
     zcb, rate, products = _surfaces(cfg, cfg.moments["orders"], cfg.moments["lags"],
                                     rate_mean=True)
     ws = rate.workspace
-    assert [tilt for tilt, _ in built] == [1, 2, 0]
-    assert [ref() is None for _, ref in built] == [True, True, False]
-    assert ws._held[0] == 0 and ws._held[1] is built[-1][1]()
+    assert [tilt for tilt, _ in built] == [1, 2]
+    assert [ref() is None for _, ref in built] == [True, True]
+    assert ws._held is None
     evaluate_product_moment(products[0.5], rate, cfg.kernel, cfg.model, 0, 0.3, 0.03, 1.0)
-    assert len(built) == 3
+    assert len(built) == 2
 
 
 def test_cmd_simulate_builds_each_stack_once(tmp_path, monkeypatch):
-    # targets that alternate discount and rate quantities still build the
-    # plain stack once: the discount orders are solved first
+    # targets that alternate discount and rate quantities build each
+    # discount stack once, and the rate quantities build none
     data = load_config(SINGLE)
     data["solver"].update(step=0.05, horizon=1.0, rate_nodes=21)
     data["simulate"].update(paths=0, targets=[
@@ -528,7 +530,7 @@ def test_cmd_simulate_builds_each_stack_once(tmp_path, monkeypatch):
                         lambda ws, tilt: tilts.append(tilt) or build(ws, tilt))
     out = tmp_path / "o"
     assert main(["simulate", "--config", str(dump(tmp_path, data)), "--out", str(out)]) == 0
-    assert tilts == [1, 2, 0]
+    assert tilts == [1, 2]
     reports = json.loads((out / "estimates.json").read_text())["reports"]
     assert [r["target"]["quantity"] for r in reports] == [
         "rate_mean", "product_moment", "zcb_moment", "rate_mean", "product_moment",

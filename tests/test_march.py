@@ -1,13 +1,17 @@
-"""The panel march against the direct march, and the renewal engine's
-invariants on random kernels.
+"""The panel march against the direct march, the rate moments'
+coefficient marches against the renewal equation summed term by term,
+and the renewal engine's invariants on random kernels.
 
-The oracle is the direct scheme: at every step and for every state it
-state-mixes the whole known history and applies one matrix-vector
-product over the transfer-stack prefix; the product moment's window
-term does its block products at every step.  The panel march and the
-precomputed window table sum the same terms in another order, so the
-two must agree to a tolerance fixed beforehand from the dtype, relative
-to each surface's largest value.
+The discount moments' oracle is the direct scheme: at every step and
+for every state it state-mixes the whole known history and applies one
+matrix-vector product over the transfer-stack prefix.  The panel march
+sums the same terms in another order, so the two must agree to a
+tolerance fixed beforehand from the dtype, relative to each surface's
+largest value.  The rate moments' oracle holds each moment at three
+start rates (a polynomial of degree <= 2 is fixed by them) and sums
+every restart, window and history term from the model's closed-form
+mean, variance and product mean; it shares no code with the coefficient
+march.  Both agreements are held to the same tolerance.
 """
 
 import dataclasses
@@ -38,14 +42,12 @@ from smrates import (
 from smrates import moment_engine
 from smrates.moment_engine import (
     _PANEL,
-    _aged,
-    _blocks,
+    RATE_MEAN,
     _known,
     _Lattice,
     _law_nodes_weights,
     _march,
-    _product_spec,
-    _rate_spec,
+    _Spec,
     _zcb_spec,
 )
 
@@ -74,28 +76,76 @@ def _oracle_march(ws, spec):
     return vals
 
 
-def _oracle_product_spec(ws, lag, rate_surface):
-    """The product-moment spec with its window summed block by block at
-    every step."""
-    spec = _product_spec(ws, lag, rate_surface)
-    lag_idx = ws.grid.index_of(lag)
-    if not lag_idx:
-        return spec
+def _lattice_rate_spec(ws):
+    """The rate mean as a lattice spec (table the transition mean, start
+    at x), the oracle of its coefficient march on the core rows."""
+    return _Spec(
+        RATE_MEAN,
+        table=ws.model.mean,
+        initial=lambda ctx: np.broadcast_to(ctx.rates, (len(ctx.rows), ctx.rates.size)).copy(),
+    )
+
+
+def _oracle_terms(ws, xs, i, k, qd, surv, vals, lag=0, rate=None):
+    """State i's terms at s_k at the start rates xs, all but the
+    elapsed-time-0 one: no switch before s_k + lag (surv[k] is read
+    there), the history l = 1..k (the far end with weight h/2) and, for
+    a product, the window (s_k, s_k + lag]; qd[l] holds state i's
+    densities at theta_l and vals[k, j] the moment at xs.  A restart of
+    the polynomial through (xs, v) has expectation c0 + c1 m + c2 (m^2 + var)."""
+    model, h = ws.model, ws.config.step
+    ts = np.arange(k + lag + 1) * h
+    inv = np.linalg.inv(np.vander(xs, 3, increasing=True))
+    if rate is None:
+        out = surv[k] * np.asarray(model.mean(i, xs, ts[k]))
+    else:
+        out = surv[k] * np.asarray(model.product_mean(i, xs, ts[k], ts[lag]))
+    mean = np.asarray(model.mean(i, xs, ts[1:k + 1, None]))
+    powers = np.stack([np.ones_like(mean), mean,
+                       mean * mean + model.variance(i, xs, ts[1:k + 1, None])], axis=1)
+    weights = np.full(k, h)
+    weights[-1] = 0.5 * h
+    out = out + np.einsum("l,lj,lje,lep->p", weights, qd[1:k + 1],
+                          vals[k - 1::-1] @ inv.T, powers)
+    if lag:
+        # restart R_j(lag - theta, y) = beta + alpha y after a switch at s_k + theta
+        weights = np.full(lag + 1, h)
+        weights[[0, -1]] = 0.5 * h
+        restart = rate[lag::-1] @ inv.T
+        product = np.asarray(model.product_mean(i, xs, ts[k], ts[:lag + 1, None]))
+        out = out + np.einsum("l,lj,lj,lp->p", weights, qd[k:k + lag + 1], restart[:, :, 1],
+                              product)
+        out = out + np.einsum("l,lj,lj->", weights, qd[k:k + lag + 1], restart[:, :, 0]) \
+            * np.asarray(model.mean(i, xs, ts[k]))
+    return out
+
+
+def _oracle_rate_moment(ws, xs, lag=0, rate=None):
+    """(K+1, m, 3) rate mean (rate None) or product moment at lag steps
+    (rate: the oracle's rate mean) at the start rates xs, by the
+    trapezoidal march with its implicit elapsed-time-0 end."""
+    h, m, k_max = ws.config.step, ws.m, ws.thetas.size - 1
+    ts = np.arange(k_max + lag + 1) * h
+    qd, surv = ws.kernel.density_matrix(ts), ws.kernel.survival_matrix(ts + lag * h)
+    vals = np.empty((k_max + 1, m, xs.size))
+    vals[0] = xs if rate is None else xs * rate[lag]
+    for k in range(1, k_max + 1):
+        rhs = np.stack([_oracle_terms(ws, xs, i, k, qd[:, i], surv[:, i], vals, lag, rate)
+                        for i in range(m)])
+        vals[k] = np.linalg.solve(np.eye(m) - 0.5 * h * qd[0], rhs)
+    return vals
+
+
+def _oracle_aged(ws, xs, i, u, k, vals, lag=0, rate=None):
+    """The aged pass at the start rates xs: densities and survival at
+    theta + u over 1 - H_i(u), the elapsed-time-0 end explicit."""
     h = ws.config.step
-    rate_window = rate_surface.values[:, lag_idx::-1, :]
-    win_w = np.ones(lag_idx + 1)
-    win_w[0] = win_w[-1] = 0.5
-
-    def window(ctx, k):
-        transfer = ws.transfer()
-        restarts = []
-        for row, i in enumerate(ctx.rows):
-            mixed = np.einsum("lj,jlx->lx", ctx.qd[k:k + lag_idx + 1, row, :], rate_window)
-            inner = np.matmul(_blocks(transfer, i)[:lag_idx + 1], mixed[:, :, None])[:, :, 0]
-            restarts.append(h * (win_w[:, None] * inner).sum(axis=0))
-        return ctx.law_m1(k, np.stack(restarts))
-
-    return dataclasses.replace(spec, window=window)
+    ts = np.arange(k + lag + 1) * h + u
+    denom = ws.kernel.aged_survival(i, u)
+    qd = ws.kernel.density_matrix(ts)[:, i] / denom
+    surv = ws.kernel.survival_matrix(ts + lag * h)[:, i] / denom
+    return (_oracle_terms(ws, xs, i, k, qd, surv, vals, lag, rate)
+            + 0.5 * h * qd[0] @ vals[k])
 
 
 # ---------------------------------------------------------------------------
@@ -175,25 +225,41 @@ def test_panel_march_matches_direct_march(data, k_steps, history_blocks):
     blocks = history_blocks or moment_engine._HISTORY_BLOCKS
     with mock.patch.object(moment_engine, "_HISTORY_BLOCKS", blocks):
         try:
-            rate = solve_rate_mean(kernel, model, ws.config, workspace=ws)
             panel = {f"zcb n={n}": (_march(ws, _zcb_spec(ws, n)), _zcb_spec(ws, n))
                      for n in (1, 2)}
         except GridCoverageError:
             reject()   # a refused lattice is another property
-        panel["rate mean"] = (rate.values.transpose(1, 0, 2), _rate_spec(ws))
-        for lag in (0.0, lag_steps * STEP):
-            panel[f"product lag {lag}"] = (_march(ws, _product_spec(ws, lag, rate)),
-                                           _oracle_product_spec(ws, lag, rate))
     for label, (vals, oracle_spec) in panel.items():
         _close(vals, _oracle_march(ws, oracle_spec), label)
-    # the aged pass reads the same window table as the lattice
-    lag = lag_steps * STEP
-    xi = solve_product_moment(lag, kernel, model, ws.config, rate, workspace=ws)
-    r, u = float(ws.x_nodes[10]), 0.3
-    pairs = [(k_steps, 1.0)]
-    aged = _aged(ws, _product_spec(ws, lag, rate), xi, 0, u, r, pairs)
-    direct = _aged(ws, _oracle_product_spec(ws, lag, rate), xi, 0, u, r, pairs)
-    assert abs(aged - direct) <= PANEL_TOL * max(abs(direct), np.abs(xi.values).max())
+    # the rate moments at the two edge rates and the middle one
+    idx = [0, ws.x_nodes.size // 2, ws.x_nodes.size - 1]
+    xs = ws.x_nodes[idx]
+    rate = solve_rate_mean(kernel, model, ws.config, workspace=ws)
+    oracle_rate = _oracle_rate_moment(ws, xs)
+    _close(rate.values[:, :, idx].transpose(1, 0, 2), oracle_rate, "rate mean")
+    for lag in (0, lag_steps):
+        xi = solve_product_moment(lag * STEP, kernel, model, ws.config, rate, workspace=ws)
+        oracle = _oracle_rate_moment(ws, xs, lag, oracle_rate)
+        _close(xi.values[:, :, idx].transpose(1, 0, 2), oracle, f"product lag {lag}")
+    # the aged pass, window included, against the oracle's
+    u = 0.3
+    aged = evaluate_product_moment(xi, rate, kernel, model, 0, u, xs[1], k_steps * STEP)
+    direct = _oracle_aged(ws, xs, 0, u, k_steps, oracle, lag_steps, oracle_rate)[1]
+    assert abs(aged - direct) <= PANEL_TOL * max(abs(direct), np.abs(oracle).max())
+
+
+@pytest.mark.parametrize("kind", ["vasicek", "hull_white", "cir"])
+def test_rate_mean_matches_the_lattice_march_on_core_rows(kind):
+    # the lattice march of the rate mean interpolates alpha y + beta
+    # exactly inside the lattice, so on the core rows it is the coefficient
+    # march up to roundoff (Gaussian kinds) or up to the chi-square rule's
+    # error in the transition mean (CIR); the edge rows clamp
+    kernel, model = _two_regime_kernel(), _two_regime_model(kind)
+    ws = LatticeWorkspace(kernel, model, _config(3 * _PANEL + 5))
+    rate = solve_rate_mean(kernel, model, ws.config, workspace=ws)
+    lattice = _march(ws, _lattice_rate_spec(ws)).transpose(1, 0, 2)
+    err = np.abs(rate.values - lattice)[:, :, ws._core].max()
+    assert err <= (1e-8 if kind == "cir" else 1e-13 * np.abs(lattice).max()), err
 
 
 def test_history_rows_are_chunked():
@@ -218,30 +284,31 @@ def test_history_rows_are_chunked():
 @settings(max_examples=20, deadline=None)
 @given(data=st.data(), k_steps=st.integers(1, 24))
 def test_age_zero_evaluation_reproduces_lattice(data, k_steps):
-    # every quantity on the Gaussian kinds, and the product moment on all
-    # three kinds (the CIR discount moments and rate mean have their own test)
+    # the rate moments on all three kinds at every lattice rate, and the
+    # discount moments on the Gaussian kinds (CIR's have their own test)
     kernel = data.draw(kernels())
     model = data.draw(models(kernel.m))
     cfg = _config(k_steps)
     ws = LatticeWorkspace(kernel, model, cfg)
+    rate = solve_rate_mean(kernel, model, cfg, workspace=ws)
+    products = [solve_product_moment(lag, kernel, model, cfg, rate, workspace=ws)
+                for lag in (0.0, data.draw(st.integers(1, k_steps)) * STEP)]
     try:
-        rate = solve_rate_mean(kernel, model, cfg, workspace=ws)
-        products = [solve_product_moment(lag, kernel, model, cfg, rate, workspace=ws)
-                    for lag in (0.0, data.draw(st.integers(1, k_steps)) * STEP)]
         zcb = ([solve_zcb_moment(n, kernel, model, cfg, workspace=ws) for n in (1, 2)]
                if model.gaussian_transition else [])
     except GridCoverageError:
-        reject()
+        zcb = []   # a refused lattice is another property
     i = data.draw(st.integers(0, kernel.m - 1))
     idx = data.draw(st.integers(0, cfg.rate_nodes - 1))
     k = data.draw(st.integers(0, k_steps))
     x, s = float(ws.x_nodes[idx]), float(ws.thetas[k])
-    for xi in products:
-        assert abs(evaluate_product_moment(xi, rate, kernel, model, i, 0.0, x, s)
-                   - xi.values[i, k, idx]) <= 1e-12
+    for p, y in enumerate(ws.x_nodes):
+        for xi in products:
+            assert abs(evaluate_product_moment(xi, rate, kernel, model, i, 0.0, y, s)
+                       - xi.values[i, k, p]) <= 1e-12
+        assert abs(evaluate_rate_mean(rate, kernel, model, i, 0.0, y, s)
+                   - rate.values[i, k, p]) <= 1e-12
     if model.gaussian_transition:
-        assert abs(evaluate_rate_mean(rate, kernel, model, i, 0.0, x, s)
-                   - rate.values[i, k, idx]) <= 1e-12
         for surf in zcb:
             assert abs(evaluate_zcb_moment(surf, kernel, model, i, 0.0, x, s)
                        - surf.values[i, k, idx]) <= 1e-12
@@ -277,7 +344,8 @@ def test_jensen_floor(data, k_steps):
        tilt=st.integers(0, 2))
 def test_lattice_refusal_never_returns_a_number(data, below, above, tilt):
     # a narrow lattice is refused exactly when some core rate's transition
-    # law loses more than coverage_tol off it
+    # law loses more than coverage_tol off it; the plain law (tilt 0) is
+    # built on its own, since no solve reads it any more
     kernel = data.draw(kernels())
     model = data.draw(models(kernel.m))
     cfg = _config(8, rate_lo=0.03 - below, rate_hi=0.03 + above)
@@ -291,14 +359,14 @@ def test_lattice_refusal_never_returns_a_number(data, below, above, tilt):
                                                 cfg.quad_order, tilt=tilt)
             off = ((nodes < lo - slack) | (nodes > hi + slack)) * weights
             worst = max(worst, off.sum(axis=1)[ws._core].max(initial=0.0))
-    solve = ((lambda: solve_rate_mean(kernel, model, cfg, workspace=ws)) if tilt == 0
-             else (lambda: solve_zcb_moment(tilt, kernel, model, cfg, workspace=ws)))
+    solve = ((lambda: ws.transfer(0)) if tilt == 0
+             else (lambda: solve_zcb_moment(tilt, kernel, model, cfg, workspace=ws).values))
     event("refused" if worst > cfg.coverage_tol else "accepted")
     if worst > cfg.coverage_tol:
         with pytest.raises(GridCoverageError):
             solve()
     else:
-        assert np.all(np.isfinite(solve().values))
+        assert np.all(np.isfinite(solve()))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,9 @@ from smrates import (
     CIRParams,
     DegenerateBackwardError,
     GridCoverageError,
+    HullWhiteParams,
     LatticeWorkspace,
+    PiecewiseLinear,
     RegimeRateModel,
     SemiMarkovKernel,
     SojournDistribution,
@@ -25,6 +27,7 @@ from smrates import (
     solve_rate_mean,
     solve_zcb_moment,
 )
+from smrates import moment_engine
 
 
 @pytest.fixture(scope="module")
@@ -115,6 +118,60 @@ def test_single_regime_product_collapse(solved_single, vas_single):
     idx = np.argmin(np.abs(ws.x_nodes - 0.03))
     closed = np.asarray(vas_single.product_mean(0, ws.x_nodes[idx], ws.thetas, 0.5))
     assert np.abs(xi.values[0, :, idx] - closed).max() < 1e-4
+
+
+def _single_regime_model(kind):
+    if kind == "vasicek":
+        return RegimeRateModel.vasicek([{"a": 1.0, "b": 0.05, "sigma": 0.02}])
+    if kind == "cir":
+        return RegimeRateModel.cir([CIRParams(0.04, 1.0, 0.1)])
+    return RegimeRateModel.hull_white([HullWhiteParams(
+        PiecewiseLinear([0.0, 1.0], [0.03, 0.06]), PiecewiseLinear([0.0, 1.0], [1.5, 0.8]),
+        PiecewiseLinear([0.0, 1.0], [0.01, 0.025]))])
+
+
+@pytest.mark.parametrize("kind", ["vasicek", "hull_white", "cir"])
+def test_single_regime_rate_moments_are_exact_on_every_row(kind, cfg_fast):
+    # no switch before the horizon: the march has no time error, and the
+    # rate mean and the product moment at lags 0 and 0.5 are the closed
+    # forms on every lattice row, the edge rows included
+    model = _single_regime_model(kind)
+    kern = SemiMarkovKernel([[1.0]], [[SojournDistribution.uniform(3.0, 4.0)]])
+    ws = LatticeWorkspace(kern, model, cfg_fast)
+    x, s = ws.x_nodes[None, :], ws.thetas[:, None]
+    rate = solve_rate_mean(kern, model, cfg_fast, workspace=ws)
+    closed = {"rate mean": np.asarray(model.mean(0, x, s))}
+    surfaces = {"rate mean": rate}
+    for lag in (0.0, 0.5):
+        surfaces[lag] = solve_product_moment(lag, kern, model, cfg_fast, rate, workspace=ws)
+        closed[lag] = np.asarray(model.product_mean(0, x, s, lag))
+    for label, surface in surfaces.items():
+        err = np.abs(surface.values[0] - closed[label]).max()
+        assert err <= 1e-14 * np.abs(closed[label]).max(), (label, err)
+
+
+@pytest.mark.parametrize("kind", ["vasicek", "cir"])
+def test_renewing_single_regime_rate_moments_on_every_row(kind, kern_single, cfg_fast):
+    # a regime that renews itself: its rate mean is exactly the march's
+    # renewal mass M(s), the same trapezoid on the sojourn density, times
+    # the closed form, so its error is the mass defect; the product moment
+    # stays within that defect of its closed form, on every row
+    model = _single_regime_model(kind)
+    ws = LatticeWorkspace(kern_single, model, cfg_fast)
+    h, q, surv = cfg_fast.step, ws.qdot[:, 0, 0], ws.survival[:, 0]
+    mass = np.ones(ws.thetas.size)
+    for k in range(1, mass.size):
+        mass[k] = (surv[k] + h * (q[1:k] @ mass[k - 1:0:-1]) + 0.5 * h * q[k]) \
+            / (1.0 - 0.5 * h * q[0])
+    defect = np.abs(mass - 1.0).max()
+    x, s = ws.x_nodes[None, :], ws.thetas[:, None]
+    rate = solve_rate_mean(kern_single, model, cfg_fast, workspace=ws)
+    mean = np.asarray(model.mean(0, x, s))
+    assert np.abs(rate.values[0] - mass[:, None] * mean).max() <= 1e-14 * np.abs(mean).max()
+    for lag in (0.0, 0.5):
+        xi = solve_product_moment(lag, kern_single, model, cfg_fast, rate, workspace=ws)
+        closed = np.asarray(model.product_mean(0, x, s, lag))
+        assert np.abs(xi.values[0] - closed).max() <= defect * np.abs(closed).max(), lag
 
 
 def test_lag_zero_is_second_moment(kern_single, vas_single, cfg_fast, solved_single):
@@ -230,9 +287,9 @@ def test_product_moment_needs_companion(kern_single, vas_single, cfg_fast):
 
 
 def test_aged_evaluations_build_no_transfer_stack(kern_testbed, vas_testbed, monkeypatch):
-    # the product surface keeps the spec it was marched with, restart
-    # table included, so an evaluation after a discount solve (which
-    # leaves the tilted stack held) builds no stack and reads the same
+    # the product surface keeps the coefficients it was marched with, so
+    # an evaluation after a discount solve (which leaves the tilted stack
+    # held) builds no stack and reads the same
     cfg = SolverConfig(step=0.05, horizon=2.0, rate_nodes=41, reference_rate=0.03)
     ws = LatticeWorkspace(kern_testbed, vas_testbed, cfg)
     r = solve_rate_mean(kern_testbed, vas_testbed, cfg, workspace=ws)
@@ -335,6 +392,48 @@ def test_covariance_single_regime(solved_single, vas_single):
     cov = covariance(xi, r, kern, vas_single, 0, 0.0, x0, 1.0, 0.5)
     closed = np.exp(-0.5) * vas_single.variance(0, x0, 1.0)
     assert cov == pytest.approx(closed, abs=1e-5)
+
+
+def test_covariance_surface_requires_the_products_companion(vas_single):
+    # a rate mean from another workspace used to pass whenever the grids
+    # were allclose: exp(20) sojourns against the product's exp(1) gave
+    # -0.01177 at (s = 0.25, node 10); the regime renews itself, so the
+    # closed form decay(0.25, 0.5) Var(0.25) = 4.77e-5 is right
+    cfg = SolverConfig(step=0.05, horizon=2.0, rate_nodes=21, reference_rate=0.03)
+    rates = {}
+    for name, rate in (("exp1", 1.0), ("exp20", 20.0)):
+        kern = SemiMarkovKernel([[1.0]], [[SojournDistribution.exponential(rate)]])
+        ws = LatticeWorkspace(kern, vas_single, cfg)
+        rates[name] = solve_rate_mean(kern, vas_single, cfg, workspace=ws)
+    xi = solve_product_moment(0.5, rates["exp1"].workspace.kernel, vas_single, cfg,
+                              rates["exp1"])
+    assert np.allclose(rates["exp20"].x_nodes, xi.x_nodes)
+    with pytest.raises(ValueError, match="another workspace"):
+        covariance_surface(xi, rates["exp20"])
+    own = covariance_surface(xi, rates["exp1"]).values[0, 5, 10]
+    x = xi.x_nodes[10]
+    assert own == pytest.approx(vas_single.mean_decay(0, 0.25, 0.5)
+                                * vas_single.variance(0, x, 0.25), rel=0.01)
+
+
+def test_rate_moments_read_no_transfer_law(kern_testbed, vas_testbed, monkeypatch):
+    # the rate mean and the products march their coefficients from the
+    # closed-form law: no solve, evaluation or covariance of theirs builds
+    # a transfer stack or asks for a transition-law rule
+    cfg = SolverConfig(step=0.05, horizon=2.0, rate_nodes=41, reference_rate=0.03)
+    ws = LatticeWorkspace(kern_testbed, vas_testbed, cfg)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a rate moment read a transfer law")
+
+    monkeypatch.setattr(LatticeWorkspace, "transfer", refuse)
+    monkeypatch.setattr(moment_engine, "_law_nodes_weights", refuse)
+    r = solve_rate_mean(kern_testbed, vas_testbed, cfg, workspace=ws)
+    for lag in (0.0, 0.5):
+        xi = solve_product_moment(lag, kern_testbed, vas_testbed, cfg, r, workspace=ws)
+        covariance_surface(xi, r)
+        covariance(xi, r, kern_testbed, vas_testbed, 1, 0.3, 0.03, 1.02, lag)
+    assert ws._held is None
 
 
 def test_covariance_lattice_matches_pointwise(solved_testbed):

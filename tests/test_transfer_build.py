@@ -7,9 +7,11 @@ passes, stacks the results as (m, K+1, Nx, Nx) and packs them into the
 march layout, folding the discount moment's no-switch table into the
 rows of a tilted stack.  The chunked build must give the same bits.
 
-The product moment's first-moment law reads the tilt-0 rules themselves:
-the lattice fetches them a chunk at a time, as the build does, and the
-aged pass one elapsed time at a time, and both must give the same bits.
+The plain (tilt-0) rules fetched as a build does (a chunk of elapsed
+times at every lattice rate) and as the aged pass does (one rate, every
+elapsed time) must give the same bits, and their moments must be the
+affine law that the rate moments' coefficient marches read instead of
+any rule.
 """
 
 import warnings
@@ -30,11 +32,9 @@ from smrates import (
 )
 from smrates.moment_engine import (
     _SCATTER_CHUNK,
-    _Lattice,
+    _horner,
+    _law_maps,
     _law_nodes_weights,
-    _Point,
-    _rate_spec,
-    _scatter,
     _zcb_spec,
 )
 
@@ -131,24 +131,28 @@ def test_packed_build_matches_oracle(kernel, name):
 
 @pytest.mark.parametrize("name", sorted(_models()))
 def test_first_moment_law_is_the_same_on_lattice_and_point(kernel, name):
+    # the plain rules, a chunk of elapsed times at every lattice rate (the
+    # build's call) and every elapsed time at one rate (the aged pass's
+    # call), are the same bits; their mass, mean and second moment are the
+    # columns of _law_maps, exactly for the Gaussian kinds and within the
+    # chi-square rule's moment error for CIR (README: 1.1e-7 relative)
     ws = LatticeWorkspace(kernel, _models()[name], CFG)
-    spec = _rate_spec(ws)
-    k_max, nx = ws.grid.n_steps, ws.x_nodes.size
-    vs = np.random.default_rng(5).uniform(-1.0, 1.0, (ws.m, nx))
-    lattice = _Lattice(ws, spec)
-    on_lattice = np.stack([lattice.law_m1(l, vs) for l in range(1, k_max + 1)])
+    model, order = ws.model, ws.config.quad_order
+    rtol = 2e-7 if model.kind == "cir" else 1e-13
     for i in range(ws.m):
+        chunks = [_law_nodes_weights(model, i, ws.x_nodes,
+                                     ws.thetas[l0:l0 + _SCATTER_CHUNK, None], order)
+                  for l0 in range(1, ws.thetas.size, _SCATTER_CHUNK)]
+        nodes, weights = (np.concatenate(part) for part in zip(*chunks))
         for p, x in enumerate(ws.x_nodes):
-            point = _Point(ws, spec, i, 0.0, x, k_max)
-            at_point = [point.law_m1(l, vs[i:i + 1])[0, 0] for l in range(1, k_max + 1)]
-            assert np.array_equal(on_lattice[:, i, p], at_point), (name, i, p)
-    # the law the first-moment stack held: rules scattered with weight w * y
-    for l in range(1, k_max + 1):
-        for i in range(ws.m):
-            nodes, weights = _law_nodes_weights(ws.model, i, ws.x_nodes, float(ws.thetas[l]),
-                                                ws.config.quad_order)
-            blocks = _scatter(ws.x_nodes, nodes[None], (weights * nodes)[None])[0]
-            assert np.allclose(on_lattice[l - 1, i], blocks @ vs[i], rtol=0.0, atol=1e-15)
+            at_point = _law_nodes_weights(model, i, x, ws.thetas[1:], order)
+            assert np.array_equal(nodes[:, p], at_point[0]), (name, i, p)
+            assert np.array_equal(weights[:, p], at_point[1]), (name, i, p)
+        maps = _law_maps(model, i, ws.thetas[1:])
+        for e in range(3):
+            moment = np.asarray(_horner(maps[:, None, :, e], ws.x_nodes))
+            assert np.allclose((weights * nodes ** e).sum(axis=-1), moment,
+                               rtol=rtol, atol=1e-15), (name, i, e)
 
 
 def test_extreme_attainable_regime_refusal_matches_oracle(kernel):
