@@ -81,10 +81,14 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _check_number(path: str, value, positive: bool = False):
-    if not (_is_number(value) and (value > 0 if positive else value >= 0)):
-        kind = "positive" if positive else "nonnegative"
-        raise ConfigError(f"field {path}: {value!r} must be a {kind} number")
+# what _check_number asks of a number, by the name its refusal gives
+_SIGNS = {"finite": lambda v: True, "finite nonnegative": lambda v: v >= 0,
+          "finite positive": lambda v: v > 0}
+
+
+def _check_number(path: str, value, sign: str = "finite nonnegative"):
+    if not (_is_number(value) and abs(value) < np.inf and _SIGNS[sign](value)):
+        raise ConfigError(f"field {path}: {value!r} must be a {sign} number")
 
 
 def _check_integer(path: str, value, lo: int, hi: float = np.inf):
@@ -279,8 +283,7 @@ class ExperimentConfig:
                 if ages is None:
                     continue
                 for u in (ages if age_key == "ages" else [ages]):
-                    if u < 0:
-                        raise ConfigError(f"field {name}.{age_key}: age {u} is negative")
+                    _check_number(f"{name}.{age_key}", u)
                     for i in range(self.kernel.m):
                         try:
                             self.kernel.aged_survival(i, float(u))
@@ -307,12 +310,15 @@ class ExperimentConfig:
         ):
             for value in values:
                 _check_integer(path, value, lo, hi)
-        for value in given(sim, "step"):
-            _check_number("simulate.step", value, positive=True)
-        for value in given(sim, "horizon"):
-            _check_number("simulate.horizon", value)
-        for value in given(val, "z_threshold"):
-            _check_number("validate.z_threshold", value)
+        for path, values, sign in (
+            ("simulate.step", given(sim, "step"), "finite positive"),
+            ("simulate.horizon", given(sim, "horizon"), "finite nonnegative"),
+            ("validate.z_threshold", given(val, "z_threshold"), "finite nonnegative"),
+            ("simulate.r0", given(sim, "r0"), "finite"),
+            ("validate.r0", given(val, "r0"), "finite"),
+        ):
+            for value in values:
+                _check_number(path, value, sign)
 
     def validate_times(self) -> tuple[list[float], list[float]]:
         """validate's maturities and occupancy times, defaults included.

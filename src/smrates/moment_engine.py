@@ -37,17 +37,16 @@ quadratic in x (the polynomial-process property: Cuchiero,
 Keller-Ressel & Teichmann, Finance Stoch. 16, 2012).  Their coefficients
 are marched with the same trapezoid and implicit step.
 
-Each quantity is a small spec (_Spec on the lattice, _Poly in
-coefficients) run through two evaluations: the march and the aged
-pass, which evaluates at a positive initial age u in one quadrature
-pass over the stored solution, mirroring the march term by term, so
-u = 0 reproduces the marched values.
+Each quantity has two evaluations: the march (_march on the lattice,
+_solve_poly in coefficients) and the aged pass (_aged, _aged_coefs),
+which evaluates at a positive initial age u in one quadrature pass over
+the stored solution, mirroring the march term by term, so u = 0
+reproduces the marched values.
 """
 
 from __future__ import annotations
 
 import numbers
-from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -110,6 +109,11 @@ class SolverConfig:
     mc_step: float = 0.01
 
     def __post_init__(self):
+        for name in ("step", "horizon", "mc_step", "reference_rate", "rate_lo", "rate_hi",
+                     "grid_pad"):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.step <= 0 or self.horizon <= 0:
             raise ValueError("step and horizon must be positive")
         for name, least in (("rate_nodes", 2), ("quad_order", 1)):
@@ -144,9 +148,9 @@ class MomentSurface:
     "product_moment" (with ``lag`` h).  values[i, k, p] holds the
     quantity started in state i at rate x_nodes[p] for time-to-maturity
     s_nodes[k]; reads interpolate linearly in x and s and refuse to
-    extrapolate.  A solved surface keeps the workspace and the spec it
-    was marched with (a rate moment's spec holds its coefficients); its
-    aged evaluations run on those.
+    extrapolate.  A solved surface keeps the workspace it was marched on,
+    and a rate moment also its coefficients (``spec``); its aged
+    evaluations run on those.
     """
 
     quantity: str
@@ -156,7 +160,7 @@ class MomentSurface:
     order: int | None = None
     lag: float | None = None
     workspace: LatticeWorkspace | None = field(default=None, repr=False, compare=False)
-    spec: _Spec | _Poly | None = field(default=None, repr=False, compare=False)
+    spec: _Poly | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.values)):
@@ -206,7 +210,7 @@ def _rate_envelope(model: RegimeRateModel, config: SolverConfig):
 def check_lattice_rate(x_nodes: np.ndarray, x: float):
     """Refuse a start rate x outside the lattice x_nodes: every read at
     x interpolates between lattice rates and never extrapolates."""
-    if x < x_nodes[0] - 1e-12 or x > x_nodes[-1] + 1e-12:
+    if not x_nodes[0] - 1e-12 <= x <= x_nodes[-1] + 1e-12:
         raise GridCoverageError(
             f"rate {x} lies outside the lattice "
             f"[{x_nodes[0]:.6g}, {x_nodes[-1]:.6g}]; "
@@ -251,8 +255,9 @@ def _law_nodes_weights(model: RegimeRateModel, i: int, r0, t, order: int,
     (the zero-std Gauss-Hermite rule); Gauss-Hermite through mean/std
     for the Gaussian kinds; for CIR the chi-square rule of
     ``ncx2_rule_batch`` (order floored at 48 so the rule resolves the
-    density).  Both evaluations of a renewal spec come through here, so
-    their discretizations coincide.
+    density).  The discount moment's march (through the transfer build)
+    and its aged pass both come through here, so their discretizations
+    coincide.
     """
     t = np.asarray(t, dtype=float)
     r0 = np.atleast_1d(np.asarray(r0, dtype=float))
@@ -409,117 +414,55 @@ class LatticeWorkspace:
                 if l0 < kp1:
                     blocks[l0:l1] = _scatter(self.x_nodes, nodes, weights)
             if tilt:
-                discount = _no_switch_discount(self.model, tilt)(i, self.x_nodes[:, None],
-                                                                 self.thetas)
+                discount = self.model.bond_laplace(i, self.x_nodes[:, None], tilt, self.thetas)
                 blocks *= np.asarray(discount).T[:, :, None]
         return packed
 
 
 # ---------------------------------------------------------------------------
-# Renewal specs and their two evaluations
+# The discount moments: the lattice march and its aged pass
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Spec:
-    """One lattice renewal equation, described once for both evaluations:
+def _march(ws: LatticeWorkspace, n: int) -> np.ndarray:
+    """Trapezoidal forward march of the discount moment of order n over
+    the whole lattice, from V = 1 at s = 0:
 
       V_i(s, x) = S_i(s) f_i(x, s)
-                + int_0^s sum_j qdot_ij(theta) w_i(x, theta)
-                    E^tilt[V_j(s - theta, r(theta)) | r(0) = x] dtheta.
+                + int_0^s sum_j qdot_ij(theta) f_i(x, theta)
+                    E^n[V_j(s - theta, r(theta)) | r(0) = x] dtheta,
 
-    table(i, r, thetas)  the no-switch moment f_i, broadcast over rates
-                         and times.  With tilt = n > 0 the history runs
-                         under the discount-tilted law and f is also its
-                         row weight w (the discount accumulated before
-                         the switch); otherwise w = 1.
-                         The march reads the history from transfer(n),
-                         which carries that weight; tilt > 0 therefore
-                         means the discount moment of order n.
-    initial(ctx)         (rows, rates) block at s = 0, whose inner
-                         integral at s_k is the table (_known).
+    with f_i the no-switch discount E[exp(-n int_0^theta r)]
+    (``model.bond_laplace``) and E^n the discount-tilted law; transfer(n)
+    carries f as its row weight.  The known terms at s_k are the
+    no-switch one and the far endpoint with weight h/2, whose inner
+    integral is f itself (V = 1 has mass 1 under the tilted law), so it
+    is never clamped.  The unknown at s_k enters the elapsed-time-0 end
+    with weight h/2, where the transfer block is the identity and the row
+    weight is 1, so the implicit step matrix absorbs it.  The history
+    l = 1..k-1 splits at the start k0 of the step's panel: lags reading
+    values before k0 come from the panel's far-history product
+    (_far_history), and the lags l = 1..k-k0 inside the panel are one
+    matrix-vector product per state.
     """
-
-    quantity: str
-    table: Callable
-    initial: Callable
-    tilt: int = 0
-
-
-class _Lattice:
-    """Where _march evaluates a spec: every state, every lattice rate,
-    age 0."""
-
-    def __init__(self, ws: LatticeWorkspace, spec: _Spec):
-        self.h = ws.config.step
-        self.rows = range(ws.m)
-        self.rates = ws.x_nodes
-        self.table = np.empty((ws.m, ws.thetas.size, self.rates.size))
-        for i in self.rows:
-            self.table[i] = np.asarray(spec.table(i, self.rates[:, None], ws.thetas)).T
-        self.surv = ws.survival
-        self.qd = ws.qdot
-
-
-class _Point:
-    """Where the aged pass evaluates a spec: state i entered u years
-    ago, one start rate r, maturities up to s_{k_top}.  Kernel
-    densities and survival are read at theta + u and divided by the
-    aged survival 1 - H_i(u); the transition-law rules for elapsed times
-    1..k_top are built once and their prefixes serve shorter nodes."""
-
-    def __init__(self, ws: LatticeWorkspace, spec: _Spec, i: int, u: float, r: float,
-                 k_top: int):
-        self.r = float(r)
-        self.h = ws.config.step
-        self.rows = [i]
-        self.rates = np.array([self.r])
-        if k_top == 0:
-            return  # s = 0 reads the initial block only
-        denom = ws.kernel.aged_survival(i, u)
-        thetas = ws.thetas[: k_top + 1]
-        self.table = np.asarray(spec.table(i, self.rates[:, None], thetas)).T[None]
-        self.surv = ws.kernel.survival_matrix(thetas + u)[:, [i]] / denom
-        self.qd = ws.kernel.density_matrix(thetas + u)[:, [i], :] / denom
-        self.nodes, self.weights = _law_nodes_weights(
-            ws.model, i, self.r, thetas[1:], ws.config.quad_order, tilt=spec.tilt)
-
-
-def _known(spec: _Spec, ctx, k: int) -> np.ndarray:
-    """Known blocks at s_k: the no-switch survival term and the far
-    endpoint with its trapezoid weight h/2, sum_j qdot_ij(s_k) times the
-    inner integral of the initial condition.  That integral is the table
-    itself (mass 1 under the tilted law for the discount moments), so it
-    is never clamped."""
-    table = ctx.table[:, k, :]
-    return ctx.surv[k][:, None] * table + 0.5 * ctx.h * (ctx.qd[k].sum(axis=1)[:, None] * table)
-
-
-def _march(ws: LatticeWorkspace, spec: _Spec) -> np.ndarray:
-    """Trapezoidal forward march of a spec over the whole lattice.
-
-    The unknown at s_k enters the elapsed-time-0 end of the convolution
-    with weight h/2, where the transfer block is the identity and the
-    row weight is 1, so the implicit step matrix absorbs it.  The
-    history l = 1..k-1 (weight-folded when the spec tilts) splits at the
-    start k0 of the step's panel: lags reading values before k0 come
-    from the panel's far-history product (_far_history), and the lags
-    l = 1..k-k0 inside the panel are one matrix-vector product per state.
-    """
-    ctx = _Lattice(ws, spec)
-    h = ctx.h
+    h = ws.config.step
     k_max = ws.thetas.size - 1
     m = ws.m
     nx = ws.x_nodes.size
     qd = ws.qdot
-    packed = ws.transfer(spec.tilt)
+    table = np.empty((m, k_max + 1, nx))
+    for i in range(m):
+        table[i] = np.asarray(ws.model.bond_laplace(i, ws.x_nodes[:, None], n, ws.thetas)).T
+    packed = ws.transfer(n)
     vals = np.empty((k_max + 1, m, nx))
-    vals[0] = spec.initial(ctx)
+    vals[0] = 1.0
     scratch = np.empty(_PANEL * _HISTORY_BLOCKS * nx)
     for k0 in range(1, k_max + 1, _PANEL):
         k1 = min(k0 + _PANEL, k_max + 1)
         far = _far_history(packed, qd, vals, k0, k1, scratch)
         for k in range(k0, k1):
-            rhs = _known(spec, ctx, k) + h * far[:, :, k - k0]
+            known = (ws.survival[k][:, None] * table[:, k]
+                     + 0.5 * h * (qd[k].sum(axis=1)[:, None] * table[:, k]))
+            rhs = known + h * far[:, :, k - k0]
             if k > k0:
                 for i in range(m):
                     # state-mix the panel's own values, then one
@@ -561,35 +504,47 @@ def _far_history(packed: np.ndarray, qd: np.ndarray, vals: np.ndarray, k0: int, 
     return far
 
 
-def _aged(ws: LatticeWorkspace, spec: _Spec, surface: MomentSurface, i: int,
-          u: float, r: float, pairs) -> float:
-    """Aged pass: the spec at (state i, age u, rate r), read linearly
-    between the maturity nodes ``pairs`` = [(k, weight), ...].
+def _aged(ws: LatticeWorkspace, surface: MomentSurface, i: int, u: float, r: float,
+          pairs) -> float:
+    """Aged pass: the discount moment of order surface.order at (state i,
+    age u, rate r), read linearly between the maturity nodes ``pairs`` =
+    [(k, weight), ...].
 
-    Mirrors _march term by term over the stored lattice, except that the
-    value at s_k is known, so the elapsed-time-0 end is explicit: a
-    point mass at r.  At u = 0 it reproduces the lattice values.
+    Mirrors _march term by term over the stored lattice, with the kernel
+    densities and survival read at theta + u and divided by the aged
+    survival 1 - H_i(u), except that the value at s_k is known, so the
+    elapsed-time-0 end is explicit: a point mass at r.  The
+    transition-law rules for elapsed times 1..k_top are built once and
+    their prefixes serve shorter nodes.  At u = 0 it reproduces the
+    lattice values.
     """
-    ctx = _Point(ws, spec, i, u, r, max(k for k, _ in pairs))
-    h, x, vals = ctx.h, ws.x_nodes, surface.values
+    n, h, x, vals = surface.order, ws.config.step, ws.x_nodes, surface.values
+    r = float(r)
+    k_top = max(k for k, _ in pairs)
+    if k_top:   # s = 0 reads V = 1 only
+        denom = ws.kernel.aged_survival(i, u)
+        thetas = ws.thetas[:k_top + 1]
+        table = np.asarray(ws.model.bond_laplace(i, r, n, thetas))
+        surv = ws.kernel.survival_matrix(thetas + u)[:, i] / denom
+        qd = ws.kernel.density_matrix(thetas + u)[:, i, :] / denom
+        nodes, weights = _law_nodes_weights(ws.model, i, r, thetas[1:], ws.config.quad_order,
+                                            tilt=n)
     total = 0.0
     for k, w in pairs:
         if k == 0:
-            total += w * float(spec.initial(ctx)[0, 0])
+            total += w
             continue
-        acc = float(_known(spec, ctx, k)[0, 0])
-        point = np.array([np.interp(ctx.r, x, vals[j, k]) for j in range(ws.m)])
-        acc += 0.5 * h * float(ctx.qd[0, 0] @ point)
+        acc = float(surv[k] * table[k] + 0.5 * h * (qd[k].sum() * table[k]))
+        point = np.array([np.interp(r, x, vals[j, k]) for j in range(ws.m)])
+        acc += 0.5 * h * float(qd[0] @ point)
         if k >= 2:
             inner = np.zeros(k - 1)
             for j in range(ws.m):
                 tab = vals[j, k - 1:0:-1]                      # row l-1 -> surface at k-l
-                inner += ctx.qd[1:k, 0, j] * (
-                    ctx.weights[:k - 1] * _interp_rows(x, tab, ctx.nodes[:k - 1])
+                inner += qd[1:k, j] * (
+                    weights[:k - 1] * _interp_rows(x, tab, nodes[:k - 1])
                 ).sum(axis=1)
-            if spec.tilt:
-                inner = inner * ctx.table[0, 1:k, 0]
-            acc += h * float(inner.sum())
+            acc += h * float((inner * table[1:k]).sum())
         total += w * acc
     return total
 
@@ -626,7 +581,6 @@ class _Poly:
     its companion rate mean.  maps[i] is state i's _law_maps on the nodes
     0..K+lag; coefs[k, i, e] multiplies x^e at s_k in state i."""
 
-    quantity: str
     maps: np.ndarray
     lag: int = 0
     rate: _Poly | None = None
@@ -699,8 +653,7 @@ def _solve_poly(ws: LatticeWorkspace, quantity: str, steps: int = 0, rate: _Poly
     ws._held = None
     k_max = ws.thetas.size - 1
     ts = np.arange(k_max + 1 + steps) * ws.config.step
-    poly = _Poly(quantity, np.stack([_law_maps(ws.model, i, ts) for i in range(ws.m)]),
-                 steps, rate)
+    poly = _Poly(np.stack([_law_maps(ws.model, i, ts) for i in range(ws.m)]), steps, rate)
     # x, or x R(lag, x) for a product
     initial = (np.tile([0.0, 1.0], (ws.m, 1)) if rate is None
                else np.concatenate([np.zeros((ws.m, 1)), rate.coefs[steps]], axis=1))
@@ -735,21 +688,6 @@ def _aged_coefs(ws: LatticeWorkspace, poly: _Poly, i: int, u: float, k: int) -> 
 # The three quantities
 # ---------------------------------------------------------------------------
 
-def _no_switch_discount(model: RegimeRateModel, n: int) -> Callable:
-    """(i, r, thetas) -> E[exp(-n int_0^theta r) | r(0) = r] in state i:
-    the discount moment's table and the row weight of transfer(n)."""
-    return lambda i, r, thetas: model.bond_laplace(i, r, n, thetas)
-
-
-def _zcb_spec(ws: LatticeWorkspace, n: int) -> _Spec:
-    return _Spec(
-        ZCB_MOMENT,
-        table=_no_switch_discount(ws.model, n),
-        initial=lambda ctx: np.ones((len(ctx.rows), ctx.rates.size)),
-        tilt=n,
-    )
-
-
 def _workspace(kernel: SemiMarkovKernel, model: RegimeRateModel, config: SolverConfig,
                workspace: LatticeWorkspace | None) -> LatticeWorkspace:
     """A new workspace when none is given; a given one must hold these
@@ -780,10 +718,9 @@ def solve_zcb_moment(n: int, kernel: SemiMarkovKernel, model: RegimeRateModel,
     if n < 1 or int(n) != n:
         raise ValueError("moment order n must be a positive integer")
     ws = _workspace(kernel, model, config, workspace)
-    spec = _zcb_spec(ws, int(n))
     return MomentSurface(ZCB_MOMENT, ws.thetas.copy(), ws.x_nodes.copy(),
-                         _march(ws, spec).transpose(1, 0, 2).copy(), order=int(n),
-                         workspace=ws, spec=spec)
+                         _march(ws, int(n)).transpose(1, 0, 2).copy(), order=int(n),
+                         workspace=ws)
 
 
 def solve_rate_mean(kernel: SemiMarkovKernel, model: RegimeRateModel,
@@ -831,18 +768,19 @@ def solve_product_moment(h_lag: float, kernel: SemiMarkovKernel,
 
 def _evaluate(surface: MomentSurface, quantity: str, kernel: SemiMarkovKernel,
               model: RegimeRateModel, i: int, u: float, r: float, s: float) -> float:
-    """The aged pass of the spec the surface was marched with, on its own
-    workspace; kernel and model must be that workspace's objects."""
+    """The aged pass of a solved surface, on its own workspace; kernel
+    and model must be that workspace's objects."""
     if surface.quantity != quantity:
         raise ValueError(f"need a {quantity} surface, got {surface.quantity}")
     ws = surface.workspace
-    if ws is None or surface.spec is None or kernel is not ws.kernel or model is not ws.model:
+    solved = surface.order if quantity == ZCB_MOMENT else surface.spec
+    if ws is None or solved is None or kernel is not ws.kernel or model is not ws.model:
         raise ValueError(f"evaluate a solved {quantity} surface with the kernel and model "
                          "objects it was solved with")
     check_lattice_rate(surface.x_nodes, r)
     pairs = _node_pair(surface, s)
     if quantity == ZCB_MOMENT:
-        return _aged(ws, surface.spec, surface, i, u, r, pairs)
+        return _aged(ws, surface, i, u, r, pairs)
     return sum(w * float(_horner(_aged_coefs(ws, surface.spec, i, u, k), r)) for k, w in pairs)
 
 

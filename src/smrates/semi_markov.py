@@ -38,7 +38,7 @@ class BackwardState:
     age: float = 0.0
 
     def __post_init__(self):
-        if self.age < 0:
+        if not self.age >= 0:
             raise ValueError("age must be nonnegative")
 
 
@@ -199,7 +199,7 @@ class SemiMarkovKernel:
     def aged_survival(self, i: int, age: float) -> float:
         """1 - H_i(age), the mass that conditioning on age divides by;
         raises DegenerateBackwardError when the age leaves none."""
-        if age < 0:
+        if not age >= 0:
             raise ValueError("age must be nonnegative")
         h_u = float(self.holding_cdf(i, age))
         if h_u >= 1.0 - 1e-12:

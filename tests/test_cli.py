@@ -201,11 +201,35 @@ def _set(path, value):
                  id="unknown-validate"),
     pytest.param("simulate", _set(["simulate", "targets", 0, "rep"], 100),
                  "simulate.targets[0]", id="unknown-target"),
+    pytest.param("phi", _set(["phi", "age"], np.nan), "phi.age", id="nan-phi-age"),
+    pytest.param("simulate", _set(["simulate", "age"], np.nan), "simulate.age",
+                 id="nan-simulate-age"),
+    pytest.param("validate", _set(["validate", "ages"], [np.nan]), "validate.ages",
+                 id="nan-validate-ages"),
+    pytest.param("simulate", _set(["simulate", "r0"], np.nan), "simulate.r0",
+                 id="nan-simulate-r0"),
+    pytest.param("validate", _set(["validate", "r0"], np.nan), "validate.r0",
+                 id="nan-validate-r0"),
+    pytest.param("simulate", _set(["simulate", "step"], np.inf), "simulate.step",
+                 id="inf-simulate-step"),
+    pytest.param("simulate", _set(["simulate", "horizon"], np.inf), "simulate.horizon",
+                 id="inf-simulate-horizon"),
+    pytest.param("validate", _set(["validate", "z_threshold"], np.inf), "validate.z_threshold",
+                 id="inf-z-threshold"),
+    pytest.param("phi", _set(["solver", "horizon"], np.inf), "solver", id="inf-solver-horizon"),
+    pytest.param("phi", _set(["solver", "mc_step"], np.inf), "solver", id="inf-solver-mc-step"),
+    pytest.param("phi", _set(["solver", "reference_rate"], np.nan), "solver",
+                 id="nan-solver-reference-rate"),
+    pytest.param("phi", _set(["solver", "grid_pad"], np.inf), "solver", id="inf-solver-grid-pad"),
+    pytest.param("phi", lambda data: data["solver"].update(rate_lo=-np.inf, rate_hi=np.inf),
+                 "solver", id="inf-solver-rate-bounds"),
 ])
 def test_malformed_field_shapes_exit_2(tmp_path, capsys, command, edit, field):
     # each of these used to end in a traceback (exit 1), or, for a
-    # boolean seed, to run as seed 1; an unknown key (the last five, a
-    # misspelt "solvr" among them) used to be ignored
+    # boolean seed, to run as seed 1; an unknown key (the five "unknown-"
+    # cases, a misspelt "solvr" among them) used to be ignored; a NaN or
+    # infinite number (JSON's NaN and Infinity) used to run, writing NaN
+    # rows or passing every check, or to end in a traceback
     data = load_config(SINGLE)
     edit(data)
     with pytest.raises(ConfigError, match=re.escape(f"field {field}:")):

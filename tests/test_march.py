@@ -14,7 +14,6 @@ mean, variance and product mean; it shares no code with the coefficient
 march.  Both agreements are held to the same tolerance.
 """
 
-import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -40,34 +39,28 @@ from smrates import (
     solve_zcb_moment,
 )
 from smrates import moment_engine
-from smrates.moment_engine import (
-    _PANEL,
-    RATE_MEAN,
-    _known,
-    _Lattice,
-    _law_nodes_weights,
-    _march,
-    _Spec,
-    _zcb_spec,
-)
+from smrates.moment_engine import _PANEL, _law_nodes_weights, _march
 
 # agreement of the two schemes, relative to the surface's largest value
 PANEL_TOL = 1e-13
 STEP = 0.025
 
 
-def _oracle_march(ws, spec):
-    """Direct trapezoidal march: the whole history l = 1..k-1 of every
-    step is one matrix-vector product per state."""
-    ctx = _Lattice(ws, spec)
-    h = ctx.h
+def _oracle_march(ws, packed, table, initial):
+    """Direct trapezoidal march of V_i(s, x) = S_i(s) f_i(x, s) + the
+    convolution of qdot with the history read through the stack packed
+    (whose rows carry the history's weight), from V = initial at s = 0;
+    table[i, k, p] = f_i(x_p, s_k) is also the inner integral of the
+    initial block at s_k.  The whole history l = 1..k-1 of every step is
+    one matrix-vector product per state."""
+    h = ws.config.step
     m, nx = ws.m, ws.x_nodes.size
     qd = ws.qdot
-    packed = ws.transfer(spec.tilt)
     vals = np.empty((ws.grid.n_steps + 1, m, nx))
-    vals[0] = spec.initial(ctx)
+    vals[0] = initial
     for k in range(1, ws.grid.n_steps + 1):
-        rhs = _known(spec, ctx, k)
+        rhs = (ws.survival[k][:, None] * table[:, k]
+               + 0.5 * h * (qd[k].sum(axis=1)[:, None] * table[:, k]))
         if k >= 2:
             for i in range(m):
                 mixed = np.matmul(qd[1:k, i, None, :], vals[k - 1:0:-1])
@@ -76,14 +69,23 @@ def _oracle_march(ws, spec):
     return vals
 
 
-def _lattice_rate_spec(ws):
-    """The rate mean as a lattice spec (table the transition mean, start
-    at x), the oracle of its coefficient march on the core rows."""
-    return _Spec(
-        RATE_MEAN,
-        table=ws.model.mean,
-        initial=lambda ctx: np.broadcast_to(ctx.rates, (len(ctx.rows), ctx.rates.size)).copy(),
-    )
+def _lattice_table(ws, f):
+    """(m, K+1, Nx) table f(i, x, theta) at every state, lattice rate and
+    march node."""
+    return np.stack([np.asarray(f(i, ws.x_nodes[:, None], ws.thetas)).T for i in range(ws.m)])
+
+
+def _oracle_zcb(ws, n):
+    """The discount moment of order n: the no-switch discount as table
+    and row weight (carried by transfer(n)), V = 1 at s = 0."""
+    table = _lattice_table(ws, lambda i, x, t: ws.model.bond_laplace(i, x, n, t))
+    return _oracle_march(ws, ws.transfer(n), table, 1.0)
+
+
+def _lattice_rate_mean(ws):
+    """The rate mean on the lattice (table the transition mean, start at
+    x, plain law), the oracle of its coefficient march on the core rows."""
+    return _oracle_march(ws, ws.transfer(0), _lattice_table(ws, ws.model.mean), ws.x_nodes)
 
 
 def _oracle_terms(ws, xs, i, k, qd, surv, vals, lag=0, rate=None):
@@ -225,12 +227,11 @@ def test_panel_march_matches_direct_march(data, k_steps, history_blocks):
     blocks = history_blocks or moment_engine._HISTORY_BLOCKS
     with mock.patch.object(moment_engine, "_HISTORY_BLOCKS", blocks):
         try:
-            panel = {f"zcb n={n}": (_march(ws, _zcb_spec(ws, n)), _zcb_spec(ws, n))
-                     for n in (1, 2)}
+            panel = {n: _march(ws, n) for n in (1, 2)}
         except GridCoverageError:
             reject()   # a refused lattice is another property
-    for label, (vals, oracle_spec) in panel.items():
-        _close(vals, _oracle_march(ws, oracle_spec), label)
+    for n, vals in panel.items():
+        _close(vals, _oracle_zcb(ws, n), f"zcb n={n}")
     # the rate moments at the two edge rates and the middle one
     idx = [0, ws.x_nodes.size // 2, ws.x_nodes.size - 1]
     xs = ws.x_nodes[idx]
@@ -257,7 +258,7 @@ def test_rate_mean_matches_the_lattice_march_on_core_rows(kind):
     kernel, model = _two_regime_kernel(), _two_regime_model(kind)
     ws = LatticeWorkspace(kernel, model, _config(3 * _PANEL + 5))
     rate = solve_rate_mean(kernel, model, ws.config, workspace=ws)
-    lattice = _march(ws, _lattice_rate_spec(ws)).transpose(1, 0, 2)
+    lattice = _lattice_rate_mean(ws).transpose(1, 0, 2)
     err = np.abs(rate.values - lattice)[:, :, ws._core].max()
     assert err <= (1e-8 if kind == "cir" else 1e-13 * np.abs(lattice).max()), err
 
@@ -273,8 +274,7 @@ def test_history_rows_are_chunked():
     k_steps = 3 * moment_engine._HISTORY_BLOCKS + _PANEL // 2
     ws = LatticeWorkspace(kernel, model, SolverConfig(step=0.005, horizon=k_steps * 0.005,
                                                       rate_nodes=11, quad_order=8))
-    spec = _zcb_spec(ws, 1)
-    _close(_march(ws, spec), _oracle_march(ws, spec), "zcb n=1")
+    _close(_march(ws, 1), _oracle_zcb(ws, 1), "zcb n=1")
 
 
 # ---------------------------------------------------------------------------
@@ -331,9 +331,8 @@ def test_jensen_floor(data, k_steps):
     except GridCoverageError:
         reject()
     # the discount moment of order 0: every table and row weight is 1
-    mass_spec = dataclasses.replace(_zcb_spec(ws, 1), tilt=0,
-                                    table=lambda i, r, t: np.ones(np.broadcast(r, t).shape))
-    mass = _march(ws, mass_spec)
+    mass = _oracle_march(ws, ws.transfer(0), np.ones((ws.m, ws.thetas.size, ws.x_nodes.size)),
+                         1.0)
     defect = np.abs(mass - 1.0).max()
     gap = v2.values - v1.values ** 2
     assert gap.min() >= -1e-12 - defect * (v1.values ** 2).max(), (gap.min(), defect)

@@ -263,6 +263,23 @@ def test_degenerate_age(solved_testbed):
         evaluate_zcb_moment(surf, kern, vas, 0, 1.0, 0.03, 0.5)
 
 
+@pytest.mark.parametrize("bad", ["u", "r"])
+@pytest.mark.parametrize("evaluator", ["zcb", "rate_mean", "product"])
+def test_evaluators_refuse_a_nan_age_or_rate(solved_testbed, evaluator, bad):
+    # a NaN age passed every check (zcb gave 0.98617, the rate mean
+    # 0.02607), and a NaN rate read the lattice as NaN
+    ws, v1, _, r, xi = solved_testbed
+    u, rate = (np.nan, 0.03) if bad == "u" else (0.3, np.nan)
+    at = (ws.kernel, ws.model, 0, u, rate, 1.0)
+    evaluate = {"zcb": lambda: evaluate_zcb_moment(v1, *at),
+                "rate_mean": lambda: evaluate_rate_mean(r, *at),
+                "product": lambda: evaluate_product_moment(xi, r, *at)}[evaluator]
+    with pytest.raises((ValueError, GridCoverageError)):
+        evaluate()
+    if bad == "u":
+        with pytest.raises(ValueError):
+            BackwardState(0, u)
+
 def test_narrow_grid_raises():
     kern = SemiMarkovKernel([[1.0]], [[SojournDistribution.exponential(1.0)]])
     vas = RegimeRateModel.vasicek([{"a": 1.0, "b": 0.05, "sigma": 0.02}])

@@ -4,8 +4,8 @@ The build asks for the rules of a whole chunk of elapsed times in one
 call and scatters them in one pass.  The oracle builds every (state,
 elapsed time) rule in its own call, scatters it with two np.add.at
 passes, stacks the results as (m, K+1, Nx, Nx) and packs them into the
-march layout, folding the discount moment's no-switch table into the
-rows of a tilted stack.  The chunked build must give the same bits.
+march layout, folding the no-switch discount (``model.bond_laplace``)
+into the rows of a tilted stack.  The chunked build must give the same bits.
 
 The plain (tilt-0) rules fetched as a build does (a chunk of elapsed
 times at every lattice rate) and as the aged pass does (one rate, every
@@ -35,7 +35,6 @@ from smrates.moment_engine import (
     _horner,
     _law_maps,
     _law_nodes_weights,
-    _zcb_spec,
 )
 
 
@@ -80,9 +79,9 @@ def _oracle_stack(ws, tilt=0):
             out[i, l] = mat
     weight = None
     if tilt:
-        # the row weight is the discount moment's own no-switch table
-        table = _zcb_spec(ws, tilt).table
-        weight = np.stack([np.asarray(table(i, ws.x_nodes[:, None], ws.thetas)).T
+        # the row weight is the no-switch discount E[exp(-tilt int_0^theta r)]
+        weight = np.stack([np.asarray(ws.model.bond_laplace(i, ws.x_nodes[:, None], tilt,
+                                                            ws.thetas)).T
                            for i in range(m)])
     return _oracle_pack(out, weight)
 
