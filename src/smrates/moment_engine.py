@@ -93,8 +93,11 @@ class SolverConfig:
     ``grid_pad`` standard deviations) around ``reference_rate``, which
     must be covered because surfaces get evaluated there.
     ``coverage_tol`` bounds the transition-law mass allowed to leak off
-    the lattice from its core nodes; ``mc_step`` is the path step used
-    by Monte Carlo cross-checks driven from the same config.
+    the lattice from its core nodes; ``mc_step`` is the grid step of the
+    Monte Carlo cross-checks driven from the same config, which only CIR
+    batches (for their trapezoid integral) and recorded paths march on:
+    Gaussian batches draw the integral exactly and step only to their
+    snapshot times and jumps.
     """
 
     step: float = 0.01
@@ -778,6 +781,7 @@ def _evaluate(surface: MomentSurface, quantity: str, kernel: SemiMarkovKernel,
         raise ValueError(f"evaluate a solved {quantity} surface with the kernel and model "
                          "objects it was solved with")
     check_lattice_rate(surface.x_nodes, r)
+    kernel.aged_survival(i, u)   # refuses the age at every maturity, s = 0 included
     pairs = _node_pair(surface, s)
     if quantity == ZCB_MOMENT:
         return _aged(ws, surface, i, u, r, pairs)

@@ -1,21 +1,25 @@
 """Path simulation and Monte Carlo estimators for the modulated rate.
 
-The simulator reproduces the model exactly up to the time stepping of
-the running integral.  A path is its regime skeleton plus the rate
-moved between jumps.  The skeleton (``_Skeleton``) draws every regime
-sojourn, the age-conditioned first one included, by one exact
-inverse-cdf draw (``SemiMarkovKernel.sample_sojourns``, no bisection);
-the rate moves between grid nodes by exact transition draws, the grid
-is refined so every regime switch lands on a node (the rate is
-continuous across switches), and the integral of the rate accumulates
-by the trapezoid rule, the only source of discretization bias.
+A path is its regime skeleton plus the rate moved between jumps.  The
+skeleton (``_Skeleton``) draws every regime sojourn, the age-conditioned
+first one included, by one exact inverse-cdf draw
+(``SemiMarkovKernel.sample_sojourns``, no bisection); the rate moves
+between nodes by exact transition draws, the nodes are refined so every
+regime switch lands on one (the rate is continuous across switches).
+For the Gaussian kinds each step draws the integral of the rate jointly
+with the rate from their exact bivariate normal law, so the simulation
+is exact and a batch steps only to its snapshot times and its jumps.
+CIR accumulates the integral by the trapezoid rule on a uniform grid of
+step ``step`` (``SolverConfig.mc_step``), the only source of
+discretization bias; that grid and path recording are all the step is
+used for.
 
 There is one engine: a vectorized batch march that moves every path by
 ``RegimeRateModel.step``, the only exact transition draw, and switches
-it on its skeleton.  The paths still on a grid node share the step to
-the next one, so they move with one call per regime; only the paths a
-jump moved off the node, and the jumping paths' own substeps, step
-path by path.  The estimators read it at snapshot times:
+it on its skeleton.  The paths still on a node share the step to the
+next one, so they move with one call per regime; only the paths a jump
+moved off the node, and the jumping paths' own substeps, step path by
+path.  The estimators read it at snapshot times:
 ``estimate_moments`` reads several targets off one batch, each from a
 prefix of its paths, and the one-target estimators are calls of it.
 ``simulate_path`` is a one-path run of the engine recorded at every
@@ -66,8 +70,9 @@ class PathRecord:
     """One simulated trajectory on its (refined) time grid.
 
     states[k] is the regime in force on [times[k], times[k+1]);
-    integral[k] accumulates the rate by the trapezoid rule up to
-    times[k].  jump_times and jump_states list every jump, self-renewals
+    integral[k] is the integral of the rate up to times[k]: drawn
+    exactly with the rate for the Gaussian kinds, the trapezoid rule for
+    CIR.  jump_times and jump_states list every jump, self-renewals
     included; each jump time is a node, and the rate is continuous
     through it by construction.
     """
@@ -132,8 +137,8 @@ def _report(samples: np.ndarray, rng: RngStream, target: dict) -> EstimatorRepor
 class _DrawPlan:
     """Uniform/normal draws for a batch, one per path or one per path of
     a sorted index array; in antithetic mode the halves form pairs that
-    share their jump uniforms and negate their Gaussian increments, so a
-    pair walks the same regime history."""
+    share their jump uniforms and negate their normals (the rate's and
+    the integral's), so a pair walks the same regime history."""
 
     def __init__(self, gen: np.random.Generator, n_paths: int, antithetic: bool):
         if antithetic and n_paths % 2:
@@ -212,15 +217,17 @@ def _run_batch(kernel: SemiMarkovKernel, model: RegimeRateModel,
     to its jump time by a substep of the jumping paths alone and then
     switches regime on its skeleton, so every switch lands on its
     sampled time with the rate continuous through it.  The node advance
-    then draws one normal per path, in path order, and moves the paths
-    still on the previous node with one ``model.step`` call per regime at
-    their shared step; only the paths a jump moved off that node step by
-    their own dt.  CIR, which draws regime by regime in entry order,
-    moves the whole batch in one call.  After every advance the
-    generator yields (jumped, times, rates, integrals, states):
-    ``jumped`` holds the indices of the paths that just switched, or is
-    None once the whole batch stands on the node.  The yielded arrays
-    are live and updated in place; copy what must persist.
+    then moves the paths still on the previous node with one
+    ``model.step`` call per regime at their shared step; only the paths
+    a jump moved off that node step by their own dt.  A Gaussian advance
+    draws two normals per path, each in path order: the rate's, then the
+    integral's, and adds the integral drawn with the rate.  CIR, which
+    draws regime by regime in entry order, moves the whole batch in one
+    call and adds the trapezoid.  After every advance the generator
+    yields (jumped, times, rates, integrals, states): ``jumped`` holds
+    the indices of the paths that just switched, or is None once the
+    whole batch stands on the node.  The yielded arrays are live and
+    updated in place; copy what must persist.
     """
     n = plan.n
     cur_r = np.full(n, float(r0))
@@ -231,35 +238,43 @@ def _run_batch(kernel: SemiMarkovKernel, model: RegimeRateModel,
     gaussian = model.gaussian_transition
 
     def move(idx, states, dt, z):
-        """Step the paths idx, in regimes ``states``, by dt on normals z."""
+        """Step the paths idx, in regimes ``states``, by dt on the normal
+        pairs z (None for CIR)."""
         r_prev = cur_r[idx]
         # only the Hull-White coefficients read the regime-local clock
         t0 = cur_t[idx] - reg_start[idx] if model.kind == HULL_WHITE else 0.0
-        r_new = model.step(states, r_prev, dt, plan.gen, t0=t0, z=z)
-        cur_i[idx] += 0.5 * (r_prev + r_new) * dt
+        if z is None:
+            r_new = model.step(states, r_prev, dt, plan.gen, t0=t0)
+            cur_i[idx] += 0.5 * (r_prev + r_new) * dt
+        else:
+            r_new, step_i = model.step(states, r_prev, dt, plan.gen, t0=t0, z=z[0],
+                                       z_integral=z[1])
+            cur_i[idx] += step_i
         cur_r[idx] = r_new
+
+    def normals(idx=None):
+        return (plan.normal(idx), plan.normal(idx)) if gaussian else None
 
     every = np.arange(n)
     t_prev = 0.0
     for tb in nodes:
         while (jumping := np.flatnonzero(skel.next_jump <= tb)).size:
             target = skel.next_jump[jumping]
-            move(jumping, skel.state[jumping], target - cur_t[jumping],
-                 plan.normal(jumping) if gaussian else None)
+            move(jumping, skel.state[jumping], target - cur_t[jumping], normals(jumping))
             cur_t[jumping] = target
             skel.jump(jumping)
             reg_start[jumping] = target
             yield jumping, cur_t, cur_r, cur_i, skel.state
         if gaussian:
-            z = plan.normal()
+            z_r, z_i = normals()
             on = cur_t == t_prev
             for k in range(model.n_states):
                 idx = np.flatnonzero(on & (skel.state == k))
                 if idx.size:
-                    move(idx, k, tb - t_prev, z[idx])
+                    move(idx, k, tb - t_prev, (z_r[idx], z_i[idx]))
             off = np.flatnonzero(~on)
             if off.size:
-                move(off, skel.state[off], tb - cur_t[off], z[off])
+                move(off, skel.state[off], tb - cur_t[off], (z_r[off], z_i[off]))
         else:
             move(every, skel.state, tb - cur_t, None)
         cur_t.fill(tb)
@@ -273,8 +288,10 @@ def simulate_batch(kernel: SemiMarkovKernel, model: RegimeRateModel,
     """Run n_paths trajectories at once; returns (rates, integrals) of
     shape (len(snap_times), n_paths) sampled at the requested times.
 
-    The batch marches over the union of the uniform grid and the
-    snapshot times, with every path's jumps as extra substeps.
+    A Gaussian batch marches to the snapshot times only, drawing the
+    integral exactly with the rate; a CIR batch marches over the union
+    of the uniform grid of the given step and the snapshot times, for
+    its trapezoid integral.  Every path's jumps are extra substeps.
     Antithetic mode pairs path i with path i + n/2 and requires a
     Gaussian transition law.
     """
@@ -299,7 +316,8 @@ def simulate_batch(kernel: SemiMarkovKernel, model: RegimeRateModel,
     if snap_idx == snap_times.size:
         return r_out, i_out
 
-    nodes = _grid_nodes(float(snap_times[-1]), step, snap_times[snap_idx:])
+    nodes = snap_times[snap_idx:]
+    nodes = np.unique(nodes) if model.gaussian_transition else _grid_nodes(nodes[-1], step, nodes)
     for jumped, times, rates, integrals, _ in _run_batch(kernel, model, start, r0,
                                                          nodes, plan):
         if jumped is not None:
@@ -376,6 +394,8 @@ def estimate_moments(kernel: SemiMarkovKernel, model: RegimeRateModel,
     it: the estimates are correlated, and each has its own standard
     error.  Antithetic pairs span the whole batch, so antithetic mode
     needs one ``reps`` for every target.  No target draws no batch.
+    ``step`` is the grid of CIR batches' trapezoid integral; Gaussian
+    batches are exact and do not read it.
     """
     targets = list(targets)
     if not targets:
@@ -422,7 +442,9 @@ def estimate_zcb_moment(kernel: SemiMarkovKernel, model: RegimeRateModel,
                         reps: int, seed: int | RngStream, step: float = 0.01,
                         antithetic: bool = False) -> EstimatorReport:
     """Monte Carlo estimate of the n-th discount-factor moment over [0, s]:
-    the mean of exp(-n * integral of the rate) across replications."""
+    the mean of exp(-n * integral of the rate) across replications; the
+    integral is exact for the Gaussian kinds and a trapezoid on the grid
+    of ``step`` for CIR."""
     target = {"quantity": "zcb_moment", "order": n, "s": s, "reps": reps}
     return estimate_moments(kernel, model, start, r0, [target], seed, step=step,
                             antithetic=antithetic)[0]
@@ -432,7 +454,8 @@ def estimate_rate_moments(kernel: SemiMarkovKernel, model: RegimeRateModel,
                           start: BackwardState, r0: float, s: float, h: float,
                           reps: int, seed: int | RngStream, step: float = 0.01):
     """Joint Monte Carlo estimates of E[rate(s)] and E[rate(s) rate(s+h)]
-    sampled on common paths; returns the two reports."""
+    sampled on common paths; returns the two reports.  ``step`` is the
+    grid of CIR batches, as in ``estimate_moments``."""
     mean_rep, prod_rep = estimate_moments(
         kernel, model, start, r0,
         [{"quantity": "rate_mean", "s": s, "reps": reps},

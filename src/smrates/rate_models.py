@@ -10,7 +10,8 @@ piecewise-linear coefficient tables), and the square-root diffusion
     Gauss-Hermite and chi-square rule builders below);
   * the law of the integrated rate: mean/variance (Gaussian kinds) and
     the Laplace transform E[exp(-n * int_0^s r)] used as the no-switch
-    building block of the renewal solvers;
+    building block of the renewal solvers; for the Gaussian kinds one
+    step also draws the integral over it, jointly with the rate;
   * the two-point product moment E[r(s) r(s+h)].
 
 Every operation broadcasts over numpy arrays of start rates so the
@@ -48,6 +49,13 @@ _BESSEL_TERMS = 40
 # Parameter containers
 # ---------------------------------------------------------------------------
 
+def _require_finite(params):
+    """Refuse a NaN or infinite parameter of a (a, b, sigma) container."""
+    for name in ("a", "b", "sigma"):
+        if not np.isfinite(getattr(params, name)):
+            raise ValueError(f"{name} must be finite, got {getattr(params, name)!r}")
+
+
 @dataclass(frozen=True)
 class VasicekParams:
     """dr = a (b - r) dt + sigma dW."""
@@ -57,6 +65,7 @@ class VasicekParams:
     sigma: float
 
     def __post_init__(self):
+        _require_finite(self)
         if self.a <= 0:
             raise ValueError("mean-reversion speed a must be positive")
         if self.sigma < 0:
@@ -72,6 +81,7 @@ class CIRParams:
     sigma: float
 
     def __post_init__(self):
+        _require_finite(self)
         if self.a < 0 or self.sigma < 0:
             raise ValueError("a and sigma must be nonnegative")
         if self.sigma > 0 and self.feller_ratio < 1.0:
@@ -126,6 +136,8 @@ class PiecewiseLinear:
         vs = np.asarray(vs, dtype=float)
         if ts.ndim != 1 or ts.shape != vs.shape or ts.size < 1:
             raise ValueError("knot table needs matching 1-d time/value arrays")
+        if not (np.isfinite(ts).all() and np.isfinite(vs).all()):
+            raise ValueError("knot times and values must be finite")
         if ts.size > 1 and np.any(np.diff(ts) <= 0):
             raise ValueError("knot times must be strictly increasing")
         if ts[0] != 0.0:
@@ -207,6 +219,39 @@ class HullWhiteParams:
     def discount_integral(self, t):
         """int_0^t exp(-k(u)) du."""
         return gl_cumulative(lambda u: np.exp(-self.k(u)), self.knots, t)
+
+    def step_integrals(self, t0, dt):
+        """The integrals over each step [t0, t0 + dt] that the joint law
+        of the rate and its integral reads.  With e = exp(k),
+        D(u) = int_t0^u 1/e and A(u) = int_t0^u e alpha, they are
+        (D(t0 + dt), int A/e, int e^2 sigma^2, int e^2 sigma^2 D and
+        int e^2 sigma^2 D^2), each over the step.
+
+        Every knot panel of a step takes the 24-point Gauss-Legendre
+        rule, and D and A at its nodes come from the integrands at the
+        same nodes through the Legendre integration matrix, so no
+        quadrature is nested.  Each distinct (t0, dt) pair is computed
+        once, and its values depend on that pair alone.
+        """
+        t0, dt = np.broadcast_arrays(np.asarray(t0, dtype=float), np.asarray(dt, dtype=float))
+        pairs, back = np.unique(np.stack([t0.ravel(), dt.ravel()], axis=1), axis=0,
+                                return_inverse=True)
+        lo_t, hi_t = pairs[:, 0], pairs[:, 0] + pairs[:, 1]
+        x, w = gauss_jacobi_rule(24, 0.0)
+        lift = _legendre_lift(24)
+        sums = np.zeros((6, pairs.shape[0]))   # D, A, int A/e, then the three noise integrals
+        edges = np.append(self.knots, np.inf)
+        for start, end in zip(edges[:-1], edges[1:]):
+            lo = np.clip(lo_t, start, end)
+            half = 0.5 * (np.clip(hi_t, start, end) - lo)[:, None]
+            u = lo[:, None] + half * (x + 1.0)
+            e = np.exp(self.k(u))
+            inv_e, drift, noise = 1.0 / e, e * self.alpha(u), (e * self.sigma(u)) ** 2
+            d = sums[0][:, None] + half * _lift_rows(lift, inv_e)
+            a = sums[1][:, None] + half * _lift_rows(lift, drift)
+            for row, f in enumerate((inv_e, drift, a * inv_e, noise, noise * d, noise * d * d)):
+                sums[row] += half[:, 0] * (f * w).sum(axis=1)
+        return tuple(sums[row][back].reshape(t0.shape) for row in (0, 2, 3, 4, 5))
 
 
 # ---------------------------------------------------------------------------
@@ -351,6 +396,31 @@ def gauss_jacobi_rule(order: int, beta: float):
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w
+
+
+@functools.lru_cache(maxsize=None)
+def _legendre_lift(order: int):
+    """The Gauss-Legendre integration matrix: lift[j, m] is the integral
+    over [-1, x_j] of the m-th Lagrange polynomial on the nodes x, so
+    lift @ f integrates the interpolant of the values f from -1 to every
+    node.  Computed once per order; the cached array is read-only."""
+    legendre = np.polynomial.legendre
+    x, w = gauss_jacobi_rule(order, 0.0)
+    # by discrete orthogonality the m-th Lagrange polynomial is
+    # sum_i (i + 1/2) w_m P_i(x_m) P_i
+    coefs = (np.arange(order) + 0.5)[:, None] * legendre.legvander(x, order - 1).T * w
+    lift = legendre.legval(x, legendre.legint(coefs, lbnd=-1.0)).T
+    lift.flags.writeable = False
+    return lift
+
+
+def _lift_rows(lift, f):
+    """f @ lift.T, summed term by term in a fixed order, so that each
+    row's bits do not depend on the other rows."""
+    out = f[:, :1] * lift[:, 0]
+    for m in range(1, lift.shape[1]):
+        out += f[:, m:m + 1] * lift[:, m]
+    return out
 
 
 def gaussian_quadrature_batch(means, stds, order: int):
@@ -533,9 +603,6 @@ class RegimeRateModel:
         for p in self.params:
             if not isinstance(p, expected):
                 raise ValueError(f"{kind} model needs {expected.__name__} entries")
-        if kind == VASICEK:
-            self._vasicek_coefs = tuple(np.array([getattr(p, name) for p in self.params])
-                                        for name in ("a", "b", "sigma"))
 
     @classmethod
     def vasicek(cls, params) -> "RegimeRateModel":
@@ -731,7 +798,7 @@ class RegimeRateModel:
 
     # -- sampling -------------------------------------------------------------
 
-    def step(self, i, r, dt, rng: np.random.Generator, t0=0.0, z=None):
+    def step(self, i, r, dt, rng: np.random.Generator, t0=0.0, z=None, z_integral=None):
         """Exact draw of r(t0+dt) given r(t0) = r; the one transition draw.
 
         The regime i, the step dt and the regime-local start time t0
@@ -743,52 +810,95 @@ class RegimeRateModel:
         regime by regime in index order.  Entries with dt ~ 0 keep their
         rate and take no draw.  Composing steps is bias-free at any step
         size.
+
+        Given the normals z_integral as well (Gaussian kinds only), the
+        step returns (rate, integral of the rate over the step), drawn
+        from their exact joint normal law (Glasserman 2003, sec. 3.3):
+        the integral is m_I + (c / s_r) z + sqrt(v_I - c^2 / s_r^2)
+        z_integral, with m_I, v_I its mean and variance, c its
+        covariance with the rate and s_r the rate's standard deviation,
+        so the rate is the draw it is without z_integral.  A still entry
+        holds its rate over the step.
         """
         r = np.asarray(r, dtype=float)
         dt = np.asarray(dt, dtype=float)
         if np.any(dt < 0):
             raise ValueError("dt must be nonnegative")
-        shape = np.broadcast_shapes(np.shape(i), r.shape, dt.shape, np.shape(t0), np.shape(z))
+        joint = z_integral is not None
+        shape = np.broadcast_shapes(np.shape(i), r.shape, dt.shape, np.shape(t0), np.shape(z),
+                                    np.shape(z_integral))
         moving = np.broadcast_to(dt > _STILL, shape)
         if not moving.all():
             out = np.array(np.broadcast_to(r, shape))
+            integral = out * dt
             if moving.any():
-                i, dt, t0, z = (None if x is None else np.broadcast_to(x, shape)[moving]
-                                for x in (i, dt, t0, z))
-                out[moving] = self.step(i, out[moving], dt, rng, t0=t0, z=z)
-            return out if out.ndim else float(out)
+                i, dt, t0, z, z_integral = (None if x is None else np.broadcast_to(x, shape)[moving]
+                                            for x in (i, dt, t0, z, z_integral))
+                moved = self.step(i, out[moving], dt, rng, t0=t0, z=z, z_integral=z_integral)
+                if joint:
+                    out[moving], integral[moving] = moved
+                else:
+                    out[moving] = moved
+            return (_float(out), _float(integral)) if joint else _float(out)
         if self.kind == CIR:
-            if z is not None:
+            if z is not None or joint:
                 raise ValueError("CIR steps draw from rng; normals are for Gaussian kinds")
-            out = self._per_regime(i, lambda p, r_, dt_: cir_exact_step(p, r_, dt_, rng),
-                                   r, dt)
-        else:
-            if z is None:
-                z = rng.standard_normal(shape or None)
-            if self.kind == VASICEK:
-                a, b, sg = (coef[i] for coef in self._vasicek_coefs)
-                mean = b + (r - b) * np.exp(-a * dt)
-                sd = np.sqrt(sg * sg / (2.0 * a) * -np.expm1(-2.0 * a * dt))
-                out = mean + sd * z
-            else:
-                out = self._per_regime(i, _hull_white_draw, r, dt, t0, z)
-        return out if np.ndim(out) else float(out)
+            return _float(self._per_regime(
+                i, lambda k, r_, dt_: cir_exact_step(self._p(k), r_, dt_, rng), r, dt))
+        if z is None:
+            z = rng.standard_normal(shape or None)
+        law = self._per_regime(i, lambda k, *a: self._gaussian_law(k, *a, joint), r, dt, t0)
+        out = law[0] + law[1] * z
+        if not joint:
+            return _float(out)
+        m_i, cov, var_i = law[2:]
+        beta = cov / np.where(law[1] > 0.0, law[1], 1.0)
+        integral = m_i + beta * z + np.sqrt(np.maximum(var_i - beta * beta, 0.0)) * z_integral
+        return _float(out), _float(integral)
+
+    def _gaussian_law(self, k: int, r, dt, t0, joint: bool):
+        """The law of one Gaussian step in regime k from regime-local time
+        t0: the rate's mean and standard deviation, and with joint also
+        the mean of the integral over the step, its covariance with the
+        rate and its variance."""
+        p = self._p(k)
+        if self.kind == VASICEK:
+            mean = p.b + (r - p.b) * np.exp(-p.a * dt)
+            sd = np.sqrt(p.sigma * p.sigma / (2.0 * p.a) * -np.expm1(-2.0 * p.a * dt))
+            if not joint:
+                return mean, sd
+            return (mean, sd, self.integrated_mean(k, r, dt), self.integrated_rate_cov(k, r, dt),
+                    self.integrated_variance(k, r, dt))
+        t1 = t0 + dt
+        k0, k1 = p.k(t0), p.k(t1)
+        mean = np.exp(-k1) * (np.exp(k0) * r + p.drift_integral(t1) - p.drift_integral(t0))
+        var = np.exp(-2.0 * k1) * (p.variance_integral(t1) - p.variance_integral(t0))
+        sd = np.sqrt(np.maximum(var, 0.0))
+        if not joint:
+            return mean, sd
+        d, m, noise, noise_d, noise_d2 = p.step_integrals(t0, dt)
+        return (mean, sd, np.exp(k0) * r * d + m, np.exp(-k1) * (d * noise - noise_d),
+                d * d * noise - 2.0 * d * noise_d + noise_d2)
 
     def _per_regime(self, i, fn, *arrays):
-        """fn(params, *arrays) evaluated regime by regime, in index order,
-        on the entries of each regime; a scalar i takes the arrays whole."""
+        """fn(k, *arrays) evaluated regime by regime, in index order, on
+        the entries of each regime k; a scalar i takes the arrays whole.
+        fn returns an array or a tuple of arrays, and so does this."""
         if np.ndim(i) == 0:
-            return fn(self._p(int(i)), *arrays)
+            return fn(int(i), *arrays)
         shape = np.broadcast_shapes(np.shape(i), *(np.shape(x) for x in arrays))
         i = np.broadcast_to(i, shape)
         arrays = [np.broadcast_to(x, shape) for x in arrays]
-        out = np.empty(shape)
-        for k, p in enumerate(self.params):
+        out = None
+        for k in range(self.n_states):
             here = i == k
             if here.all():
-                return fn(p, *arrays)
+                return fn(k, *arrays)
             if here.any():
-                out[here] = fn(p, *(x[here] for x in arrays))
+                part = np.asarray(fn(k, *(x[here] for x in arrays)))
+                if out is None:
+                    out = np.empty(part.shape[:-1] + shape)
+                out[..., here] = part
         return out
 
     def long_run_mean(self, i: int) -> float | None:
@@ -808,14 +918,9 @@ class RegimeRateModel:
         return None
 
 
-def _hull_white_draw(p: HullWhiteParams, r, dt, t0, z):
-    """Gaussian Hull-White transition from regime-local time t0 to t0 + dt
-    driven by the standard normals z."""
-    t1 = t0 + dt
-    k0, k1 = p.k(t0), p.k(t1)
-    mean = np.exp(-k1) * (np.exp(k0) * r + p.drift_integral(t1) - p.drift_integral(t0))
-    var = np.exp(-2.0 * k1) * (p.variance_integral(t1) - p.variance_integral(t0))
-    return mean + np.sqrt(np.maximum(var, 0.0)) * z
+def _float(x):
+    """A 0-d result as a Python float, any other array as it is."""
+    return x if np.ndim(x) else float(x)
 
 
 def cir_exact_step(params: CIRParams, r, dt, rng: np.random.Generator):

@@ -38,6 +38,8 @@ class SojournDistribution:
             raise ValueError(f"unknown sojourn family {self.family!r}")
         p = tuple(float(v) for v in self.params)
         object.__setattr__(self, "params", p)
+        if not np.isfinite(p).all():
+            raise ValueError(f"{self.family} sojourn parameters must be finite, got {p}")
         if self.family == "exponential":
             if len(p) != 1 or p[0] <= 0:
                 raise ValueError("exponential sojourn needs a positive rate")

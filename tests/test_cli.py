@@ -223,13 +223,32 @@ def _set(path, value):
     pytest.param("phi", _set(["solver", "grid_pad"], np.inf), "solver", id="inf-solver-grid-pad"),
     pytest.param("phi", lambda data: data["solver"].update(rate_lo=-np.inf, rate_hi=np.inf),
                  "solver", id="inf-solver-rate-bounds"),
+    pytest.param("phi", _set(["kernel", "sojourns", 0, 0, "rate"], np.nan),
+                 "kernel.sojourns[0][0]", id="nan-sojourn-rate"),
+    pytest.param("phi", _set(["kernel", "sojourns", 0, 0],
+                             {"family": "uniform", "lo": 0.5, "hi": np.inf}),
+                 "kernel.sojourns[0][0]", id="inf-sojourn-bound"),
+    pytest.param("moments", _set(["model", "params", 0, "sigma"], np.nan), "model.params",
+                 id="nan-vasicek-sigma"),
+    pytest.param("moments", _set(["model", "params", 0, "a"], np.inf), "model.params",
+                 id="inf-vasicek-a"),
+    pytest.param("moments", _set(["model"], {"kind": "cir", "params": [
+        {"a": 0.04, "b": -np.inf, "sigma": 0.1}]}), "model.params", id="inf-cir-b"),
+    pytest.param("moments", _set(["model"], {"kind": "hull_white", "params": [
+        {"alpha": {"ts": [0.0, 1.0], "vs": [0.05, np.nan]}, "beta": 1.0, "sigma": 0.02}]}),
+                 "model.params[0].alpha", id="nan-hull-white-table"),
+    pytest.param("moments", _set(["model"], {"kind": "hull_white", "params": [
+        {"alpha": 0.05, "beta": 1.0, "sigma": np.inf}]}),
+                 "model.params[0].sigma", id="inf-hull-white-constant"),
 ])
 def test_malformed_field_shapes_exit_2(tmp_path, capsys, command, edit, field):
     # each of these used to end in a traceback (exit 1), or, for a
     # boolean seed, to run as seed 1; an unknown key (the five "unknown-"
     # cases, a misspelt "solvr" among them) used to be ignored; a NaN or
     # infinite number (JSON's NaN and Infinity) used to run, writing NaN
-    # rows or passing every check, or to end in a traceback
+    # rows or passing every check, or to end in a traceback; a non-finite
+    # sojourn or model parameter used to write NaN phi rows (exit 0) or to
+    # fail in the solve (exit 3)
     data = load_config(SINGLE)
     edit(data)
     with pytest.raises(ConfigError, match=re.escape(f"field {field}:")):

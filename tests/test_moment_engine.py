@@ -280,6 +280,35 @@ def test_evaluators_refuse_a_nan_age_or_rate(solved_testbed, evaluator, bad):
         with pytest.raises(ValueError):
             BackwardState(0, u)
 
+@pytest.fixture(scope="module")
+def solved_uniform(vas_testbed):
+    """Every quantity solved on alternating uniform(0, 1) sojourns, where
+    an age of 1 leaves no mass to condition on."""
+    g = SojournDistribution.uniform(0.0, 1.0)
+    kern = alternating_kernel(g, g)
+    cfg = SolverConfig(step=0.01, horizon=1.0, rate_nodes=41, quad_order=24,
+                       reference_rate=0.03)
+    ws = LatticeWorkspace(kern, vas_testbed, cfg)
+    r = solve_rate_mean(kern, vas_testbed, cfg, workspace=ws)
+    return (ws, solve_zcb_moment(1, kern, vas_testbed, cfg, workspace=ws), r,
+            solve_product_moment(0.5, kern, vas_testbed, cfg, rate_mean_surface=r, workspace=ws))
+
+
+@pytest.mark.parametrize("u", [np.nan, -1.0, 1.0], ids=["nan", "negative", "saturating"])
+@pytest.mark.parametrize("evaluator", ["zcb", "rate_mean", "product"])
+def test_evaluators_refuse_a_bad_age_at_maturity_zero(solved_uniform, evaluator, u):
+    # at s = 0 the zcb and rate-mean aged passes read no sojourn law, so
+    # these ages used to return 1.0 or the start rate while every s > 0
+    # refused them; the product, whose s = 0 value reads r(lag), refused
+    ws, v1, r, xi = solved_uniform
+    at = (ws.kernel, ws.model, 0, u, 0.03, 0.0)
+    evaluate = {"zcb": lambda: evaluate_zcb_moment(v1, *at),
+                "rate_mean": lambda: evaluate_rate_mean(r, *at),
+                "product": lambda: evaluate_product_moment(xi, r, *at)}[evaluator]
+    with pytest.raises((ValueError, DegenerateBackwardError)):
+        evaluate()
+
+
 def test_narrow_grid_raises():
     kern = SemiMarkovKernel([[1.0]], [[SojournDistribution.exponential(1.0)]])
     vas = RegimeRateModel.vasicek([{"a": 1.0, "b": 0.05, "sigma": 0.02}])

@@ -74,15 +74,16 @@ def test_path_jump_states_alternate(kern_testbed, vas_testbed):
 
 @pytest.mark.parametrize("model_name", ["vas_testbed", "cir_single"])
 def test_path_is_a_one_path_batch(request, kern_testbed, kern_single, start0, model_name):
-    # one engine: the path dump ends on the very numbers a one-path batch
-    # computes from the same stream
+    # one engine: the path dump is the very numbers a one-path batch
+    # computes from the same stream with a snapshot at every grid node
     model = request.getfixturevalue(model_name)
     kern = kern_testbed if model.n_states == 2 else kern_single
     rec = simulate_path(kern, model, start0, 0.03, 2.0, 0.01, RngStream(31, 2))
-    rates, integ = simulate_batch(kern, model, start0, 0.03, [2.0], 0.01,
-                                  RngStream(31, 2), 1)
-    assert rec.rates[-1] == rates[0, 0]
-    assert rec.integral[-1] == integ[0, 0]
+    grid = _grid_nodes(2.0, 0.01)
+    rates, integ = simulate_batch(kern, model, start0, 0.03, grid, 0.01, RngStream(31, 2), 1)
+    on_grid = np.isin(rec.times, grid)
+    assert np.array_equal(rec.rates[on_grid], rates[:, 0])
+    assert np.array_equal(rec.integral[on_grid], integ[:, 0])
 
 
 def test_path_and_occupancy_walk_share_one_skeleton(kern_testbed):
@@ -134,14 +135,14 @@ def test_noise_free_path_matches_flow(kern_single):
                         RngStream(8))
     flow = det.mean(0, 0.03, rec.times)
     assert np.abs(rec.rates - np.asarray(flow)).max() < 1e-14
-    # trapezoid integral converges at second order to the analytic one
-    exact = det.integrated_mean(0, 0.03, 1.0)
-    assert rec.integral[-1] == pytest.approx(exact, abs=2e-7)
-    # with a flat rate path the trapezoid is exact
+    # the integral is drawn from its exact law, a point mass here, so the
+    # path's integral is the analytic one at every node
+    exact = np.asarray(det.integrated_mean(0, 0.03, rec.times))
+    assert np.abs(rec.integral - exact).max() < 1e-15
     flat = RegimeRateModel.vasicek([{"a": 1.0, "b": 0.03, "sigma": 0.0}])
     rec2 = simulate_path(kern_single, flat, BackwardState(0, 0.0), 0.03, 1.0, 0.01,
                          RngStream(9))
-    assert rec2.integral[-1] == pytest.approx(0.03, abs=1e-10)
+    assert rec2.integral[-1] == pytest.approx(0.03, abs=1e-15)
 
 
 def test_cir_integral_nondecreasing(kern_single, cir_single):
@@ -377,7 +378,9 @@ def _masked_run_batch(kernel, model, start, r0, nodes, plan):
     """The oracle: the batch engine as a masked march.  Every advance
     steps the whole batch, or a boolean mask of it, in one ``model.step``
     call with a dt per path, and a jump switches the masked paths; the
-    draws come in the same order as in ``_run_batch``."""
+    draws come in the same order as in ``_run_batch``: a Gaussian advance
+    draws the rate's normals, then the integral's, and adds the integral
+    drawn with the rate, and CIR adds the trapezoid."""
     n = plan.n
     cur_r = np.full(n, float(r0))
     cur_i = np.zeros(n)
@@ -399,16 +402,23 @@ def _masked_run_batch(kernel, model, start, r0, nodes, plan):
         r_prev = cur_r
         local_t0 = cur_t - reg_start if model.kind == HULL_WHITE else 0.0
         whole = mask.all()
-        z = (plan.normal(None if whole else np.flatnonzero(mask))
-             if model.gaussian_transition else None)
-        if whole:
-            cur_r = model.step(skel.state, cur_r, dt, plan.gen, t0=local_t0, z=z)
+        if not model.gaussian_transition:
+            if whole:
+                cur_r = model.step(skel.state, cur_r, dt, plan.gen, t0=local_t0)
+            else:
+                cur_r = cur_r.copy()
+                cur_r[mask] = model.step(skel.state[mask], r_prev[mask], dt[mask], plan.gen,
+                                         t0=local_t0[mask] if np.ndim(local_t0) else local_t0)
+            cur_i = cur_i + 0.5 * (r_prev + cur_r) * dt
         else:
-            cur_r = cur_r.copy()
-            cur_r[mask] = model.step(skel.state[mask], r_prev[mask], dt[mask], plan.gen,
-                                     t0=local_t0[mask] if np.ndim(local_t0) else local_t0,
-                                     z=z)
-        cur_i = cur_i + 0.5 * (r_prev + cur_r) * dt
+            sel = None if whole else np.flatnonzero(mask)
+            z, z_int = plan.normal(sel), plan.normal(sel)
+            sel = slice(None) if whole else mask
+            cur_r, cur_i = cur_r.copy(), cur_i.copy()
+            cur_r[sel], step_i = model.step(skel.state[sel], r_prev[sel], dt[sel], plan.gen,
+                                            t0=local_t0[sel] if np.ndim(local_t0) else local_t0,
+                                            z=z, z_integral=z_int)
+            cur_i[sel] = cur_i[sel] + step_i
         cur_t = np.where(mask, target, cur_t)
 
     all_mask = np.ones(n, dtype=bool)
@@ -485,6 +495,47 @@ def test_batch_engine_matches_masked_engine(case, kern_single, kern_testbed, vas
         assert np.array_equal(at_node[nodes[close]], at_node[nodes[close + 1]])
 
 
+def test_antithetic_pairs_negate_both_normals(vas_single):
+    # in a regime that never switches, a path's rate and integral are
+    # their means plus a fixed multiple of each normal: a pair sums to
+    # twice the mean only if the rate's and the integral's normals are
+    # both negated
+    kern = SemiMarkovKernel([[0.0]], [[None]])
+    rates, integ = simulate_batch(kern, vas_single, BackwardState(0, 0.0), 0.03, [0.5, 1.0],
+                                  0.01, RngStream(49), 2000, antithetic=True)
+    for row, s in enumerate((0.5, 1.0)):
+        pair_r = rates[row, :1000] + rates[row, 1000:]
+        pair_i = integ[row, :1000] + integ[row, 1000:]
+        assert np.abs(pair_r - 2 * vas_single.mean(0, 0.03, s)).max() < 1e-15
+        assert np.abs(pair_i - 2 * vas_single.integrated_mean(0, 0.03, s)).max() < 1e-15
+
+
+@pytest.mark.parametrize("kind", ["vasicek", "hull-white", "cir"])
+def test_batch_steps_only_to_snapshots_and_jumps(monkeypatch, kern_testbed, vas_testbed,
+                                                 start0, kind):
+    # a Gaussian batch draws the integral with the rate, so it stands on
+    # no node but its snapshot times; CIR keeps the trapezoid's grid
+    model = {"vasicek": vas_testbed, "hull-white": _hull_white_two_regimes(),
+             "cir": RegimeRateModel.cir([CIRParams(0.04, 1.0, 0.1),
+                                         CIRParams(0.02, 0.5, 0.08)])}[kind]
+    node_times, jump_waves = [], []
+
+    def recorded(*args):
+        for jumped, times, *rest in _run_batch(*args):
+            if jumped is None:
+                node_times.append(float(times[0]))
+            else:
+                jump_waves.append(jumped.size)
+            yield (jumped, times, *rest)
+
+    monkeypatch.setattr("smrates.monte_carlo._run_batch", recorded)
+    simulate_batch(kern_testbed, model, start0, 0.03, [1.0, 0.5, 1.5, 1.0], 0.01,
+                   RngStream(48), 300)
+    expected = [0.5, 1.0, 1.5] if model.gaussian_transition else _grid_nodes(1.5, 0.01).tolist()
+    assert node_times == expected
+    assert len(jump_waves) > 0
+
+
 def test_node_advance_steps_each_regime_once(kern_testbed, vas_testbed, monkeypatch):
     # a Vasicek node advance moves the paths still on the previous node
     # with one shared-dt call per regime, plus at most one call for the
@@ -492,9 +543,9 @@ def test_node_advance_steps_each_regime_once(kern_testbed, vas_testbed, monkeypa
     calls = []
     real = vas_testbed.step
 
-    def counted(i, r, dt, rng, t0=0.0, z=None):
+    def counted(i, r, dt, rng, t0=0.0, z=None, z_integral=None):
         calls.append((np.ndim(i), np.ndim(dt), np.size(r)))
-        return real(i, r, dt, rng, t0=t0, z=z)
+        return real(i, r, dt, rng, t0=t0, z=z, z_integral=z_integral)
 
     monkeypatch.setattr(vas_testbed, "step", counted)
     n = 2000

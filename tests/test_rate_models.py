@@ -66,6 +66,14 @@ def test_param_validation():
         VasicekParams(1.0, 0.05, -0.1)
     with pytest.raises(ValueError):
         CIRParams(-0.1, 1.0, 0.1)
+    for bad in (np.nan, np.inf, -np.inf):
+        for params in (VasicekParams, CIRParams):
+            with pytest.raises(ValueError, match="must be finite"):
+                params(1.0, bad, 0.02)
+        with pytest.raises(ValueError, match="must be finite"):
+            PiecewiseLinear([0.0, 1.0], [0.5, bad])
+        with pytest.raises(ValueError, match="must be finite"):
+            PiecewiseLinear([0.0, bad], [0.5, 0.5])
     with pytest.warns(UserWarning):
         CIRParams(0.01, 1.0, 0.5)   # attainable origin
 
@@ -643,6 +651,81 @@ def test_step_composition_ks(vas, cir):
         half = model.step(0, model.step(0, np.full(n, 0.03), dt / 2, rng), dt / 2, rng)
         stat = sp_stats.ks_2samp(full, half)
         assert stat.pvalue > 0.01
+
+
+# ---------------------------------------------------------------------------
+# joint draw of the rate and its integral
+# ---------------------------------------------------------------------------
+
+def _hw_tabled():
+    return RegimeRateModel.hull_white([HullWhiteParams(
+        PiecewiseLinear([0.0, 1.0], [0.03, 0.06]),
+        PiecewiseLinear([0.0, 1.0], [1.5, 0.8]),
+        PiecewiseLinear([0.0, 1.0], [0.01, 0.03]))])
+
+
+def _joint(model, r, dt, seed, t0=0.0):
+    """One joint step of every entry of r on normals of the seed's stream:
+    the rate's, then the integral's."""
+    gen = RngStream(seed).generator()
+    z = gen.standard_normal(np.shape(r))
+    return model.step(0, r, dt, gen, t0=t0, z=z, z_integral=gen.standard_normal(np.shape(r)))
+
+
+@pytest.mark.parametrize("kind", ["vasicek", "hull_white"])
+def test_joint_step_discount_matches_bond_laplace(vas, kind):
+    # one step per maturity from the regime clock's 0: at 10^6 draws the
+    # mean discount exp(-n I) is the closed-form no-switch discount
+    model = vas if kind == "vasicek" else _hw_tabled()
+    n = 1_000_000
+    for s in (0.5, 1.5):
+        _, integral = _joint(model, np.full(n, 0.03), s, seed=int(10 * s))
+        for order in (1, 2):
+            disc = np.exp(-order * integral)
+            se = disc.std(ddof=1) / np.sqrt(n)
+            assert abs(disc.mean() - model.bond_laplace(0, 0.03, order, s)) < 3 * se
+
+
+@pytest.mark.parametrize("kind", ["vasicek", "hull_white"])
+def test_joint_step_composition_ks(vas, kind):
+    # one joint step of dt against two of dt/2 from t0 > 0 (the
+    # Hull-White step crosses its tables' knot at 1): the rate and its
+    # integral keep their law
+    model = vas if kind == "vasicek" else _hw_tabled()
+    n, t0, dt = 100000, 0.3, 0.9
+    r0 = np.full(n, 0.03)
+    r_full, i_full = _joint(model, r0, dt, 31, t0)
+    r_mid, i_first = _joint(model, r0, dt / 2, 32, t0)
+    r_half, i_second = _joint(model, r_mid, dt / 2, 33, t0 + dt / 2)
+    assert sp_stats.ks_2samp(r_full, r_half).pvalue > 0.01
+    assert sp_stats.ks_2samp(i_full, i_first + i_second).pvalue > 0.01
+
+
+def test_joint_step_keeps_the_rate_draw(vas):
+    # the integral's normals change the integral alone
+    rng = RngStream(34).generator()
+    r, dt, z = np.array([0.03, -0.01, 0.07]), np.array([0.2, 0.0, 1.3]), np.array([0.4, 1.1, -2.0])
+    for model in (vas, _hw_tabled()):
+        rate, _ = model.step(0, r, dt, rng, t0=0.6, z=z, z_integral=np.array([1.0, -1.0, 0.5]))
+        assert np.array_equal(rate, model.step(0, r, dt, rng, t0=0.6, z=z))
+    with pytest.raises(ValueError):
+        RegimeRateModel.cir([CIRP]).step(0, 0.03, 0.1, rng, z_integral=0.5)
+
+
+def test_joint_step_of_a_tiny_dt_is_quiet():
+    # pyproject turns RuntimeWarning into an error: at dt = 1e-12 the
+    # integral's residual variance rounds to zero or below, and a
+    # noise-free regime has no rate spread to divide by; the integral is
+    # r dt up to the rounding of the closed-form variance
+    models = [RegimeRateModel.vasicek([VAS]), _hw_tabled(),
+              RegimeRateModel.vasicek([dict(VAS, sigma=0.0)]),
+              RegimeRateModel.hull_white([HullWhiteParams.from_constants(0.05, 1.0, 0.0)])]
+    r = np.array([0.03, -0.01])
+    for model in models:
+        rate, integral = model.step(0, r, 1e-12, None, t0=0.4, z=np.array([0.5, -2.0]),
+                                    z_integral=np.array([1.0, 3.0]))
+        assert np.all(np.isfinite(rate))
+        assert np.abs(integral - r * 1e-12).max() < 1e-15
 
 
 def test_step_broadcasts_regime_step_and_clock():
