@@ -52,6 +52,12 @@ _BLOCK_KEYS = {
 }
 _TOP_KEYS = {"seed", "kernel", "model", "solver", *_BLOCK_KEYS}
 _TARGET_KEYS = {"quantity", "s", "order", "lag", "reps", "antithetic"}
+# the parameters of each rate-model kind, by config key
+_MODEL_KEYS = {VASICEK: ("a", "b", "sigma"), CIR: ("a", "b", "sigma"),
+               HULL_WHITE: ("alpha", "beta", "sigma")}
+# solver fields that SolverConfig checks itself (integers) or that may be null
+_SOLVER_INTEGERS = {"rate_nodes", "quad_order"}
+_SOLVER_OPTIONAL = {"rate_lo", "rate_hi"}
 
 
 def _check_maturities(path: str, values, horizon: float):
@@ -98,6 +104,7 @@ def _check_integer(path: str, value, lo: int, hi: float = np.inf):
 
 def _check_on_grid(path: str, values, grid, horizon: float):
     for value in values:
+        _check_number(path, value)
         try:
             grid.index_of(float(value))
         except (TypeError, ValueError) as exc:
@@ -135,6 +142,9 @@ def parse_kernel(spec: dict, path: str = "kernel") -> SemiMarkovKernel:
         if not (isinstance(rows, list) and len(rows) == m
                 and all(isinstance(row, list) and len(row) == m for row in rows)):
             raise ConfigError(f"field {path}.{key}: must be a {m}x{m} matrix")
+    for i, row in enumerate(p_matrix):
+        for j, value in enumerate(row):
+            _check_shape(f"{path}.P[{i}][{j}]", value, "number")
     sojourns = []
     for i, row in enumerate(sojourns_raw):
         parsed_row = []
@@ -142,10 +152,15 @@ def parse_kernel(spec: dict, path: str = "kernel") -> SemiMarkovKernel:
             if entry is None:
                 parsed_row.append(None)
                 continue
+            where = f"{path}.sojourns[{i}][{j}]"
+            # every key but the family name is a parameter
+            for key, value in _check_shape(where, entry, "object").items():
+                if key != "family":
+                    _check_shape(f"{where}.{key}", value, "number")
             try:
                 parsed_row.append(SojournDistribution.from_dict(entry))
             except (ValueError, KeyError, TypeError) as exc:
-                raise ConfigError(f"field {path}.sojourns[{i}][{j}]: {exc}") from exc
+                raise ConfigError(f"field {where}: {exc}") from exc
         sojourns.append(parsed_row)
     try:
         return SemiMarkovKernel(p_matrix, sojourns, states=states)
@@ -165,6 +180,18 @@ def _parse_table(entry, path: str) -> PiecewiseLinear:
 def parse_model(spec: dict, path: str = "model") -> RegimeRateModel:
     kind = _need(spec, "kind", path)
     params = _need(spec, "params", path)
+    if not isinstance(kind, str) or kind not in _MODEL_KEYS:
+        raise ConfigError(f"field {path}.kind: unknown model kind {kind!r}")
+    for i, p in enumerate(_check_shape(f"{path}.params", params, "list", "object")):
+        for key in _MODEL_KEYS[kind]:
+            where = f"{path}.params[{i}].{key}"
+            value = _need(p, key, f"{path}.params[{i}]")
+            if kind == HULL_WHITE and isinstance(value, dict):
+                # a Hull-White knot table: lists of times and values
+                for part in ("ts", "vs"):
+                    _check_shape(f"{where}.{part}", _need(value, part, where), "list", "number")
+            else:
+                _check_shape(where, value, "number")
     try:
         if kind == VASICEK:
             return RegimeRateModel.vasicek(
@@ -187,11 +214,13 @@ def parse_model(spec: dict, path: str = "model") -> RegimeRateModel:
         raise
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"field {path}.params: {exc}") from exc
-    raise ConfigError(f"field {path}.kind: unknown model kind {kind!r}")
 
 
 def parse_solver(spec: dict, path: str = "solver") -> SolverConfig:
     _check_keys(path, spec, SolverConfig.__dataclass_fields__)
+    for key, value in spec.items():
+        if key not in _SOLVER_INTEGERS and not (value is None and key in _SOLVER_OPTIONAL):
+            _check_shape(f"{path}.{key}", value, "number")
     try:
         return SolverConfig(**spec)
     except (TypeError, ValueError) as exc:
@@ -217,9 +246,9 @@ class ExperimentConfig:
         if not isinstance(data, dict):
             raise ConfigError("top level: config must be a JSON object")
         _check_keys("top level", data, _TOP_KEYS)
-        kernel = parse_kernel(_need(data, "kernel", "top level"))
-        model = parse_model(_need(data, "model", "top level"))
-        solver = parse_solver(data.get("solver", {}))
+        kernel = parse_kernel(_check_shape("kernel", _need(data, "kernel", "top level"), "object"))
+        model = parse_model(_check_shape("model", _need(data, "model", "top level"), "object"))
+        solver = parse_solver(_check_shape("solver", data.get("solver", {}), "object"))
         if kernel.m != model.n_states:
             raise ConfigError(
                 f"field model.params: {model.n_states} states but the kernel has {kernel.m}"

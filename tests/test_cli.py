@@ -240,6 +240,42 @@ def _set(path, value):
     pytest.param("moments", _set(["model"], {"kind": "hull_white", "params": [
         {"alpha": 0.05, "beta": 1.0, "sigma": np.inf}]}),
                  "model.params[0].sigma", id="inf-hull-white-constant"),
+    pytest.param("moments", _set(["moments", "lags"], ["0.5"]), "moments.lags",
+                 id="string-moments-lag"),
+    pytest.param("moments", _set(["moments", "lags"], [True]), "moments.lags",
+                 id="bool-moments-lag"),
+    pytest.param("simulate", _set(["simulate", "targets"], [
+        {"quantity": "rate_moments", "s": 0.5, "lag": True, "reps": 1000}]),
+                 "simulate.targets[].lag", id="bool-target-lag"),
+    pytest.param("validate", _set(["validate", "lags"], [True]), "validate.lags",
+                 id="bool-validate-lag"),
+    pytest.param("validate", _set(["validate", "occupancy_times"], [True]),
+                 "validate.occupancy_times", id="bool-occupancy-time"),
+    pytest.param("phi", _set(["solver", "horizon"], True), "solver.horizon",
+                 id="bool-solver-horizon"),
+    pytest.param("phi", _set(["solver", "step"], "0.05"), "solver.step",
+                 id="string-solver-step"),
+    pytest.param("phi", _set(["solver", "rate_lo"], False), "solver.rate_lo",
+                 id="bool-solver-rate-lo"),
+    pytest.param("moments", _set(["model", "params", 0, "sigma"], True),
+                 "model.params[0].sigma", id="bool-vasicek-sigma"),
+    pytest.param("moments", _set(["model", "params", 0, "sigma"], "0.01"),
+                 "model.params[0].sigma", id="string-vasicek-sigma"),
+    pytest.param("moments", _set(["model"], {"kind": "cir", "params": [
+        {"a": 0.04, "b": True, "sigma": 0.1}]}), "model.params[0].b", id="bool-cir-b"),
+    pytest.param("moments", _set(["model"], {"kind": "hull_white", "params": [
+        {"alpha": True, "beta": 1.0, "sigma": 0.02}]}),
+                 "model.params[0].alpha", id="bool-hull-white-table"),
+    pytest.param("moments", _set(["model"], {"kind": "hull_white", "params": [
+        {"alpha": {"ts": [0.0, 1.0], "vs": [0.05, True]}, "beta": 1.0, "sigma": 0.02}]}),
+                 "model.params[0].alpha.vs[1]", id="bool-hull-white-knot-value"),
+    pytest.param("phi", _set(["kernel", "sojourns", 0, 0],
+                             {"family": "weibull", "shape": True, "scale": 1.0}),
+                 "kernel.sojourns[0][0].shape", id="bool-weibull-shape"),
+    pytest.param("phi", _set(["kernel", "P", 0, 0], True), "kernel.P[0][0]",
+                 id="bool-kernel-p"),
+    pytest.param("phi", _set(["model"], 5), "model", id="model-not-object"),
+    pytest.param("phi", _set(["solver"], [{"step": 0.05}]), "solver", id="solver-not-object"),
 ])
 def test_malformed_field_shapes_exit_2(tmp_path, capsys, command, edit, field):
     # each of these used to end in a traceback (exit 1), or, for a
@@ -248,7 +284,9 @@ def test_malformed_field_shapes_exit_2(tmp_path, capsys, command, edit, field):
     # infinite number (JSON's NaN and Infinity) used to run, writing NaN
     # rows or passing every check, or to end in a traceback; a non-finite
     # sojourn or model parameter used to write NaN phi rows (exit 0) or to
-    # fail in the solve (exit 3)
+    # fail in the solve (exit 3); a boolean or string lag, occupancy time,
+    # solver, model or kernel number used to run as 1.0 or as the number
+    # it spells, or to be refused with numpy's message
     data = load_config(SINGLE)
     edit(data)
     with pytest.raises(ConfigError, match=re.escape(f"field {field}:")):

@@ -249,6 +249,36 @@ def test_panel_march_matches_direct_march(data, k_steps, history_blocks):
     assert abs(aged - direct) <= PANEL_TOL * max(abs(direct), np.abs(oracle).max())
 
 
+def test_coefficient_march_at_the_benchmark_size(kern_testbed, vas_testbed):
+    # the testbed at K = 200 (step 0.0125, horizon 2.5) with lags 0 and 40
+    # steps, as the moments benchmark marches it: every history product
+    # and window sum at full length, against the oracle and the aged pass
+    cfg = SolverConfig(step=0.0125, horizon=2.5, rate_nodes=21, quad_order=12,
+                       reference_rate=0.03)
+    ws = LatticeWorkspace(kern_testbed, vas_testbed, cfg)
+    assert ws.thetas.size == 201
+    idx = [0, ws.x_nodes.size // 2, ws.x_nodes.size - 1]
+    xs = ws.x_nodes[idx]
+    rate = solve_rate_mean(kern_testbed, vas_testbed, cfg, workspace=ws)
+    oracle_rate = _oracle_rate_moment(ws, xs)
+    _close(rate.values[:, :, idx].transpose(1, 0, 2), oracle_rate, "rate mean")
+    surfaces = [rate]
+    for lag in (0, 40):
+        xi = solve_product_moment(lag * cfg.step, kern_testbed, vas_testbed, cfg, rate,
+                                  workspace=ws)
+        _close(xi.values[:, :, idx].transpose(1, 0, 2),
+               _oracle_rate_moment(ws, xs, lag, oracle_rate), f"product lag {lag}")
+        surfaces.append(xi)
+    # the age-0 aged pass reproduces every marched row at every lattice rate
+    for surface in surfaces:
+        for k in range(ws.thetas.size):
+            for i in range(ws.m):
+                aged = moment_engine._horner(
+                    moment_engine._aged_coefs(ws, surface.spec, i, 0.0, k), ws.x_nodes)
+                err = np.abs(aged - surface.values[i, k]).max()
+                assert err <= 1e-12, (surface.quantity, surface.lag, k, i, err)
+
+
 @pytest.mark.parametrize("kind", ["vasicek", "hull_white", "cir"])
 def test_rate_mean_matches_the_lattice_march_on_core_rows(kind):
     # the lattice march of the rate mean interpolates alpha y + beta

@@ -75,7 +75,7 @@ def _oracle_stack(ws, tilt=0):
             nodes, weights = _law_nodes_weights(ws.model, i, ws.x_nodes, float(ws.thetas[l]),
                                                 ws.config.quad_order, tilt=tilt)
             mat, escape = _oracle_rule_matrix(ws.x_nodes, nodes, weights)
-            ws._check_coverage(escape, f"state {i}, elapsed {ws.thetas[l]:.4g}")
+            ws._check_coverage(escape[None], i, ws.thetas[l:l + 1])
             out[i, l] = mat
     weight = None
     if tilt:
