@@ -278,20 +278,24 @@ def cmd_validate(cfg: ExperimentConfig, out: Path) -> int:
             "pass": bool(abs(z) <= z_max),
         })
 
-    grid = TimeGrid(cfg.solver.step, cfg.solver.horizon)
-    phi = transition_probabilities(cfg.kernel, grid)
-    for age in ages:
-        aged = backward_transition_probabilities(cfg.kernel, age, grid, phi)
-        for t in occupancy_times:
-            rng = next(streams)
-            freqs, ses = estimate_state_occupancy(
-                cfg.kernel, BackwardState(start_state, age), t, reps_occupancy, rng)
-            k = grid.index_of(t)
-            for j in range(cfg.kernel.m):
-                add(f"occupancy[age={age},t={t},to={cfg.kernel.states[j]}]",
-                    aged[k, start_state, j],
-                    EstimatorReport(freqs[j], ses[j], reps_occupancy, rng.seed,
-                                    stream=rng.stream))
+    if occupancy_times:
+        # phi is marched to the last occupancy time's node (at least one
+        # step), the last node a check reads; its nodes are a prefix of
+        # the horizon's
+        nodes = [cfg.solver.time_grid().index_of(t) for t in occupancy_times]
+        grid = TimeGrid(cfg.solver.step, max(max(nodes), 1) * cfg.solver.step)
+        phi = transition_probabilities(cfg.kernel, grid)
+        for age in ages:
+            aged = backward_transition_probabilities(cfg.kernel, age, grid, phi)
+            for t, k in zip(occupancy_times, nodes):
+                rng = next(streams)
+                freqs, ses = estimate_state_occupancy(
+                    cfg.kernel, BackwardState(start_state, age), t, reps_occupancy, rng)
+                for j in range(cfg.kernel.m):
+                    add(f"occupancy[age={age},t={t},to={cfg.kernel.states[j]}]",
+                        aged[k, start_state, j],
+                        EstimatorReport(freqs[j], ses[j], reps_occupancy, rng.seed,
+                                        stream=rng.stream))
 
     # one batch of paths per start age, on the streams after the occupancy
     # walks'; each check reads the first reps_zcb or reps_rate paths of its

@@ -302,25 +302,43 @@ def _escaped(x_nodes, nodes, weights) -> np.ndarray:
     return np.where((nodes < lo - slack) | (nodes > hi + slack), weights, 0.0).sum(axis=-1)
 
 
+def _cell(x_nodes, y) -> np.ndarray:
+    """Index of the lattice cell of each rate y:
+    np.searchsorted(x_nodes, y, "right") - 1 clipped to [0, Nx - 2].  The
+    lattice is uniform (``build_rate_grid``), so one multiply finds the
+    cell up to rounding at its ends, and one comparison each way
+    corrects that."""
+    nx = x_nodes.size
+    lo, hi = x_nodes[0], x_nodes[-1]
+    idx = np.clip(np.floor((y - lo) * ((nx - 1) / (hi - lo))), 0, nx - 2).astype(np.intp)
+    idx -= x_nodes[idx] > y
+    idx += x_nodes[idx + 1] <= y
+    return np.clip(idx, 0, nx - 2, out=idx)
+
+
 def _scatter(x_nodes, nodes, weights) -> np.ndarray:
     """Scatter quadrature rules into lattice interpolation weights.
 
     nodes, weights have shape (L, Nx, Q): rule q of row p in block l.
     Returns (L, Nx, Nx) blocks whose row p applied to a vector of lattice
     values v gives sum_q w_q * vhat(y_q), with vhat the piecewise-linear
-    interpolant clamped at the lattice ends.  One bincount over the whole
-    batch; per row it adds every (1 - frac) term and then every frac
-    term, in rule order.
+    interpolant clamped at the lattice ends; ``_cell`` finds each node's
+    cell with no search.  One bincount over the whole batch; per row it
+    adds every (1 - frac) term and then every frac term, in rule order.
     """
-    n_blocks, n_rows, _ = nodes.shape
+    n_blocks, n_rows, q = nodes.shape
     nx = x_nodes.size
     y = np.clip(nodes, x_nodes[0], x_nodes[-1])
-    idx = np.clip(np.searchsorted(x_nodes, y, side="right") - 1, 0, nx - 2)
+    idx = _cell(x_nodes, y)
     gap = x_nodes[idx + 1] - x_nodes[idx]
     frac = np.clip((y - x_nodes[idx]) / gap, 0.0, 1.0)
-    cells = np.concatenate([idx, idx + 1], axis=-1)
-    cells += nx * np.arange(n_blocks * n_rows).reshape(n_blocks, n_rows, 1)
-    terms = np.concatenate([weights * (1.0 - frac), weights * frac], axis=-1)
+    cells = np.empty((n_blocks, n_rows, 2 * q), dtype=np.intp)
+    np.add(idx, nx * np.arange(n_blocks * n_rows).reshape(n_blocks, n_rows, 1),
+           out=cells[..., :q])
+    np.add(cells[..., :q], 1, out=cells[..., q:])
+    terms = np.empty(cells.shape)
+    np.multiply(weights, 1.0 - frac, out=terms[..., :q])
+    np.multiply(weights, frac, out=terms[..., q:])
     out = np.bincount(cells.ravel(), weights=terms.ravel(), minlength=n_blocks * n_rows * nx)
     return out.reshape(n_blocks, n_rows, nx)
 
@@ -386,8 +404,9 @@ class LatticeWorkspace:
     def _check_coverage(self, escape: np.ndarray, i: int, elapsed: np.ndarray):
         """Refuse the first elapsed time whose law, from some core rate,
         escapes more than coverage_tol: escape[l, p] is the mass state i's
-        law at elapsed[l] loses from lattice rate p."""
-        worst = escape[:, self._core].max(axis=1, initial=0.0)
+        law at elapsed[l] loses from the p-th core rate (the rows of
+        ``_core``; no other row is checked)."""
+        worst = escape.max(axis=1, initial=0.0)
         bad = np.flatnonzero(worst > self.config.coverage_tol)
         if bad.size:
             l = bad[0]
@@ -412,21 +431,28 @@ class LatticeWorkspace:
     def _build(self, tilt: int) -> np.ndarray:
         """One packed stack, _SCATTER_CHUNK elapsed times at a time: one
         rule call and one scatter per chunk; a tilted stack's rows are
-        scaled by the discount after the scatter.  Past the march the
-        chunks' rules are built for the coverage check alone."""
+        scaled by the discount after the scatter.  The coverage check
+        reads the core rows alone, so past the march the chunks build
+        the core rates' rules only; each rule depends on its own (rate,
+        elapsed time) alone, so the checked figures are unchanged."""
         m, nx, kp1 = self.m, self.x_nodes.size, self.thetas.size
         order = self.config.quad_order
         every = self.grid.nodes
+        core_rates = self.x_nodes[self._core]
         packed = np.empty((m, nx, kp1 * nx))
         for i in range(m):
             blocks = packed[i].reshape(nx, -1, nx).transpose(1, 0, 2)   # [l]: at theta_l
             blocks[0] = np.eye(nx)
             for l0 in range(1, every.size, _SCATTER_CHUNK):
                 l1 = min(l0 + _SCATTER_CHUNK, every.size)
-                nodes, weights = _law_nodes_weights(self.model, i, self.x_nodes,
+                marched = l0 < kp1
+                nodes, weights = _law_nodes_weights(self.model, i,
+                                                    self.x_nodes if marched else core_rates,
                                                     every[l0:l1, None], order, tilt=tilt)
-                self._check_coverage(_escaped(self.x_nodes, nodes, weights), i, every[l0:l1])
-                if l0 < kp1:
+                core = self._core if marched else slice(None)
+                self._check_coverage(_escaped(self.x_nodes, nodes[:, core], weights[:, core]),
+                                     i, every[l0:l1])
+                if marched:
                     blocks[l0:l1] = _scatter(self.x_nodes, nodes, weights)
             if tilt:
                 discount = self.model.bond_laplace(i, self.x_nodes[:, None], tilt, self.thetas)
@@ -815,10 +841,11 @@ def solve_product_moment(h_lag: float, kernel: SemiMarkovKernel,
     """Lagged product moment E[delta(s) delta(s+h)], backward-zero.
 
     Marched in s for one fixed lag, which must be a node of the solver
-    grid, as three coefficients in the start rate (_terms).  A first
-    switch inside (s, s+h] restarts the rate mean at the arriving rate
-    y, alpha y + beta, read against r(s): the two rates are correlated,
-    and a factorized m(s) * E[R] form would drop that covariance.
+    grid, as three coefficients in the start rate (_solve_poly, with its
+    no-switch and window terms from _known).  A first switch inside
+    (s, s+h] restarts the rate mean at the arriving rate y,
+    alpha y + beta, read against r(s): the two rates are correlated, and
+    a factorized m(s) * E[R] form would drop that covariance.
     """
     # with no workspace given, march on the rate-mean surface's
     ws = _workspace(kernel, model, config,

@@ -508,16 +508,22 @@ def ncx2_pdf(x, df: float, nc):
     nu = 0.5 * df - 1.0
     power, z_power, hankel, z_hankel = _bessel_series(nu)
     x, nc = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(nc, dtype=float))
-    z = np.sqrt(x) * np.sqrt(nc)
+    root_x, root_nc = np.sqrt(x), np.sqrt(nc)
+    z = root_x * root_nc
     dens = np.empty(z.shape)
     low = z <= z_power
+    high = ~low
+    # the log of the Hankel and ive branches' factor
+    # exp(-(sqrt(x) - sqrt(nc))^2 / 2) (x/nc)^(nu/2), from the roots taken
+    # for z, which are dropped before either series runs
+    log_f = (sp_special.xlogy(0.5 * nu, x[high] / nc[high])
+             - 0.5 * (root_x[high] - root_nc[high]) ** 2)
+    del root_x, root_nc
     xl, nl = x[low], nc[low]
     dens[low] = np.exp(sp_special.xlogy(nu, xl) - 0.5 * (xl + nl) - sp_special.gammaln(0.5 * df)
                        - 0.5 * np.log(2.0) * df) * _horner(power, 0.25 * xl * nl)
-    high = ~low
     if high.any():
-        xh, nh, zh = x[high], nc[high], z[high]
-        log_f = sp_special.xlogy(0.5 * nu, xh / nh) - 0.5 * (np.sqrt(xh) - np.sqrt(nh)) ** 2
+        zh = z[high]
         hank = zh >= z_hankel
         bessel = np.empty(zh.shape)
         bessel[hank] = _horner(hankel, 1.0 / zh[hank]) / np.sqrt(2.0 * np.pi * zh[hank])

@@ -16,9 +16,12 @@ from smrates import (
     ExperimentConfig,
     RngStream,
     SolverConfig,
+    TimeGrid,
+    backward_transition_probabilities,
     estimate_rate_moments,
     estimate_zcb_moment,
     evaluate_product_moment,
+    transition_probabilities,
 )
 from smrates.cli import _surfaces, main
 from smrates.moment_engine import _PANEL, LatticeWorkspace, build_rate_grid, covariance_surface
@@ -821,6 +824,57 @@ def test_cmd_validate_solves_only_what_its_checks_read(tmp_path, monkeypatch, ed
     full = tmp_path / "full"
     assert main(["validate", "--config", str(cfg), "--out", str(full)]) == rc
     assert (lean / "validation.json").read_bytes() == (full / "validation.json").read_bytes()
+
+
+def test_cmd_validate_marches_phi_to_its_last_occupancy_time(tmp_path, monkeypatch):
+    # validate marches phi and every age's aged pass to the last
+    # occupancy time alone, and not at all without one; each occupancy
+    # value lies within 1e-15 of the full-horizon table's.  Past the zcb
+    # march the transfer build makes rules for the core rates alone
+    import smrates.cli as cli
+    import smrates.moment_engine as engine
+
+    data = load_config(TESTBED)
+    data["solver"].update(step=0.02, rate_nodes=21)
+    data["validate"].update(occupancy_times=[0.5, 1.0], maturities=[0.25], lags=[],
+                            reps_occupancy=1000, reps_zcb=300)
+    cfg_path = dump(tmp_path, data)
+    marched = []
+    monkeypatch.setattr(cli, "transition_probabilities", lambda kernel, grid, real=(
+        cli.transition_probabilities): marched.append(grid.n_steps) or real(kernel, grid))
+    rules = []
+    monkeypatch.setattr(engine, "_law_nodes_weights", lambda model, i, r0, t, *args, real=(
+        engine._law_nodes_weights), **kw: rules.append((np.array(r0), np.array(t)))
+        or real(model, i, r0, t, *args, **kw))
+    assert main(["validate", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) in (0, 4)
+    assert marched == [round(1.0 / 0.02)]
+
+    cfg = ExperimentConfig.from_dict(data)
+    grid = TimeGrid(0.02, data["solver"]["horizon"])
+    phi = transition_probabilities(cfg.kernel, grid)
+    checks = json.loads((tmp_path / "o" / "validation.json").read_text())["checks"]
+    occupancy = [c for c in checks if c["check"].startswith("occupancy")]
+    assert len(occupancy) == 2 * 2 * 2   # ages x times x states
+    for check in occupancy:
+        age, t, to = re.fullmatch(r"occupancy\[age=(.*),t=(.*),to=(.*)\]", check["check"]).groups()
+        aged = backward_transition_probabilities(cfg.kernel, float(age), grid, phi)
+        full = aged[grid.index_of(float(t)), 0, cfg.kernel.states.index(to)]
+        assert abs(check["analytic"] - full) <= 1e-15, check["check"]
+
+    ws = LatticeWorkspace(cfg.kernel, cfg.model, cfg.solver)
+    assert 0 < ws._core.sum() < ws.x_nodes.size
+    march_end = _PANEL * 0.02   # the panel of the last maturity, 0.25
+    builds = [(r0, t) for r0, t in rules if t.ndim == 2]
+    assert builds and any(t.min() > march_end for _, t in builds)
+    for r0, t in builds:
+        rows = ws.x_nodes[ws._core] if t.min() > march_end else ws.x_nodes
+        assert np.array_equal(r0, rows)
+
+    data["validate"]["occupancy_times"] = []
+    marched.clear()
+    assert main(["validate", "--config", str(dump(tmp_path, data)),
+                 "--out", str(tmp_path / "none")]) in (0, 4)
+    assert marched == []
 
 
 def test_cmd_simulate_marches_only_to_its_last_node(tmp_path, monkeypatch):

@@ -32,9 +32,11 @@ from smrates import (
 )
 from smrates.moment_engine import (
     _SCATTER_CHUNK,
+    _cell,
     _horner,
     _law_maps,
     _law_nodes_weights,
+    build_rate_grid,
 )
 
 
@@ -75,7 +77,7 @@ def _oracle_stack(ws, tilt=0):
             nodes, weights = _law_nodes_weights(ws.model, i, ws.x_nodes, float(ws.thetas[l]),
                                                 ws.config.quad_order, tilt=tilt)
             mat, escape = _oracle_rule_matrix(ws.x_nodes, nodes, weights)
-            ws._check_coverage(escape[None], i, ws.thetas[l:l + 1])
+            ws._check_coverage(escape[None, ws._core], i, ws.thetas[l:l + 1])
             out[i, l] = mat
     weight = None
     if tilt:
@@ -126,6 +128,28 @@ def test_packed_build_matches_oracle(kernel, name):
         built = ws.transfer(tilt)
         assert built.shape == (2, 31, 22 * 31)
         assert np.array_equal(built, _oracle_stack(ws, tilt=tilt)), (name, tilt)
+
+
+@pytest.mark.parametrize("name", ["vasicek", "hull_white", "cir_feller"])
+def test_cell_is_the_searchsorted_cell(name):
+    # the scatter finds a node's cell by arithmetic on the uniform lattice;
+    # at and next to every node, at cell midpoints, at the ends and
+    # outside them it is the cell a search finds
+    model = _models()[name]
+    x = build_rate_grid(model, CFG)
+    nx, lo, hi = x.size, x[0], x[-1]
+    assert np.array_equal(x, np.linspace(lo, hi, CFG.rate_nodes))
+    if model.kind == "cir":
+        assert lo == 0.0   # the auto-sized lattice is clipped at the origin
+    y = np.concatenate([x, np.nextafter(x, np.inf), np.nextafter(x, -np.inf),
+                        0.5 * (x[1:] + x[:-1]), [lo, hi, lo - 1.0, hi + 1.0, 2.0 * lo - hi,
+                                                 2.0 * hi - lo]])
+    searched = np.clip(np.searchsorted(x, y, side="right") - 1, 0, nx - 2)
+    assert np.array_equal(_cell(x, y), searched), name
+    # the scatter reads it on the clipped nodes
+    clipped = np.clip(y, lo, hi)
+    assert np.array_equal(_cell(x, clipped),
+                          np.clip(np.searchsorted(x, clipped, side="right") - 1, 0, nx - 2))
 
 
 @pytest.mark.parametrize("name", sorted(_models()))
