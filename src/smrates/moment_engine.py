@@ -35,13 +35,8 @@ mean affine in the start rate and a variance affine or constant in it,
 so the rate mean is alpha_i(s) x + beta_i(s) and the product moment a
 quadratic in x (the polynomial-process property: Cuchiero,
 Keller-Ressel & Teichmann, Finance Stoch. 16, 2012).  Their coefficients
-are marched with the same trapezoid and implicit step.  The terms that
-read no marched value (no switch, and the product's window) are one
-vectorised pass per state before the march; the history is block
-Toeplitz, block l mapping the coefficients of every state l steps back
-through the densities qdot(theta_l) and the law maps at theta_l, so each
-step is one product of the blocks' prefix with the marched coefficients
-and one m x m solve.
+go through the renewal march that phi also uses (semi_markov's module
+docstring), with _march's trapezoid and implicit step.
 
 Each quantity has two evaluations: the march (_march on the lattice,
 _solve_poly in coefficients) and the aged pass (_aged, _aged_coefs),
@@ -66,7 +61,7 @@ from .rate_models import (
     gaussian_quadrature_batch,
     ncx2_rule_batch,
 )
-from .semi_markov import SemiMarkovKernel, TimeGrid
+from .semi_markov import SemiMarkovKernel, TimeGrid, _history, _renewal_march
 
 # floor on the Gauss-Legendre order for chi-square transition rules; below
 # this the rule cannot resolve the density bump inside its bracket
@@ -80,8 +75,6 @@ _PANEL = 16
 # lags gathered per far-history product; bounds the march's scratch
 # buffer to _PANEL * _HISTORY_BLOCKS lattice vectors
 _HISTORY_BLOCKS = 128
-# lags per partial sum of a coefficient march's history product
-_HISTORY_CHUNK = 32
 
 ZCB_MOMENT = "zcb_moment"
 RATE_MEAN = "rate_mean"
@@ -702,32 +695,14 @@ def _history_blocks(maps: np.ndarray, qd: np.ndarray, d: int) -> np.ndarray:
     return blocks.reshape(-1, n * d)
 
 
-def _history(newest_first: np.ndarray, blocks: np.ndarray, md: int) -> np.ndarray:
-    """newest_first @ blocks[:newest_first.size], with md coefficients per
-    lag: one batched product gives the partial sums of every whole chunk
-    of _HISTORY_CHUNK lags, which are added to the rest's last.  Against
-    one running sum this halves the rounding: the rate mean of
-    single_regime_cir (K = 2000) is 5.4e-16 of its largest value off a
-    long-double march, not 1.1e-15."""
-    n, size = newest_first.size, _HISTORY_CHUNK * md
-    whole = n - n % size
-    out = newest_first[whole:] @ blocks[whole:n]
-    if whole:
-        chunks = newest_first[:whole].reshape(-1, 1, size) @ blocks[:whole].reshape(
-            -1, size, blocks.shape[1])
-        out = out + chunks.sum(axis=0)[0]
-    return out
-
-
 def _solve_poly(ws: LatticeWorkspace, quantity: str, steps: int = 0, rate: _Poly | None = None,
                 **labels) -> MomentSurface:
     """March a rate moment's coefficients with _march's trapezoid and
     implicit step (the map at elapsed time 0 is the identity); the
     surface holds the polynomial at x_nodes.  The known terms of every
     step (_known, and the far end at s = 0 with weight h/2) are computed
-    before the loop; each step's history is then one product of the
-    history blocks' prefix with the marched coefficients, newest first
-    (_history), followed by the m x m implicit solve.
+    first; the steps are the shared _renewal_march over the history
+    blocks (semi_markov's module docstring), with h outside the product.
     No rate moment reads a transfer stack, so the held one is freed first:
     left below this march's small allocations, its memory could not be
     reused by the next build (moments-testbed peak RSS 69 -> 85 MiB)."""
@@ -738,20 +713,13 @@ def _solve_poly(ws: LatticeWorkspace, quantity: str, steps: int = 0, rate: _Poly
     # x, or x R(lag, x) for a product
     initial = (np.tile([0.0, 1.0], (m, 1)) if rate is None
                else np.concatenate([np.zeros((m, 1)), rate.coefs[steps]], axis=1))
-    md = initial.size
     qd, surv = ws.kernel.density_matrix(ts), ws.kernel.survival_matrix(ws.thetas + ts[steps])
     blocks = _history_blocks(poly.maps[:, 1:k_max + 1], qd[1:k_max + 1], initial.shape[1])
-    far = initial.ravel() @ blocks.reshape(k_max, md, md)
+    far = initial.ravel() @ blocks.reshape(k_max, initial.size, initial.size)
     known = (np.stack([_known(ws, poly, i, qd[:, i], surv[:, i], slice(1, k_max + 1))
                        for i in range(m)], axis=1)
              - 0.5 * h * far.reshape((k_max,) + initial.shape))
-    newest_first = np.empty((k_max + 1,) + initial.shape)
-    newest_first[k_max] = initial
-    flat = newest_first.reshape(-1)
-    for k in range(1, k_max + 1):
-        history = _history(flat[(k_max - k + 1) * md:], blocks, md)
-        newest_first[k_max - k] = ws._a_inv @ (known[k - 1] + h * history.reshape(initial.shape))
-    coefs = newest_first[::-1].copy()
+    coefs = _renewal_march(blocks, ws._a_inv, known, initial, h)
     return MomentSurface(quantity, ws.thetas.copy(), ws.x_nodes.copy(),
                          _horner(coefs.transpose(1, 0, 2)[:, :, None, :], ws.x_nodes),
                          workspace=ws, spec=replace(poly, coefs=coefs), **labels)
@@ -761,8 +729,9 @@ def _aged_coefs(ws: LatticeWorkspace, poly: _Poly, i: int, u: float, k: int) -> 
     """Coefficients in r of the moment at s_k for state i entered u years
     ago: the march's known terms and history blocks for state i, built
     from the kernel read at theta + u over 1 - H_i(u), against the marched
-    coefficients, and the known value at s_k at the elapsed-time-0 end.
-    u = 0 gives the marched row."""
+    coefficients (one shared _history product, as in the march), and the
+    known value at s_k at the elapsed-time-0 end.  u = 0 gives the
+    marched row."""
     if k == 0:
         if poly.rate is None:
             return poly.coefs[0, i]
@@ -774,7 +743,7 @@ def _aged_coefs(ws: LatticeWorkspace, poly: _Poly, i: int, u: float, k: int) -> 
     blocks = _history_blocks(poly.maps[i:i + 1, 1:k + 1], qd[1:k + 1, None], coefs.shape[-1])
     known = (_known(ws, poly, i, qd, surv, slice(k, k + 1))[0]
              - 0.5 * h * (coefs[0].ravel() @ blocks[-coefs[0].size:]))
-    history = _history(coefs[k - 1::-1].ravel(), blocks, coefs[0].size)
+    history = _history(coefs[k - 1::-1].reshape(-1, 1), blocks, coefs[0].size)[0]
     return known + h * history + 0.5 * h * qd[0] @ coefs[k]
 
 

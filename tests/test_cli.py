@@ -463,6 +463,23 @@ def test_cmd_phi_age_zero_columns_match(tmp_path):
         assert float(r["phi"]) == pytest.approx(float(r["phi_aged"]), abs=1e-10)
 
 
+def test_cmd_phi_non_finite_table_exit_3(tmp_path, capsys):
+    # Weibull shape 0.001 overflows gamma(1 + 1/k) in the truncated mean, so
+    # every weight is NaN; the row-sum guard must refuse the table, not
+    # write it
+    data = load_config(TESTBED)
+    for row in data["kernel"]["sojourns"]:
+        for law in row:
+            if law is not None:
+                law["shape"] = 0.001
+    data["solver"]["horizon"] = 1.0
+    with np.errstate(invalid="ignore"):
+        rc = main(["phi", "--config", str(dump(tmp_path, data)), "--out", str(tmp_path / "o")])
+    assert rc == 3
+    assert "nan" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "phi.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # moments command
 # ---------------------------------------------------------------------------

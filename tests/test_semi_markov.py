@@ -9,6 +9,7 @@ from scipy.linalg import expm
 from smrates import (
     BackwardState,
     DegenerateBackwardError,
+    NumericsError,
     RngStream,
     SemiMarkovKernel,
     SojournDistribution,
@@ -180,21 +181,131 @@ def test_backward_degenerate_conditioning():
         backward_transition_probabilities(kern, 1.0, grid, phi)
 
 
-@settings(max_examples=20, deadline=None)
-@given(
-    rate_a=st.floats(0.3, 3.0),
-    shape=st.floats(1.0, 3.0),
-    scale=st.floats(0.3, 2.0),
+_RATE_LAWS = st.one_of(
+    st.builds(SojournDistribution.exponential, st.floats(0.3, 3.0)),
+    st.builds(SojournDistribution.weibull, st.floats(1.0, 3.0), st.floats(0.3, 2.0)),
 )
-def test_phi_rows_stochastic_property(rate_a, shape, scale):
-    kern = alternating_kernel(
-        SojournDistribution.exponential(rate_a),
-        SojournDistribution.weibull(shape, scale),
-    )
+
+
+@st.composite
+def _kernels(draw):
+    """Two alternating states, or three states with two successors each
+    and no self-transitions."""
+    if draw(st.booleans()):
+        return alternating_kernel(draw(_RATE_LAWS), draw(_RATE_LAWS))
+    p = [draw(st.floats(0.05, 0.95)) for _ in range(3)]
+    P = [[0.0, p[0], 1.0 - p[0]], [p[1], 0.0, 1.0 - p[1]], [p[2], 1.0 - p[2], 0.0]]
+    laws = [[None if i == j else draw(_RATE_LAWS) for j in range(3)] for i in range(3)]
+    return SemiMarkovKernel(P, laws)
+
+
+@settings(max_examples=20, deadline=None)
+@given(kern=_kernels())
+def test_phi_rows_stochastic_property(kern):
+    # the weights pass constants exactly, so rows sum to 1 up to roundoff
     grid = TimeGrid(0.01, 1.0)
     phi = transition_probabilities(kern, grid)
-    assert np.abs(phi.sum(axis=2) - 1.0).max() < 1e-6
+    assert np.abs(phi.sum(axis=2) - 1.0).max() < 1e-12
     assert phi.min() > -1e-12
+    aged0 = backward_transition_probabilities(kern, 0.0, grid, phi)
+    assert np.abs(aged0 - phi).max() < 1e-13
+
+
+def test_non_finite_phi_is_refused():
+    # Weibull shape 0.001 overflows gamma(1 + 1/k) in the truncated mean:
+    # every weight is NaN, and a NaN row-sum drift must still raise
+    g = SojournDistribution.weibull(0.001, 1.0)
+    kern = alternating_kernel(g, g)
+    grid = TimeGrid(0.005, 1.0)
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(NumericsError, match="nan"):
+            transition_probabilities(kern, grid)
+        with pytest.raises(NumericsError, match="nan"):
+            backward_transition_probabilities(kern, 0.5, grid, np.tile(np.eye(2), (201, 1, 1)))
+
+
+def _trapezoid_weights(kern, grid, offset):
+    """(full, boundary) product-trapezoid weights of the einsum march,
+    built from the kernel's cdf and truncated mean on their own."""
+    nodes, h = grid.nodes + offset, grid.step
+    q_cdf, q_pm = kern.cdf_matrix(nodes), kern.partial_mean_matrix(nodes)
+    m0 = q_cdf[1:] - q_cdf[:-1]
+    m1 = q_pm[1:] - q_pm[:-1] - offset * m0
+    weight_lo = (m0 * grid.nodes[1:, None, None] - m1) / h
+    weight_hi = (m1 - m0 * grid.nodes[:-1, None, None]) / h
+    full = np.zeros((grid.n_steps + 1, kern.m, kern.m))
+    full[:-1] += weight_lo
+    full[1:] += weight_hi
+    boundary = np.zeros_like(full)
+    boundary[:-1] = weight_lo
+    return full, boundary
+
+
+def _einsum_phi(kern, grid):
+    """The per-step march over every lag, one einsum per step."""
+    m, k_max = kern.m, grid.n_steps
+    full, boundary = _trapezoid_weights(kern, grid, 0.0)
+    surv = kern.survival_matrix(grid.nodes)
+    a_inv = np.linalg.inv(np.eye(m) - full[0])
+    phi = np.empty((k_max + 1, m, m))
+    phi[0] = np.eye(m)
+    for n in range(1, k_max + 1):
+        rhs = np.diag(surv[n]).astype(float)
+        rhs += np.einsum("lab,lbj->aj", full[1:n + 1], phi[n - 1::-1])
+        rhs -= boundary[n]
+        phi[n] = a_inv @ rhs
+    return phi
+
+
+def _einsum_aged(kern, age, grid, phi):
+    """The aged pass as one einsum over every lag per step."""
+    m, k_max = kern.m, grid.n_steps
+    denom = np.array([kern.aged_survival(i, age) for i in range(m)])
+    full, boundary = _trapezoid_weights(kern, grid, age)
+    surv_u = kern.survival_matrix(grid.nodes + age)
+    bphi = np.empty_like(phi)
+    bphi[0] = np.eye(m)
+    for n in range(1, k_max + 1):
+        acc = np.diag(surv_u[n]).astype(float)
+        acc += np.einsum("lab,lbj->aj", full[:n + 1], phi[n::-1])
+        acc -= boundary[n]
+        bphi[n] = acc / denom[:, None]
+    return bphi
+
+
+def three_state_with_absorbing():
+    # state 0 has two successors, state 2 absorbs
+    return SemiMarkovKernel(
+        [[0.0, 0.4, 0.6], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+        [[None, SojournDistribution.weibull(0.7, 1.0), SojournDistribution.gamma(2.5, 0.4)],
+         [SojournDistribution.uniform(0.2, 1.4), None, None],
+         [None, None, None]],
+    )
+
+
+@pytest.mark.parametrize("which, step, horizon", [
+    ("testbed", 0.005, 2.5),
+    ("three_state", 0.001, 2.0),
+])
+def test_block_toeplitz_march_matches_einsum_march(kern_testbed, which, step, horizon):
+    kern = kern_testbed if which == "testbed" else three_state_with_absorbing()
+    grid = TimeGrid(step, horizon)
+    phi = transition_probabilities(kern, grid)
+    oracle = _einsum_phi(kern, grid)
+    assert np.abs(phi - oracle).max() <= 1e-14
+    aged = backward_transition_probabilities(kern, 0.3, grid, phi)
+    assert np.abs(aged - _einsum_aged(kern, 0.3, grid, phi)).max() <= 1e-14
+
+
+def test_phi_on_a_shorter_grid_is_a_prefix(kern_testbed):
+    h = 0.0125
+    short = transition_probabilities(kern_testbed, TimeGrid(h, 1.0))
+    long = transition_probabilities(kern_testbed, TimeGrid(h, 2.5))
+    assert np.array_equal(short, long[:short.shape[0]])
+    kern = three_state_with_absorbing()
+    short = transition_probabilities(kern, TimeGrid(0.001, 1.0))
+    long = transition_probabilities(kern, TimeGrid(0.001, 2.0))
+    assert np.array_equal(short, long[:short.shape[0]])
 
 
 # ---------------------------------------------------------------------------
