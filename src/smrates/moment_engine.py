@@ -56,6 +56,7 @@ from .errors import GridCoverageError, NumericsError
 from .rate_models import (
     CIR,
     RegimeRateModel,
+    _horner,
     cir_discounted_transition_constants,
     cir_transition_constants,
     gaussian_quadrature_batch,
@@ -634,14 +635,6 @@ def _law_maps(model: RegimeRateModel, i: int, ts: np.ndarray) -> np.ndarray:
     maps[:, :2, 1] = np.stack([b, a], axis=1)
     maps[:, :, 2] = np.stack([b * b + v, 2.0 * a * b + w, a * a], axis=1)
     return maps
-
-
-def _horner(coefs: np.ndarray, x) -> np.ndarray:
-    """sum_e coefs[..., e] x^e, elementwise."""
-    out = coefs[..., -1]
-    for e in range(coefs.shape[-1] - 2, -1, -1):
-        out = out * x + coefs[..., e]
-    return out
 
 
 def _known(ws: LatticeWorkspace, poly: _Poly, i: int, qd: np.ndarray, surv: np.ndarray,

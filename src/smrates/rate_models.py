@@ -96,37 +96,6 @@ class CIRParams:
         return np.inf if self.sigma == 0 else 2.0 * self.a / self.sigma**2
 
 
-def _gl_panels(fn, lo, width):
-    """24-point Gauss-Legendre integrals of fn over the panels
-    [lo, lo + width]."""
-    x, w = gauss_jacobi_rule(24, 0.0)
-    nodes = lo[:, None] + width[:, None] * (0.5 * (x + 1.0))[None, :]
-    return (fn(nodes) * (0.5 * w)[None, :]).sum(axis=1) * width
-
-
-def gl_cumulative(fn, knots, t):
-    """int_0^t fn(u) du for each t, by panel-wise Gauss-Legendre.
-
-    fn must be vectorized and smooth between consecutive knots.  Each
-    integral is the sum of the whole knot panels below t plus one panel
-    from the last knot below t to t, so table kinks never cross a
-    quadrature panel and each value depends on its own t alone (equal
-    times are integrated once).  Returns floats/arrays shaped like t.
-    """
-    t_arr = np.asarray(t, dtype=float)
-    if t_arr.size == 0:
-        return np.zeros_like(t_arr)
-    flat, back = np.unique(np.ravel(t_arr), return_inverse=True)
-    if flat[0] < 0:
-        raise ValueError("gl_cumulative expects nonnegative times")
-    knots = np.unique(np.asarray(knots, dtype=float))
-    knots = np.concatenate([[0.0], knots[(knots > 0.0) & (knots < flat.max())]])
-    cum = np.concatenate([[0.0], np.cumsum(_gl_panels(fn, knots[:-1], np.diff(knots)))])
-    last = np.maximum(np.searchsorted(knots, flat) - 1, 0)
-    out = (cum[last] + _gl_panels(fn, knots[last], flat - knots[last]))[back]
-    return out.reshape(t_arr.shape) if t_arr.ndim else float(out[0])
-
-
 class PiecewiseLinear:
     """Piecewise-linear function on a knot table, constant beyond the ends,
     with an exact (piecewise quadratic) antiderivative."""
@@ -183,7 +152,10 @@ class HullWhiteParams:
     """dr = (alpha(t) - beta(t) r) dt + sigma(t) dW with tabled coefficients.
 
     Times inside the tables are regime-local: the clock restarts at 0
-    whenever the switching process enters the state.
+    whenever the switching process enters the state.  Every law of the
+    rate and its integral, from time 0 or over one step, is a closed
+    composition of the accumulated reversion k and the six sums of
+    ``step_integrals``; no other quadrature integrates the tables.
     """
 
     alpha: PiecewiseLinear
@@ -206,44 +178,44 @@ class HullWhiteParams:
         """Accumulated reversion int_0^t beta(u) du."""
         return self.beta.antiderivative(t)
 
-    def drift_integral(self, t):
-        """int_0^t exp(k(u)) alpha(u) du."""
-        return gl_cumulative(lambda u: np.exp(self.k(u)) * self.alpha(u), self.knots, t)
-
-    def variance_integral(self, t):
-        """int_0^t exp(2 k(u)) sigma(u)^2 du."""
-        return gl_cumulative(
-            lambda u: np.exp(2.0 * self.k(u)) * self.sigma(u) ** 2, self.knots, t
-        )
-
-    def discount_integral(self, t):
-        """int_0^t exp(-k(u)) du."""
-        return gl_cumulative(lambda u: np.exp(-self.k(u)), self.knots, t)
-
     def step_integrals(self, t0, dt):
-        """The integrals over each step [t0, t0 + dt] that the joint law
+        """The six integrals over each step [t0, t0 + dt] that every law
         of the rate and its integral reads.  With e = exp(k),
         D(u) = int_t0^u 1/e and A(u) = int_t0^u e alpha, they are
-        (D(t0 + dt), int A/e, int e^2 sigma^2, int e^2 sigma^2 D and
-        int e^2 sigma^2 D^2), each over the step.
+        (D, A, int A/e, a0 = int e^2 sigma^2, a1 = int e^2 sigma^2 D,
+        a2 = int e^2 sigma^2 D^2), each over the step and each shaped
+        like t0 and dt broadcast.  From r(t0) = r, with k0 = k(t0) and
+        k1 = k(t0 + dt), the rate has mean e^-k1 (e^k0 r + A) and
+        variance e^-2k1 a0, and its integral over the step has mean
+        e^k0 r D + int A/e, variance D^2 a0 - 2 D a1 + a2 and covariance
+        e^-k1 (D a0 - a1) with the rate; t0 = 0 gives the laws from the
+        regime clock's 0.
 
-        Every knot panel of a step takes the 24-point Gauss-Legendre
+        Every knot panel of a step takes one 24-point Gauss-Legendre
         rule, and D and A at its nodes come from the integrands at the
         same nodes through the Legendre integration matrix, so no
-        quadrature is nested.  Each distinct (t0, dt) pair is computed
-        once, and its values depend on that pair alone.
+        quadrature is nested.  A step inside one panel is integrated
+        over dt as given, so a short step keeps dt's bits where
+        (t0 + dt) - t0 would round them away.  Each distinct (t0, dt)
+        pair is computed once, and its values depend on that pair alone.
         """
         t0, dt = np.broadcast_arrays(np.asarray(t0, dtype=float), np.asarray(dt, dtype=float))
+        if np.any(t0 < 0) or np.any(dt < 0):
+            raise ValueError("step_integrals expects nonnegative times and steps")
         pairs, back = np.unique(np.stack([t0.ravel(), dt.ravel()], axis=1), axis=0,
                                 return_inverse=True)
-        lo_t, hi_t = pairs[:, 0], pairs[:, 0] + pairs[:, 1]
+        lo_t, step = pairs[:, 0], pairs[:, 1]
+        hi_t = lo_t + step
         x, w = gauss_jacobi_rule(24, 0.0)
         lift = _legendre_lift(24)
         sums = np.zeros((6, pairs.shape[0]))   # D, A, int A/e, then the three noise integrals
         edges = np.append(self.knots, np.inf)
         for start, end in zip(edges[:-1], edges[1:]):
             lo = np.clip(lo_t, start, end)
-            half = 0.5 * (np.clip(hi_t, start, end) - lo)[:, None]
+            inside = (lo_t >= start) & (hi_t <= end)
+            half = 0.5 * np.where(inside, step, np.clip(hi_t, start, end) - lo)[:, None]
+            if not half.any():
+                continue   # a panel no step reaches would add exact zeros
             u = lo[:, None] + half * (x + 1.0)
             e = np.exp(self.k(u))
             inv_e, drift, noise = 1.0 / e, e * self.alpha(u), (e * self.sigma(u)) ** 2
@@ -251,7 +223,7 @@ class HullWhiteParams:
             a = sums[1][:, None] + half * _lift_rows(lift, drift)
             for row, f in enumerate((inv_e, drift, a * inv_e, noise, noise * d, noise * d * d)):
                 sums[row] += half[:, 0] * (f * w).sum(axis=1)
-        return tuple(sums[row][back].reshape(t0.shape) for row in (0, 2, 3, 4, 5))
+        return tuple(row[back].reshape(t0.shape) for row in sums)
 
 
 # ---------------------------------------------------------------------------
@@ -477,12 +449,13 @@ def _bessel_series(nu: float):
     return power, float(z_power), hankel, float(z_hankel)
 
 
-def _horner(coefs, t):
-    """sum_k coefs[k] t^k."""
-    out = np.full_like(t, coefs[-1])
-    for c in coefs[-2::-1]:
-        out *= t
-        out += c
+def _horner(coefs, x):
+    """sum_e coefs[..., e] x^e, elementwise, with coefs[..., e] and x
+    broadcast: one multiply, then one add, per coefficient, in place."""
+    out = np.full(np.broadcast_shapes(coefs.shape[:-1], np.shape(x)), coefs[..., -1])
+    for e in range(coefs.shape[-1] - 2, -1, -1):
+        out *= x
+        out += coefs[..., e]
     return out
 
 
@@ -636,7 +609,8 @@ class RegimeRateModel:
     # -- transition law ---------------------------------------------------
 
     def mean(self, i: int, r0, t):
-        """E[r(t) | r(0) = r0] in regime i; broadcasts over r0 and t."""
+        """E[r(t) | r(0) = r0] in regime i; broadcasts over r0 and t.
+        Hull-White: e^-k(t) (r0 + A), from ``step_integrals(0, t)``."""
         p = self._p(i)
         r0 = np.asarray(r0, dtype=float)
         t = np.asarray(t, dtype=float)
@@ -649,12 +623,13 @@ class RegimeRateModel:
             else:
                 out = r0 + p.a * t
         else:
-            k_t = p.k(t)
-            out = np.exp(-k_t) * (r0 + p.drift_integral(t))
+            _, drift, *_ = p.step_integrals(0.0, t)
+            out = np.exp(-p.k(t)) * (r0 + drift)
         return out if np.ndim(out) else float(out)
 
     def variance(self, i: int, r0, t):
-        """Var[r(t) | r(0) = r0]; zero at t = 0."""
+        """Var[r(t) | r(0) = r0]; zero at t = 0.  Hull-White:
+        e^-2k(t) a0, from ``step_integrals(0, t)``."""
         p = self._p(i)
         t = np.asarray(t, dtype=float)
         if self.kind == VASICEK:
@@ -671,7 +646,8 @@ class RegimeRateModel:
             else:
                 out = r0 * p.sigma**2 * t + 0.5 * p.a * p.sigma**2 * t * t
         else:
-            out = np.exp(-2.0 * p.k(t)) * p.variance_integral(t)
+            _, _, _, a0, *_ = p.step_integrals(0.0, t)
+            out = np.exp(-2.0 * p.k(t)) * a0
             out = out * np.ones_like(np.asarray(r0, dtype=float) * np.ones_like(t))
         return out if np.ndim(out) else float(out)
 
@@ -709,7 +685,8 @@ class RegimeRateModel:
     # -- integrated rate ----------------------------------------------------
 
     def integrated_mean(self, i: int, r0, s):
-        """E[int_0^s r(u) du]."""
+        """E[int_0^s r(u) du].  Hull-White: r0 D + int A/e, from
+        ``step_integrals(0, s)``."""
         p = self._p(i)
         s = np.asarray(s, dtype=float)
         r0 = np.asarray(r0, dtype=float)
@@ -721,11 +698,8 @@ class RegimeRateModel:
                 "bond_laplace carries the integrated law"
             )
         else:
-            disc = p.discount_integral(s)
-            drift = gl_cumulative(
-                lambda u: np.exp(-p.k(u)) * p.drift_integral(u), p.knots, s
-            )
-            out = r0 * disc + drift
+            d, _, drift_mean, *_ = p.step_integrals(0.0, s)
+            out = r0 * d + drift_mean
         return out if np.ndim(out) else float(out)
 
     def integrated_rate_cov(self, i: int, r0, t):
@@ -734,7 +708,8 @@ class RegimeRateModel:
         This is the cross term of the joint normal law of the
         integrated and the terminal rate; the discount-tilted
         transition measure used by the moment solver shifts the
-        terminal-rate mean by -n times this quantity.
+        terminal-rate mean by -n times this quantity.  Hull-White:
+        e^-k(t) (D a0 - a1), from ``step_integrals(0, t)``.
         """
         p = self._p(i)
         t = np.asarray(t, dtype=float)
@@ -747,14 +722,13 @@ class RegimeRateModel:
                 "constants, not a Gaussian covariance"
             )
         else:
-            cum = gl_cumulative(
-                lambda u: np.exp(-p.k(u)) * p.variance_integral(u), p.knots, t
-            )
-            out = np.exp(-p.k(t)) * cum
+            d, _, _, a0, a1, _ = p.step_integrals(0.0, t)
+            out = np.exp(-p.k(t)) * (d * a0 - a1)
         return out if np.ndim(out) else float(out)
 
     def integrated_variance(self, i: int, r0, s):
-        """Var[int_0^s r(u) du]; independent of r0 for the Gaussian kinds."""
+        """Var[int_0^s r(u) du]; independent of r0 for the Gaussian kinds.
+        Hull-White: D^2 a0 - 2 D a1 + a2, from ``step_integrals(0, s)``."""
         p = self._p(i)
         s = np.asarray(s, dtype=float)
         if self.kind == VASICEK:
@@ -769,17 +743,9 @@ class RegimeRateModel:
                 "integrated-rate variance is not exposed for the CIR kind"
             )
         else:
-            # int_0^s e^{2k} sigma^2 (D(s) - D(u))^2 du expanded so every
-            # piece is one cumulative integral queried at all maturities
-            def base(u, power):
-                return np.exp(2.0 * p.k(u)) * p.sigma(u) ** 2 \
-                    * p.discount_integral(u) ** power
-
-            d_s = p.discount_integral(s)
-            a0 = gl_cumulative(lambda u: base(u, 0), p.knots, s)
-            a1 = gl_cumulative(lambda u: base(u, 1), p.knots, s)
-            a2 = gl_cumulative(lambda u: base(u, 2), p.knots, s)
-            out = d_s * d_s * a0 - 2.0 * d_s * a1 + a2
+            # int_0^s e^{2k} sigma^2 (D(s) - D(u))^2 du, expanded in powers of D(u)
+            d, _, _, a0, a1, a2 = p.step_integrals(0.0, s)
+            out = d * d * a0 - 2.0 * d * a1 + a2
         return out if np.ndim(out) else float(out)
 
     def bond_laplace(self, i: int, r0, n: int, s):
@@ -875,16 +841,14 @@ class RegimeRateModel:
                 return mean, sd
             return (mean, sd, self.integrated_mean(k, r, dt), self.integrated_rate_cov(k, r, dt),
                     self.integrated_variance(k, r, dt))
-        t1 = t0 + dt
-        k0, k1 = p.k(t0), p.k(t1)
-        mean = np.exp(-k1) * (np.exp(k0) * r + p.drift_integral(t1) - p.drift_integral(t0))
-        var = np.exp(-2.0 * k1) * (p.variance_integral(t1) - p.variance_integral(t0))
-        sd = np.sqrt(np.maximum(var, 0.0))
+        k0, k1 = p.k(t0), p.k(t0 + dt)
+        d, drift, drift_mean, a0, a1, a2 = p.step_integrals(t0, dt)
+        mean = np.exp(-k1) * (np.exp(k0) * r + drift)
+        sd = np.sqrt(np.exp(-2.0 * k1) * a0)
         if not joint:
             return mean, sd
-        d, m, noise, noise_d, noise_d2 = p.step_integrals(t0, dt)
-        return (mean, sd, np.exp(k0) * r * d + m, np.exp(-k1) * (d * noise - noise_d),
-                d * d * noise - 2.0 * d * noise_d + noise_d2)
+        return (mean, sd, np.exp(k0) * r * d + drift_mean, np.exp(-k1) * (d * a0 - a1),
+                d * d * a0 - 2.0 * d * a1 + a2)
 
     def _per_regime(self, i, fn, *arrays):
         """fn(k, *arrays) evaluated regime by regime, in index order, on

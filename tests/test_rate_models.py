@@ -28,7 +28,6 @@ from smrates.rate_models import (
     gauss_hermite_rule,
     gauss_jacobi_rule,
     gaussian_quadrature_batch,
-    gl_cumulative,
     ncx2_pdf,
     ncx2_rule_batch,
 )
@@ -130,25 +129,109 @@ def test_hull_white_constant_reduces_to_vasicek(vas, hw_const):
             hw_const.mean_decay(0, s, 0.4), abs=1e-10)
 
 
-def test_gl_cumulative_integrates_each_distinct_time_once():
-    # a Monte Carlo step asks for the same regime-local time on every path
-    # that has not jumped; those queries cost one integral, not one each
+class _CountingTable(PiecewiseLinear):
+    """A coefficient table that counts the points it is evaluated at."""
+
+    points = 0
+
+    def __call__(self, t):
+        self.points += np.size(t)
+        return super().__call__(t)
+
+
+def test_step_integrals_integrate_each_distinct_pair_once():
+    # a Monte Carlo step asks for the same (regime-local time, step) pair
+    # on every path that has not jumped; those queries cost one pair's
+    # integrals, not one each
     knots = [0.3, 0.7, 1.1]
-    points = []
+    alpha = _CountingTable([0.0] + knots, [0.02, 0.05, 0.03, 0.04])
+    p = HullWhiteParams(alpha, PiecewiseLinear([0.0, 0.7], [1.2, 0.6]),
+                        PiecewiseLinear([0.0, 1.1], [0.015, 0.025]))
+    out = p.step_integrals(np.full(10**5, 0.2), 1.3)
+    assert alpha.points <= (len(knots) + 1) * 24   # 24-point Gauss-Legendre panels
+    for sums, one in zip(out, p.step_integrals(0.2, 1.3), strict=True):
+        assert sums.shape == (10**5,)
+        assert np.all(sums == one)
+    # mixed and repeated pairs give each pair's own bits
+    t0 = np.array([[1.5, 0.2], [0.9, 1.5], [0.0, 0.2]])
+    dt = np.array([[0.4, 1.3], [0.05, 0.4], [2.0, 1.3]])
+    for row, sums in enumerate(p.step_integrals(t0, dt)):
+        assert np.array_equal(sums, [[p.step_integrals(a, b)[row] for a, b in zip(ta, da)]
+                                     for ta, da in zip(t0, dt)])
 
-    def fn(u):
-        points.append(u.size)
-        return np.exp(u) * np.sin(3.0 * u)
 
-    t = np.full(10**5, 1.5)
-    out = gl_cumulative(fn, knots, t)
-    assert sum(points) <= (len(knots) + 1) * 24   # 24-point Gauss-Legendre panels
-    assert out.shape == t.shape
-    assert np.all(out == gl_cumulative(fn, knots, 1.5))
-    # mixed and repeated times give each time's own value, bit for bit
-    mixed = np.array([[1.5, 0.2], [0.9, 1.5], [0.0, 0.2]])
-    assert np.array_equal(gl_cumulative(fn, knots, mixed),
-                          [[gl_cumulative(fn, knots, v) for v in row] for row in mixed])
+@pytest.mark.parametrize("dt", [1e-12, 1e-9, 1e-6])
+def test_hull_white_short_step_sd_is_exact_to_rounding(dt):
+    # a step inside one knot panel integrates over dt itself, not over
+    # (t0 + dt) - t0, which rounds dt's low bits away
+    hw = RegimeRateModel.hull_white([HullWhiteParams.from_constants(0.02, 1.0, 0.015)])
+    vas = RegimeRateModel.vasicek([dict(a=1.0, b=0.02, sigma=0.015)])
+    sd = hw._gaussian_law(0, 0.03, dt, 2.0, False)[1]
+    exact = vas._gaussian_law(0, 0.03, dt, 2.0, False)[1]
+    assert abs(sd / exact - 1.0) <= 1e-14
+
+
+def _oracle_gl_cumulative(fn, knots, t):
+    """int_0^t fn(u) du for each t: the nested panel-wise Gauss-Legendre
+    that integrated the Hull-White laws from 0 before ``step_integrals``
+    did, kept as the reference."""
+    def panels(lo, width):
+        x, w = gauss_jacobi_rule(24, 0.0)
+        nodes = lo[:, None] + width[:, None] * (0.5 * (x + 1.0))[None, :]
+        return (fn(nodes) * (0.5 * w)[None, :]).sum(axis=1) * width
+
+    t_arr = np.asarray(t, dtype=float)
+    flat, back = np.unique(np.ravel(t_arr), return_inverse=True)
+    knots = np.unique(np.asarray(knots, dtype=float))
+    knots = np.concatenate([[0.0], knots[(knots > 0.0) & (knots < flat.max())]])
+    cum = np.concatenate([[0.0], np.cumsum(panels(knots[:-1], np.diff(knots)))])
+    last = np.maximum(np.searchsorted(knots, flat) - 1, 0)
+    return (cum[last] + panels(knots[last], flat - knots[last]))[back].reshape(t_arr.shape)
+
+
+def _oracle_hull_white_laws(p, r0, t):
+    """(mean, variance, integrated mean, integrated rate covariance,
+    integrated variance) from 0, each a nested ``_oracle_gl_cumulative``."""
+    def cum(fn):
+        return _oracle_gl_cumulative(fn, p.knots, t)
+
+    def drift(u):
+        return _oracle_gl_cumulative(lambda v: np.exp(p.k(v)) * p.alpha(v), p.knots, u)
+
+    def noise(u):
+        return _oracle_gl_cumulative(lambda v: np.exp(2.0 * p.k(v)) * p.sigma(v) ** 2,
+                                     p.knots, u)
+
+    def disc(u):
+        return _oracle_gl_cumulative(lambda v: np.exp(-p.k(v)), p.knots, u)
+
+    d = disc(t)
+    a0, a1, a2 = (cum(lambda u, n=n: np.exp(2.0 * p.k(u)) * p.sigma(u) ** 2 * disc(u) ** n)
+                  for n in range(3))
+    return (np.exp(-p.k(t)) * (r0 + drift(t)), np.exp(-2.0 * p.k(t)) * noise(t),
+            r0 * d + cum(lambda u: np.exp(-p.k(u)) * drift(u)),
+            np.exp(-p.k(t)) * cum(lambda u: np.exp(-p.k(u)) * noise(u)),
+            d * d * a0 - 2.0 * d * a1 + a2)
+
+
+def test_hull_white_laws_match_the_nested_quadrature():
+    # every from-0 law is a composition of one step_integrals(0, s) call;
+    # the nested cumulative quadrature it replaced is the oracle
+    p = HullWhiteParams(PiecewiseLinear([0.0, 0.7, 1.5], [0.02, 0.05, 0.03]),
+                        PiecewiseLinear([0.0, 1.5, 2.2], [1.2, 0.6, 0.9]),
+                        PiecewiseLinear([0.0, 0.7, 2.2], [0.015, 0.025, 0.02]))
+    hw = RegimeRateModel.hull_white([p])
+    t = np.union1d(np.linspace(0.0, 3.0, 501), p.knots)
+    r0 = 0.03
+    oracle = _oracle_hull_white_laws(p, r0, t)
+    ops = ("mean", "variance", "integrated_mean", "integrated_rate_cov", "integrated_variance")
+    for op, ref in zip(ops, oracle, strict=True):
+        got = getattr(hw, op)(0, r0, t)
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max(), op
+    for n in (1, 2):
+        ref = np.exp(-n * oracle[2] + 0.5 * n * n * oracle[4])
+        got = hw.bond_laplace(0, r0, n, t)
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max(), n
 
 
 def test_hull_white_tabled_against_quadrature():
