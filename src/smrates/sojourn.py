@@ -8,14 +8,87 @@ Times are in years.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-# scipy.special is imported inside the gamma and Weibull branches that use
-# it: it costs more at start-up than numpy, and the other laws never call it
+# scipy.special is imported inside the gamma branches, the only ones that
+# use it: it costs more at start-up than numpy, and the other laws never
+# call it
 
 _FAMILIES = ("exponential", "weibull", "gamma", "uniform")
+
+_EPS = 2.0**-53
+# a cap no finite value reaches: near z = a the series needs about
+# sqrt(73 a) terms, and z^a e^-z overflows there once a exceeds 172
+_MAX_TERMS = 1000
+
+
+def lower_gamma(a: float, z) -> np.ndarray:
+    """Unnormalised lower incomplete gamma function
+    gamma(a, z) = int_0^z u^(a-1) e^-u du, for a > 1 and z >= 0,
+    vectorized over z; inf where the value overflows.
+
+    Below z = a + 1 it sums the power series
+    e^-z z^a sum_n z^n / (a (a+1) ... (a+n)); above, it takes Gamma(a, z)
+    from its continued fraction (modified Lentz) off Gamma(a) (DiDonato &
+    Morris, ACM TOMS 12, 1986).  The series stops once its term is below
+    2^-53 of the sum, the fraction once its factor is within 2^-52 of 1:
+    the factor is a rounded number, and one ulp above 1 is 2^-52.
+    """
+    z = np.asarray(z, dtype=float)
+    out = np.empty_like(z)
+    series = z < a + 1.0
+    # beyond z = 2^11, Gamma(a, z) < 2^-53 Gamma(a) for every a whose
+    # Gamma(a) is finite, so larger z (inf too) read as 2^11
+    zs, zc = z[series], np.minimum(z[~series], 2.0**11)
+    term = np.full_like(zs, 1.0 / a)
+    total = term.copy()
+    for n in range(1, _MAX_TERMS + 1):
+        if not (term > _EPS * total).any():
+            break
+        term *= zs / (a + n)
+        total += term
+    out[series] = _power_decay(a, zs) * total
+    try:
+        gamma_a = math.gamma(a)
+    except OverflowError:
+        gamma_a = math.inf
+    if math.isinf(gamma_a):
+        # z >= a + 1 lies above the median, so gamma(a, z) > Gamma(a) / 2,
+        # which overflows but for a in (171.62, 171.76); NaN stays NaN
+        out[~series] = np.where(np.isnan(zc), zc, math.inf)
+        return out
+    b = zc + (1.0 - a)
+    c = np.full_like(zc, 1.0 / np.finfo(float).tiny)
+    d = 1.0 / b
+    frac = d.copy()
+    for i in range(1, _MAX_TERMS + 1):
+        an = -i * (i - a)
+        b += 2.0
+        d = 1.0 / (an * d + b)
+        c = b + an / c
+        delta = d * c
+        frac *= delta
+        if not (abs(delta - 1.0) > 2.0 * _EPS).any():
+            break
+    out[~series] = gamma_a - _power_decay(a, zc) * frac
+    return out
+
+
+def _power_decay(a: float, z: np.ndarray) -> np.ndarray:
+    """z^a e^-z for 1-d z >= 0, as the square of z^(a/2) e^(-z/2) from pow
+    and exp (a few ulps); where a half factor leaves the float range, one
+    exp of a log z - z takes its place, and the value either overflows or
+    is below 2^-53 of the Gamma(a) it is taken from."""
+    with np.errstate(over="ignore"):
+        power, decay = z ** (a / 2), np.exp(-z / 2)
+        far = np.isinf(power) | (decay == 0.0)
+        power[far] = np.exp(0.5 * (a * np.log(z[far]) - z[far]))
+        decay[far] = 1.0
+        half = power * decay
+        return half * half
 
 
 @dataclass(frozen=True)
@@ -139,7 +212,10 @@ class SojournDistribution:
             out = -np.log1p(-q) / rate
         elif self.family == "weibull":
             k, lam = self.params
-            out = lam * (-np.log1p(-q)) ** (1.0 / k)
+            # a small shape puts quantiles beyond the float range: an
+            # infinite wait, as for an absorbing state
+            with np.errstate(over="ignore"):
+                out = lam * (-np.log1p(-q)) ** (1.0 / k)
         elif self.family == "gamma":
             from scipy import special as sp_special
 
@@ -152,18 +228,17 @@ class SojournDistribution:
 
     def partial_mean(self, t):
         """E[W 1(W <= t)], the truncated first moment; closed form per
-        family so kernel integrals against linear interpolants are exact."""
+        family so kernel integrals against linear interpolants are exact.
+        Weibull: lam gamma(1 + 1/k, (t/lam)^k) by `lower_gamma`, finite for
+        every shape, with no Gamma(1 + 1/k) factor to overflow."""
         t = np.asarray(t, dtype=float)
         tm = np.maximum(t, 0.0)
         if self.family == "exponential":
             (rate,) = self.params
             out = (1.0 - np.exp(-rate * tm) * (1.0 + rate * tm)) / rate
         elif self.family == "weibull":
-            from scipy import special as sp_special
-
             k, lam = self.params
-            z = (tm / lam) ** k
-            out = lam * sp_special.gamma(1.0 + 1.0 / k) * sp_special.gammainc(1.0 + 1.0 / k, z)
+            out = lam * lower_gamma(1.0 + 1.0 / k, (tm / lam) ** k)
         elif self.family == "gamma":
             from scipy import special as sp_special
 
@@ -176,13 +251,16 @@ class SojournDistribution:
         return out if out.ndim else float(out)
 
     def mean(self) -> float:
+        """E[W]; Weibull lam Gamma(1 + 1/k), inf where that overflows
+        (shapes below about 0.0059)."""
         if self.family == "exponential":
             return 1.0 / self.params[0]
         if self.family == "weibull":
-            from scipy import special as sp_special
-
             k, lam = self.params
-            return lam * float(sp_special.gamma(1.0 + 1.0 / k))
+            try:
+                return lam * math.gamma(1.0 + 1.0 / k)
+            except OverflowError:
+                return math.inf
         if self.family == "gamma":
             k, lam = self.params
             return k * lam

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from smrates import (
@@ -9,6 +10,19 @@ from smrates import (
     SolverConfig,
     alternating_kernel,
 )
+
+
+@pytest.fixture
+def nan_partial_mean(monkeypatch):
+    """Every sojourn law's truncated mean, NaN at its middle node."""
+    exact = SojournDistribution.partial_mean
+
+    def partial_mean(law, t):
+        out = np.array(exact(law, t), dtype=float)
+        out.flat[out.size // 2] = np.nan
+        return out
+
+    monkeypatch.setattr(SojournDistribution, "partial_mean", partial_mean)
 
 
 @pytest.fixture(scope="session")

@@ -463,21 +463,28 @@ def test_cmd_phi_age_zero_columns_match(tmp_path):
         assert float(r["phi"]) == pytest.approx(float(r["phi_aged"]), abs=1e-10)
 
 
-def test_cmd_phi_non_finite_table_exit_3(tmp_path, capsys):
-    # Weibull shape 0.001 overflows gamma(1 + 1/k) in the truncated mean, so
-    # every weight is NaN; the row-sum guard must refuse the table, not
-    # write it
+def test_cmd_phi_non_finite_table_exit_3(tmp_path, capsys, nan_partial_mean):
+    # a truncated mean that is NaN at one node makes every weight from it
+    # on NaN; the row-sum guard must refuse the table, not write it
+    data = load_config(TESTBED)
+    data["solver"]["horizon"] = 1.0
+    rc = main(["phi", "--config", str(dump(tmp_path, data)), "--out", str(tmp_path / "o")])
+    assert rc == 3
+    assert "nan" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "phi.csv").exists()
+
+
+def test_cmd_phi_tiny_weibull_shape(tmp_path):
+    # Gamma(1 + 1/k) overflows at shape 0.001, the truncated mean does not
     data = load_config(TESTBED)
     for row in data["kernel"]["sojourns"]:
         for law in row:
             if law is not None:
                 law["shape"] = 0.001
     data["solver"]["horizon"] = 1.0
-    with np.errstate(invalid="ignore"):
-        rc = main(["phi", "--config", str(dump(tmp_path, data)), "--out", str(tmp_path / "o")])
-    assert rc == 3
-    assert "nan" in capsys.readouterr().err
-    assert not (tmp_path / "o" / "phi.csv").exists()
+    assert main(["phi", "--config", str(dump(tmp_path, data)), "--out", str(tmp_path)]) == 0
+    rows = read_csv(tmp_path / "phi.csv")
+    assert all(np.isfinite(float(r[key])) for r in rows for key in ("phi", "phi_aged"))
 
 
 # ---------------------------------------------------------------------------
@@ -1172,27 +1179,30 @@ def scipy_modules():
 
 
 testbed, single, out = sys.argv[1:]
-runs = (("moments", testbed), ("simulate", testbed), ("moments", single))
+runs = (("moments", testbed), ("simulate", testbed), ("moments", single), ("phi", testbed),
+        ("validate", testbed))
 for k, (command, config) in enumerate(runs):
     assert smrates.cli.main([command, "--config", config, "--out", f"{out}/{k}"]) == 0
 gaussian = scipy_modules()
 kern = SemiMarkovKernel([[1.0]], [[SojournDistribution.exponential(1.0)]])
 cir = RegimeRateModel.cir([CIRParams(0.04, 1.0, 0.1)])
 solve_zcb_moment(1, kern, cir, SolverConfig(step=0.05, horizon=1.0, rate_nodes=31))
-assert smrates.cli.main(["phi", "--config", testbed, "--out", f"{out}/phi"]) == 0
 print(json.dumps([gaussian, scipy_modules()]))
 """
 
 
 def test_scipy_loads_only_where_a_law_needs_it(tmp_path):
-    # scipy.special costs about 0.3 s and 20 MiB at start-up (scipy.stats
-    # more): Gaussian moments and simulate runs, whose sojourn laws are
-    # closed forms, never load scipy; CIR rules and the Weibull partial
-    # means of phi load scipy.special alone
+    # scipy.special costs about 0.2 s and 25 MiB at start-up (scipy.stats
+    # more): every command on the Gaussian testbed, whose Weibull sojourns
+    # need only numpy (phi and validate included), leaves scipy unloaded;
+    # CIR rules load scipy.special alone
     testbed = load_config(TESTBED)
     testbed["solver"].update(step=0.05, rate_nodes=31)
     for target in testbed["simulate"]["targets"]:
         target["reps"] = 1000
+    # the coarse lattice may miss a check at z = 3; this test reads imports
+    testbed["validate"].update(reps_occupancy=2000, reps_zcb=1000, reps_rate=1000,
+                               z_threshold=100.0)
     single = load_config(SINGLE)
     single["solver"].update(step=0.05, horizon=1.0, rate_nodes=31)
     src = str(Path(__file__).resolve().parent.parent / "src")
@@ -1201,7 +1211,7 @@ def test_scipy_loads_only_where_a_law_needs_it(tmp_path):
                            str(dump(tmp_path, single, "single.json")), str(tmp_path)],
                           env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    gaussian, after_cir = json.loads(proc.stdout)
+    gaussian, after_cir = json.loads(proc.stdout.splitlines()[-1])
     assert gaussian == []
     assert "scipy.special" in after_cir
     assert not [name for name in after_cir if name.startswith("scipy.stats")]

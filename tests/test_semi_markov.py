@@ -211,17 +211,35 @@ def test_phi_rows_stochastic_property(kern):
     assert np.abs(aged0 - phi).max() < 1e-13
 
 
-def test_non_finite_phi_is_refused():
-    # Weibull shape 0.001 overflows gamma(1 + 1/k) in the truncated mean:
-    # every weight is NaN, and a NaN row-sum drift must still raise
+def test_non_finite_phi_is_refused(nan_partial_mean):
+    # a truncated mean that is NaN at one node makes every weight from it
+    # on NaN, and a NaN row-sum drift must still raise
+    g = SojournDistribution.weibull(2.0, 1.0)
+    kern = alternating_kernel(g, g)
+    grid = TimeGrid(0.005, 1.0)
+    with pytest.raises(NumericsError, match="nan"):
+        transition_probabilities(kern, grid)
+    with pytest.raises(NumericsError, match="nan"):
+        backward_transition_probabilities(kern, 0.5, grid, np.tile(np.eye(2), (201, 1, 1)))
+
+
+def test_tiny_weibull_shape_solves():
+    # shape 0.001: Gamma(1 + 1/k) overflows, but the truncated mean
+    # lam gamma(1 + 1/k, (t/lam)^k) does not.  Nearly every sojourn is
+    # instant or endless, so P00(t) is close to 1 / (1 + G(t)) = 0.613
     g = SojournDistribution.weibull(0.001, 1.0)
     kern = alternating_kernel(g, g)
     grid = TimeGrid(0.005, 1.0)
-    with np.errstate(invalid="ignore"):
-        with pytest.raises(NumericsError, match="nan"):
-            transition_probabilities(kern, grid)
-        with pytest.raises(NumericsError, match="nan"):
-            backward_transition_probabilities(kern, 0.5, grid, np.tile(np.eye(2), (201, 1, 1)))
+    phi = transition_probabilities(kern, grid)
+    assert np.isfinite(phi).all()
+    assert np.abs(phi.sum(axis=2) - 1.0).max() < 1e-12
+    aged0 = backward_transition_probabilities(kern, 0.0, grid, phi)
+    assert np.abs(aged0 - phi).max() < 1e-13
+    for t in (0.5, 1.0):
+        row = phi[round(t / grid.step), 0]
+        assert row[0] == pytest.approx(1.0 / (1.0 + g.cdf(t)), abs=1e-3)
+        freqs, ses = estimate_state_occupancy(kern, BackwardState(0, 0.0), t, 200000, 47)
+        assert np.all(np.abs(freqs - row) <= 3 * ses)
 
 
 def _trapezoid_weights(kern, grid, offset):

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +6,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from smrates import SemiMarkovKernel, SojournDistribution
+from smrates.sojourn import lower_gamma
 
 
 ALL_FAMILIES = [
@@ -111,3 +113,29 @@ def test_partial_mean_matches_quadrature():
             num, _ = quad(lambda w: w * law.pdf(w), 0.0, t, limit=200)
             assert law.partial_mean(t) == pytest.approx(num, rel=1e-8, abs=1e-12)
     assert ALL_FAMILIES[0].partial_mean(0.0) == 0.0
+
+
+@pytest.mark.parametrize("shape", [0.001, 0.01, 0.1, 0.5, 0.8, 1.0, 2.0, 5.0, 20.0])
+def test_lower_gamma_matches_mpmath(shape):
+    # a = 1 + 1/k, the Weibull truncated mean's; z = 0, both sides of the
+    # series / continued-fraction switch at a + 1, and (t/lam)^k for times
+    # 0.005, 1 and 2.5 at lam = 1, and inf (Gamma(a)).  Above a + 1 at
+    # shape 0.001 the value overflows, as the float of the mpmath value does
+    a = 1.0 + 1.0 / shape
+    zs = [0.0] + [f * (a + 1.0) for f in (0.1, 0.5, 0.9, 0.999, 1.001, 1.1, 2.0, 5.0)]
+    zs += [t**shape for t in (0.005, 1.0, 2.5)] + [np.inf]
+    got = lower_gamma(a, np.array(zs))
+    with mpmath.workdps(40):
+        for z, value in zip(zs, got):
+            exact = mpmath.gammainc(a, 0, z)
+            if not mpmath.isfinite(float(exact)) or exact == 0:
+                assert value == float(exact)
+            else:
+                assert abs(value - exact) <= 1e-14 * exact, z
+
+
+def test_weibull_mean_overflows_to_inf():
+    # E[W] overflows at shape 0.001; E[W 1(W <= t)] <= t G(t) does not
+    law = SojournDistribution.weibull(0.001, 1.0)
+    assert law.mean() == np.inf
+    assert 0.0 < law.partial_mean(1.0) <= law.cdf(1.0)
