@@ -123,8 +123,8 @@ def _surfaces(cfg: ExperimentConfig, orders, lags, rate_mean: bool = False, unti
     rate_mean is set or there is a lag) and the product moment of every
     lag, on one workspace marched to until (default: the horizon)."""
     ws = LatticeWorkspace(cfg.kernel, cfg.model, cfg.solver, until=until)
-    # only the discount orders read a transfer stack (the workspace holds
-    # one, and a rate solve frees it); no aged evaluation reads any
+    # only the discount orders build transfer blocks, each solve its own,
+    # none kept past it; no aged evaluation reads any
     zcb = {n: solve_zcb_moment(n, cfg.kernel, cfg.model, cfg.solver, workspace=ws)
            for n in orders}
     if not (rate_mean or lags):
@@ -301,8 +301,8 @@ def cmd_validate(cfg: ExperimentConfig, out: Path) -> int:
     # walks'; each check reads the first reps_zcb or reps_rate paths of its
     # age's batch, and every lag's rate_mean check reads the same one, so
     # with no lag there is no rate check.  The batches run before the
-    # solves, whose peak RSS is about 0.3 MiB higher when the batch arrays
-    # have fragmented the heap first
+    # solves: solving first left the benchmark's validate-testbed peak RSS
+    # 0.0-0.5 MiB higher (four seeds each way)
     targets = {("zcb_moment", n, s): {"quantity": "zcb_moment", "order": n, "s": s,
                                       "reps": reps_zcb}
                for n in orders for s in maturities}

@@ -18,15 +18,19 @@ The discount moments are marched on a (state, s-node, x-node) lattice.
 Inner integrals over the arriving rate use the model's transition-law
 quadratures, scattered onto the lattice as linear-interpolation weights
 ("transfer operators") built per (state, elapsed time) for the tilt a
-solve marches on.  The workspace holds one transfer stack, laid out as
-the march reads it: per state one (Nx, (K+1)*Nx) matrix whose column
-block l is the operator at elapsed time theta_l; a discount-tilted
-stack carries its no-switch discount as a row weight.  The march
-advances in panels of _PANEL steps: the history before a panel is one
-matrix-matrix product per state and panel, and only the history inside
-the panel is summed step by step (the first level of Hairer, Lubich &
-Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985).  Stacks are built a
-chunk of elapsed times at a time, one rule call and one
+solve marches on, laid out as the march reads them: per state one
+(Nx, L*Nx) matrix whose column block l is the operator at the l-th
+elapsed time of a lag range; a discount-tilted block carries its
+no-switch discount as a row weight.  The march advances in panels of
+_PANEL steps: the history before a panel is one matrix-matrix product
+per state and panel, and only the history inside the panel is summed
+step by step (the first level of Hairer, Lubich & Schlichte, SIAM J.
+Sci. Stat. Comput. 6, 1985).  The history triangle splits once more at
+mid-horizon: a march holds the blocks of the lags up to about K/2, and
+builds each later block once, a chunk at a time, after the first half
+of the march, adds its products into the later panels' history and
+drops it.  No workspace holds blocks between solves.  Blocks are built
+a chunk of elapsed times at a time, one rule call and one
 ``np.bincount`` scatter per chunk, which sums every lattice cell in the
 same order as consecutive ``np.add.at`` passes.
 
@@ -67,8 +71,12 @@ from .semi_markov import SemiMarkovKernel, TimeGrid, _history, _renewal_march
 # floor on the Gauss-Legendre order for chi-square transition rules; below
 # this the rule cannot resolve the density bump inside its bracket
 _CIR_MIN_ORDER = 48
-# elapsed times per rule call and scatter pass of a transfer build;
-# bounds the temporary arrays
+# elapsed times per rule call and scatter pass of a transfer build, and
+# lags per block chunk a march builds past its mid-horizon split; bounds
+# the temporary arrays and the chunk held.  Chosen by measurement (2 vCPU,
+# one BLAS thread): 8 peaks 2.5 MiB lower on moments-testbed and 3.6 MiB
+# on cir-pricing, but its extra rule calls and far-history products cost
+# moments-testbed about 20 ms of a 0.4 s operation
 _SCATTER_CHUNK = 16
 # march steps per panel: the history before a panel is one matrix-matrix
 # product per state with this many right-hand sides
@@ -270,11 +278,9 @@ def _law_nodes_weights(model: RegimeRateModel, i: int, r0, t, order: int,
     if t.ndim == 0 and t <= 0.0:
         return gaussian_quadrature_batch(r0, np.zeros(shape), order)
     if model.gaussian_transition:
-        means = np.atleast_1d(model.mean(i, r0, t))
-        if tilt:
-            means = means - tilt * model.integrated_rate_cov(i, r0, t)
-        stds = np.sqrt(np.atleast_1d(model.variance(i, r0, t)))
-        return gaussian_quadrature_batch(means, stds, order)
+        means, variances = model.transition_law(i, r0, t, tilt)
+        return gaussian_quadrature_batch(np.atleast_1d(means), np.sqrt(np.atleast_1d(variances)),
+                                         order)
     p = model.params[i]
     if p.sigma == 0.0:
         # deterministic regime: the discount tilt reweights a point mass
@@ -339,18 +345,18 @@ def _scatter(x_nodes, nodes, weights) -> np.ndarray:
 
 class LatticeWorkspace:
     """Reusable per-(kernel, model, config) solver state: the rate
-    lattice, kernel tables on the time grid, the factored implicit-step
-    matrix, and one packed transfer stack, the one last asked for (a rate
-    solve frees it).
+    lattice, kernel tables on the time grid and the factored
+    implicit-step matrix.  It builds transfer blocks on request
+    (``transfer``) and holds none.
 
     Its marches end at the grid node at or above ``until`` (default: the
     config horizon), rounded up to a whole _PANEL of steps and capped at
-    the horizon.  Every panel and every build chunk of a shorter march
-    then has the shape it has in the full march, so each value it
-    computes equals the full march's bit for bit; ``thetas`` holds the
-    march's nodes.  The rate lattice, its core rows and the coverage
-    check still cover the whole config horizon, so a shorter march
-    refuses the same configs.
+    the horizon.  Every product of a shorter march then has the shape
+    it has in the full march, and every transfer block its bits, so each
+    value it computes equals the full march's bit for bit; ``thetas``
+    holds the march's nodes.  The rate lattice, its core rows and the
+    coverage check still cover the whole config horizon, so a shorter
+    march refuses the same configs.
     """
 
     def __init__(self, kernel: SemiMarkovKernel, model: RegimeRateModel,
@@ -389,7 +395,6 @@ class LatticeWorkspace:
         )
         if not self._core.any():
             self._core = np.ones_like(self.x_nodes, dtype=bool)
-        self._held = None   # (tilt, stack)
 
     @property
     def m(self) -> int:
@@ -410,36 +415,37 @@ class LatticeWorkspace:
                 f"elapsed {elapsed[l]:.4g}; widen the rate grid"
             )
 
-    def transfer(self, tilt: int = 0) -> np.ndarray:
-        """Packed (m, Nx, (K+1)*Nx) stack over the march's K steps:
-        column block l of state i's matrix maps lattice values v to
-        E[vhat(r(theta_l)) | r(0)=x].
-        With tilt = n > 0 the law is the discount-tilted one and row x
-        carries the no-switch discount E[exp(-n int_0^theta_l r)], so the
-        block maps v to E[exp(-n int_0^theta_l r) vhat(r(theta_l))]."""
-        if self._held is None or self._held[0] != tilt:
-            self._held = None   # free the held stack before the build
-            self._held = (tilt, self._build(tilt))
-        return self._held[1]
+    def transfer(self, tilt: int, lo: int, hi: int) -> np.ndarray:
+        """Packed (m, Nx, (hi-lo)*Nx) blocks of the lags lo..hi-1 of the
+        march: column block l - lo of state i's matrix maps lattice values
+        v to E[vhat(r(theta_l)) | r(0)=x].  With tilt = n > 0 the law is
+        the discount-tilted one and row x carries the no-switch discount
+        E[exp(-n int_0^theta_l r)], so the block maps v to
+        E[exp(-n int_0^theta_l r) vhat(r(theta_l))].
 
-    def _build(self, tilt: int) -> np.ndarray:
-        """One packed stack, _SCATTER_CHUNK elapsed times at a time: one
-        rule call and one scatter per chunk; a tilted stack's rows are
-        scaled by the discount after the scatter.  The coverage check
-        reads the core rows alone, so past the march the chunks build
-        the core rates' rules only; each rule depends on its own (rate,
-        elapsed time) alone, so the checked figures are unchanged."""
+        Built _SCATTER_CHUNK elapsed times at a time: one rule call, one
+        coverage check and one scatter per chunk; a tilted block's rows
+        are scaled by the discount after the scatter.  Each rule and
+        discount depends on its own (rate, elapsed time) alone, so a
+        block has the same bits whatever range it is built in.  The call
+        that reaches the march's last lag also checks the lags past the
+        march up to the config horizon; the check reads the core rows
+        alone, so there it builds the core rates' rules only.  Chunks are
+        checked state by state in build order, and the first escape
+        found is the one refused."""
         m, nx, kp1 = self.m, self.x_nodes.size, self.thetas.size
         order = self.config.quad_order
         every = self.grid.nodes
         core_rates = self.x_nodes[self._core]
-        packed = np.empty((m, nx, kp1 * nx))
+        tail = range(kp1, every.size, _SCATTER_CHUNK) if hi == kp1 else range(0)
+        packed = np.empty((m, nx, (hi - lo) * nx))
         for i in range(m):
-            blocks = packed[i].reshape(nx, -1, nx).transpose(1, 0, 2)   # [l]: at theta_l
-            blocks[0] = np.eye(nx)
-            for l0 in range(1, every.size, _SCATTER_CHUNK):
-                l1 = min(l0 + _SCATTER_CHUNK, every.size)
+            blocks = packed[i].reshape(nx, -1, nx).transpose(1, 0, 2)   # [l - lo]: at theta_l
+            if lo == 0:
+                blocks[0] = np.eye(nx)
+            for l0 in [*range(max(lo, 1), hi, _SCATTER_CHUNK), *tail]:
                 marched = l0 < kp1
+                l1 = min(l0 + _SCATTER_CHUNK, hi if marched else every.size)
                 nodes, weights = _law_nodes_weights(self.model, i,
                                                     self.x_nodes if marched else core_rates,
                                                     every[l0:l1, None], order, tilt=tilt)
@@ -447,9 +453,9 @@ class LatticeWorkspace:
                 self._check_coverage(_escaped(self.x_nodes, nodes[:, core], weights[:, core]),
                                      i, every[l0:l1])
                 if marched:
-                    blocks[l0:l1] = _scatter(self.x_nodes, nodes, weights)
+                    blocks[l0 - lo:l1 - lo] = _scatter(self.x_nodes, nodes, weights)
             if tilt:
-                discount = self.model.bond_laplace(i, self.x_nodes[:, None], tilt, self.thetas)
+                discount = self.model.bond_laplace(i, self.x_nodes[:, None], tilt, every[lo:hi])
                 blocks *= np.asarray(discount).T[:, :, None]
         return packed
 
@@ -467,17 +473,28 @@ def _march(ws: LatticeWorkspace, n: int) -> np.ndarray:
                     E^n[V_j(s - theta, r(theta)) | r(0) = x] dtheta,
 
     with f_i the no-switch discount E[exp(-n int_0^theta r)]
-    (``model.bond_laplace``) and E^n the discount-tilted law; transfer(n)
-    carries f as its row weight.  The known terms at s_k are the
-    no-switch one and the far endpoint with weight h/2, whose inner
-    integral is f itself (V = 1 has mass 1 under the tilted law), so it
-    is never clamped.  The unknown at s_k enters the elapsed-time-0 end
-    with weight h/2, where the transfer block is the identity and the row
-    weight is 1, so the implicit step matrix absorbs it.  The history
-    l = 1..k-1 splits at the start k0 of the step's panel: lags reading
-    values before k0 come from the panel's far-history product
-    (_far_history), and the lags l = 1..k-k0 inside the panel are one
-    matrix-vector product per state.
+    (``model.bond_laplace``) and E^n the discount-tilted law; the
+    transfer blocks of tilt n carry f as their row weight.  The known
+    terms at s_k are the no-switch one and the far endpoint with weight
+    h/2, whose inner integral is f itself (V = 1 has mass 1 under the
+    tilted law), so it is never clamped.  The unknown at s_k enters the
+    elapsed-time-0 end with weight h/2, where the transfer block is the
+    identity and the row weight is 1, so the implicit step matrix
+    absorbs it.  The history l = 1..k-1 splits at the start k0 of the
+    step's panel: lags reading values before k0 come from the panel's
+    far-history product (_far_history), and the lags l = 1..k-k0 inside
+    the panel are one matrix-vector product per state.
+
+    The history triangle splits once more at the _PANEL boundary b of
+    the config horizon K that minimises max(b, K - b): only the lags
+    0..max(b, K - b) are held through the march.  A later lag reads
+    values before b alone, so once the panel ending at b is marched the
+    later lags are built _SCATTER_CHUNK at a time, each chunk's products
+    are added into the far history of every later panel, and the chunk
+    is dropped.  The split and every product's shape depend on the
+    config horizon alone, so a shorter march computes the full march's
+    values bit for bit, and one that ends by b builds all its lags in
+    one call.
     """
     h = ws.config.step
     k_max = ws.thetas.size - 1
@@ -487,56 +504,69 @@ def _march(ws: LatticeWorkspace, n: int) -> np.ndarray:
     table = np.empty((m, k_max + 1, nx))
     for i in range(m):
         table[i] = np.asarray(ws.model.bond_laplace(i, ws.x_nodes[:, None], n, ws.thetas)).T
-    packed = ws.transfer(n)
+    k_full = ws.grid.n_steps
+    split = min(range(0, k_full + 1, _PANEL), key=lambda b: max(b, k_full - b))
+    held = max(split, k_full - split) + 1
+    near = ws.transfer(n, 0, min(held, k_max + 1))
     vals = np.empty((k_max + 1, m, nx))
     vals[0] = 1.0
+    # far[:, :, k]: the history sum of step k over values before its panel
+    far = np.zeros((m, nx, k_max + 1))
     scratch = np.empty(_PANEL * _HISTORY_BLOCKS * nx)
     for k0 in range(1, k_max + 1, _PANEL):
         k1 = min(k0 + _PANEL, k_max + 1)
-        far = _far_history(packed, qd, vals, k0, k1, scratch)
+        _far_history(near, 0, qd, vals, k0, k1, scratch, far[:, :, k0:k1])
         for k in range(k0, k1):
             known = (ws.survival[k][:, None] * table[:, k]
                      + 0.5 * h * (qd[k].sum(axis=1)[:, None] * table[:, k]))
-            rhs = known + h * far[:, :, k - k0]
+            rhs = known + h * far[:, :, k]
             if k > k0:
                 for i in range(m):
                     # state-mix the panel's own values, then one
                     # matrix-vector product for l = 1..k-k0
                     mixed = np.matmul(qd[1:k - k0 + 1, i, None, :], vals[k - 1:k0 - 1:-1])
-                    rhs[i] += h * (packed[i][:, nx:(k - k0 + 1) * nx] @ mixed.ravel())
+                    rhs[i] += h * (near[i][:, nx:(k - k0 + 1) * nx] @ mixed.ravel())
             vals[k] = ws._a_inv @ rhs
+        if k1 - 1 == split:
+            for c0 in range(held, k_max + 1, _SCATTER_CHUNK):
+                chunk = ws.transfer(n, c0, min(c0 + _SCATTER_CHUNK, k_max + 1))
+                for p0 in range(k1, k_max + 1, _PANEL):
+                    p1 = min(p0 + _PANEL, k_max + 1)
+                    _far_history(chunk, c0, qd, vals, p0, p1, scratch, far[:, :, p0:p1])
+                del chunk   # before the next chunk is built
     return vals
 
 
-def _far_history(packed: np.ndarray, qd: np.ndarray, vals: np.ndarray, k0: int, k1: int,
-                 scratch: np.ndarray) -> np.ndarray:
-    """History sums of steps k0..k1-1 over the values before k0.
+def _far_history(packed: np.ndarray, lo: int, qd: np.ndarray, vals: np.ndarray, k0: int,
+                 k1: int, scratch: np.ndarray, out: np.ndarray):
+    """Add to out (m, Nx, k1-k0) the history sums of steps k0..k1-1 over
+    the values before k0 that the lags packed holds read: packed's
+    column block l - lo is lag l.
 
-    Returns (m, Nx, k1-k0): column b of state i is
-    sum_l block_{i,l} @ sum_j qdot[l,i,j] V[k0+b-l, j] over the lags l
-    with 1 <= k0+b-l < k0.  Per state, the state-mixed values are
-    gathered into a column-major (lags*Nx, k1-k0) right-hand side in
-    ``scratch`` (zero where a lag reads no such value) and multiplied by
-    the packed stack in one product, _HISTORY_BLOCKS lags at a time.
+    Column b of state i gains sum_l block_{i,l} @ sum_j qdot[l,i,j]
+    V[k0+b-l, j] over its lags l with 1 <= k0+b-l < k0.  Per state, the
+    state-mixed values are gathered into a column-major (lags*Nx, k1-k0)
+    right-hand side in ``scratch`` (zero where a lag reads no such value)
+    and multiplied by the packed blocks in one product, _HISTORY_BLOCKS
+    lags at a time.
     """
+    if k0 < 2:
+        return   # the first panel's history lies inside it
     m, nx = packed.shape[:2]
     width = k1 - k0
-    far = np.zeros((m, nx, width))
-    if k0 < 2:
-        return far   # the first panel's history lies inside it
-    for l_lo in range(1, k1 - 1, _HISTORY_BLOCKS):
-        l_hi = min(l_lo + _HISTORY_BLOCKS, k1 - 1)
+    hi = min(lo + packed.shape[2] // nx, k1 - 1)
+    for l_lo in range(max(lo, 1), hi, _HISTORY_BLOCKS):
+        l_hi = min(l_lo + _HISTORY_BLOCKS, hi)
         rhs = scratch[:width * (l_hi - l_lo) * nx].reshape(width, l_hi - l_lo, nx)
         for i in range(m):
             rhs.fill(0.0)
             for b in range(width):
                 k = k0 + b
-                lo, hi = max(l_lo, k - k0 + 1), min(l_hi, k)
-                if lo < hi:
-                    rhs[b, lo - l_lo:hi - l_lo] = np.matmul(qd[lo:hi, i, None, :],
-                                                            vals[k - lo:k - hi:-1])[:, 0]
-            far[i] += packed[i][:, l_lo * nx:l_hi * nx] @ rhs.reshape(width, -1).T
-    return far
+                l_b, h_b = max(l_lo, k - k0 + 1), min(l_hi, k)
+                if l_b < h_b:
+                    rhs[b, l_b - l_lo:h_b - l_lo] = np.matmul(qd[l_b:h_b, i, None, :],
+                                                              vals[k - l_b:k - h_b:-1])[:, 0]
+            out[i] += packed[i][:, (l_lo - lo) * nx:(l_hi - lo) * nx] @ rhs.reshape(width, -1).T
 
 
 def _aged(ws: LatticeWorkspace, surface: MomentSurface, i: int, u: float, r: float,
@@ -626,10 +656,11 @@ def _law_maps(model: RegimeRateModel, i: int, ts: np.ndarray) -> np.ndarray:
     """(T, 3, 3) maps of state i's transition law at elapsed times ts on
     coefficients: column e holds those in x of E[r(t)^e | r(0) = x], so
     maps @ c is the expectation of sum_e c_e r(t)^e.  Exact for every
-    kind: E[r(t)] = A x + B and Var[r(t)] = V + W x (W = 0 if Gaussian)."""
-    b = np.asarray(model.mean(i, 0.0, ts))
-    v = np.asarray(model.variance(i, 0.0, ts))
-    a, w = model.mean(i, 1.0, ts) - b, model.variance(i, 1.0, ts) - v
+    kind: E[r(t)] = A x + B and Var[r(t)] = V + W x (W = 0 if Gaussian),
+    read at x = 0 and 1 in one ``transition_law`` call."""
+    means, variances = model.transition_law(i, np.array([[0.0], [1.0]]), ts)
+    b, v = means[0], variances[0]
+    a, w = means[1] - b, variances[1] - v
     maps = np.zeros((b.size, 3, 3))
     maps[:, 0, 0] = 1.0
     maps[:, :2, 1] = np.stack([b, a], axis=1)
@@ -696,10 +727,7 @@ def _solve_poly(ws: LatticeWorkspace, quantity: str, steps: int = 0, rate: _Poly
     step (_known, and the far end at s = 0 with weight h/2) are computed
     first; the steps are the shared _renewal_march over the history
     blocks (semi_markov's module docstring), with h outside the product.
-    No rate moment reads a transfer stack, so the held one is freed first:
-    left below this march's small allocations, its memory could not be
-    reused by the next build (moments-testbed peak RSS 69 -> 85 MiB)."""
-    ws._held = None
+    No rate moment reads a transfer block."""
     h, m, k_max = ws.config.step, ws.m, ws.thetas.size - 1
     ts = np.arange(k_max + 1 + steps) * h
     poly = _Poly(np.stack([_law_maps(ws.model, i, ts) for i in range(m)]), steps, rate)

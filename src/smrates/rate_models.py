@@ -21,6 +21,7 @@ lattice solvers can evaluate whole rate grids in one call.
 from __future__ import annotations
 
 import functools
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -43,6 +44,11 @@ _TINY = np.finfo(float).tiny
 _EPS = 2.0**-53
 # terms kept of each Bessel series in ncx2_pdf
 _BESSEL_TERMS = 40
+# Taylor coefficients of (z - x - x^2 / 2) / z^3, x = 1 - e^-z: the
+# coefficient of z^(k-3) is (-1)^k (2 - 2^(k-1)) / k!, k >= 3; 23 terms reach
+# rounding at z = 1
+_VASICEK_VARIANCE_SERIES = np.array([(-1) ** k * (2 - 2 ** (k - 1)) / math.factorial(k)
+                                     for k in range(3, 26)])
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +230,20 @@ class HullWhiteParams:
             for row, f in enumerate((inv_e, drift, a * inv_e, noise, noise * d, noise * d * d)):
                 sums[row] += half[:, 0] * (f * w).sum(axis=1)
         return tuple(row[back].reshape(t0.shape) for row in sums)
+
+    def laws(self, r, t0, dt):
+        """The joint normal law of the rate at t0 + dt and its integral
+        over the step from r(t0) = r, broadcast over r, t0 and dt:
+        (rate mean, rate variance, integral mean, their covariance,
+        integral variance), the compositions ``step_integrals`` lists,
+        all from one call of it."""
+        k0, k1 = self.k(t0), self.k(t0 + dt)
+        d, drift, drift_mean, a0, a1, a2 = self.step_integrals(t0, dt)
+        # the integral's variance, int e^{2k} sigma^2 (D - D(u))^2 du, is
+        # expanded in powers of D(u)
+        return (np.exp(-k1) * (np.exp(k0) * r + drift), np.exp(-2.0 * k1) * a0,
+                np.exp(k0) * r * d + drift_mean, np.exp(-k1) * (d * a0 - a1),
+                d * d * a0 - 2.0 * d * a1 + a2)
 
 
 # ---------------------------------------------------------------------------
@@ -610,7 +630,7 @@ class RegimeRateModel:
 
     def mean(self, i: int, r0, t):
         """E[r(t) | r(0) = r0] in regime i; broadcasts over r0 and t.
-        Hull-White: e^-k(t) (r0 + A), from ``step_integrals(0, t)``."""
+        Hull-White: e^-k(t) (r0 + A), from ``laws``."""
         p = self._p(i)
         r0 = np.asarray(r0, dtype=float)
         t = np.asarray(t, dtype=float)
@@ -623,13 +643,12 @@ class RegimeRateModel:
             else:
                 out = r0 + p.a * t
         else:
-            _, drift, *_ = p.step_integrals(0.0, t)
-            out = np.exp(-p.k(t)) * (r0 + drift)
+            out = p.laws(r0, 0.0, t)[0]
         return out if np.ndim(out) else float(out)
 
     def variance(self, i: int, r0, t):
         """Var[r(t) | r(0) = r0]; zero at t = 0.  Hull-White:
-        e^-2k(t) a0, from ``step_integrals(0, t)``."""
+        e^-2k(t) a0, from ``laws``."""
         p = self._p(i)
         t = np.asarray(t, dtype=float)
         if self.kind == VASICEK:
@@ -646,10 +665,21 @@ class RegimeRateModel:
             else:
                 out = r0 * p.sigma**2 * t + 0.5 * p.a * p.sigma**2 * t * t
         else:
-            _, _, _, a0, *_ = p.step_integrals(0.0, t)
-            out = np.exp(-2.0 * p.k(t)) * a0
+            out = p.laws(0.0, 0.0, t)[1]
             out = out * np.ones_like(np.asarray(r0, dtype=float) * np.ones_like(t))
         return out if np.ndim(out) else float(out)
+
+    def transition_law(self, i: int, r0, t, tilt: int = 0):
+        """Mean and variance of r(t) | r(0) = r0, both shaped like r0 and
+        t broadcast; with tilt = n > 0 the mean is the Gaussian kinds'
+        under the discount tilt exp(-n int_0^t r), shifted by
+        -n Cov[int_0^t r, r(t)].  Hull-White reads both from one
+        ``laws`` call."""
+        if self.kind != HULL_WHITE:
+            mean, var = self.mean(i, r0, t), self.variance(i, r0, t)
+            return (mean - tilt * self.integrated_rate_cov(i, r0, t) if tilt else mean), var
+        mean, var, _, cov, _ = self._p(i).laws(np.asarray(r0, dtype=float), 0.0, t)
+        return (mean - tilt * cov if tilt else mean), var * np.ones_like(mean)
 
     def std(self, i: int, r0, t):
         return np.sqrt(self.variance(i, r0, t))
@@ -686,7 +716,7 @@ class RegimeRateModel:
 
     def integrated_mean(self, i: int, r0, s):
         """E[int_0^s r(u) du].  Hull-White: r0 D + int A/e, from
-        ``step_integrals(0, s)``."""
+        ``laws``."""
         p = self._p(i)
         s = np.asarray(s, dtype=float)
         r0 = np.asarray(r0, dtype=float)
@@ -698,8 +728,7 @@ class RegimeRateModel:
                 "bond_laplace carries the integrated law"
             )
         else:
-            d, _, drift_mean, *_ = p.step_integrals(0.0, s)
-            out = r0 * d + drift_mean
+            out = p.laws(r0, 0.0, s)[2]
         return out if np.ndim(out) else float(out)
 
     def integrated_rate_cov(self, i: int, r0, t):
@@ -709,7 +738,7 @@ class RegimeRateModel:
         integrated and the terminal rate; the discount-tilted
         transition measure used by the moment solver shifts the
         terminal-rate mean by -n times this quantity.  Hull-White:
-        e^-k(t) (D a0 - a1), from ``step_integrals(0, t)``.
+        e^-k(t) (D a0 - a1), from ``laws``.
         """
         p = self._p(i)
         t = np.asarray(t, dtype=float)
@@ -722,30 +751,32 @@ class RegimeRateModel:
                 "constants, not a Gaussian covariance"
             )
         else:
-            d, _, _, a0, a1, _ = p.step_integrals(0.0, t)
-            out = np.exp(-p.k(t)) * (d * a0 - a1)
+            out = p.laws(0.0, 0.0, t)[3]
         return out if np.ndim(out) else float(out)
 
     def integrated_variance(self, i: int, r0, s):
         """Var[int_0^s r(u) du]; independent of r0 for the Gaussian kinds.
-        Hull-White: D^2 a0 - 2 D a1 + a2, from ``step_integrals(0, s)``."""
+        Hull-White: D^2 a0 - 2 D a1 + a2, from ``laws``."""
         p = self._p(i)
         s = np.asarray(s, dtype=float)
         if self.kind == VASICEK:
-            x = -np.expm1(-p.a * s)
+            z = p.a * s
+            x = -np.expm1(-z)
             out = (
                 p.sigma**2 * s / p.a**2
                 - p.sigma**2 / p.a**3 * x
                 - p.sigma**2 / (2.0 * p.a**3) * x * x
             )
+            # the three terms cancel to sigma^2 s^3 / 3 as a s -> 0; below
+            # a s = 1 sum the Taylor series of their sum instead
+            out = np.where(z < 1.0, p.sigma**2 * s**3 * _horner(_VASICEK_VARIANCE_SERIES, z),
+                           out)
         elif self.kind == CIR:
             raise NotImplementedError(
                 "integrated-rate variance is not exposed for the CIR kind"
             )
         else:
-            # int_0^s e^{2k} sigma^2 (D(s) - D(u))^2 du, expanded in powers of D(u)
-            d, _, _, a0, a1, a2 = p.step_integrals(0.0, s)
-            out = d * d * a0 - 2.0 * d * a1 + a2
+            out = p.laws(0.0, 0.0, s)[4]
         return out if np.ndim(out) else float(out)
 
     def bond_laplace(self, i: int, r0, n: int, s):
@@ -753,7 +784,8 @@ class RegimeRateModel:
 
         Gaussian kinds: the integrated rate is normal, so the value is
         exp(-n * mean + n^2/2 * variance) of the integral.  CIR: the
-        joint Laplace transform at (lam=0, mu=n).
+        joint Laplace transform at (lam=0, mu=n).  Hull-White reads both
+        moments of the integral from one ``laws`` call.
         """
         if n < 1 or int(n) != n:
             raise ValueError("moment order n must be a positive integer")
@@ -762,7 +794,11 @@ class RegimeRateModel:
             raise ValueError("s must be nonnegative")
         if self.kind == CIR:
             return cir_joint_laplace(self._p(i), 0.0, float(n), s, r0)
-        exponent = -n * self.integrated_mean(i, r0, s) + 0.5 * n * n * self.integrated_variance(i, r0, s)
+        if self.kind == HULL_WHITE:
+            _, _, mean, _, var = self._p(i).laws(np.asarray(r0, dtype=float), 0.0, s)
+        else:
+            mean, var = self.integrated_mean(i, r0, s), self.integrated_variance(i, r0, s)
+        exponent = -n * mean + 0.5 * n * n * var
         out = np.exp(exponent)
         if np.any(np.isnan(np.asarray(out))):
             raise NumericsError("bond Laplace transform produced NaN")
@@ -841,14 +877,8 @@ class RegimeRateModel:
                 return mean, sd
             return (mean, sd, self.integrated_mean(k, r, dt), self.integrated_rate_cov(k, r, dt),
                     self.integrated_variance(k, r, dt))
-        k0, k1 = p.k(t0), p.k(t0 + dt)
-        d, drift, drift_mean, a0, a1, a2 = p.step_integrals(t0, dt)
-        mean = np.exp(-k1) * (np.exp(k0) * r + drift)
-        sd = np.sqrt(np.exp(-2.0 * k1) * a0)
-        if not joint:
-            return mean, sd
-        return (mean, sd, np.exp(k0) * r * d + drift_mean, np.exp(-k1) * (d * a0 - a1),
-                d * d * a0 - 2.0 * d * a1 + a2)
+        mean, var, *joint_law = p.laws(r, t0, dt)
+        return (mean, np.sqrt(var), *joint_law) if joint else (mean, np.sqrt(var))
 
     def _per_regime(self, i, fn, *arrays):
         """fn(k, *arrays) evaluated regime by regime, in index order, on

@@ -21,6 +21,7 @@ from smrates import (
     estimate_rate_moments,
     estimate_zcb_moment,
     evaluate_product_moment,
+    evaluate_zcb_moment,
     transition_probabilities,
 )
 from smrates.cli import _surfaces, main
@@ -593,37 +594,59 @@ def test_cmd_moments_csv_and_json_carry_the_same_strings(tmp_path):
     assert same_bits(csv_values("zcb_moment_jensen.csv", gap.shape)[1], gap)
 
 
-def test_moment_surfaces_hold_one_transfer_stack(monkeypatch):
-    # each stack is built once and freed when the workspace moves to the
-    # next tilt; the rate mean and the products march their coefficients
-    # and read none, so no plain (tilt-0) stack is built and the rate
-    # solve frees the last discount order's; no aged evaluation builds one
+def _record_builds(monkeypatch):
+    """Every transfer build from here on, as (tilt, lo, hi, a weak
+    reference to the blocks built)."""
+    built = []
+    transfer = LatticeWorkspace.transfer
+
+    def recorded(ws, tilt, lo, hi):
+        blocks = transfer(ws, tilt, lo, hi)
+        built.append((tilt, lo, hi, weakref.ref(blocks)))
+        return blocks
+
+    monkeypatch.setattr(LatticeWorkspace, "transfer", recorded)
+    return built
+
+
+def _each_lag_once(built, kp1):
+    """The tilt of each discount solve, in order, after checking that
+    each solve's builds tile its lags 0..kp1-1 once, in order."""
+    tilts, ends = [], []
+    for tilt, lo, hi, _ in built:
+        if lo == 0:
+            tilts.append(tilt)
+            ends.append(0)
+        assert tilt == tilts[-1] and lo == ends[-1] < hi
+        ends[-1] = hi
+    assert ends == [kp1] * len(tilts)
+    return tilts
+
+
+def test_moment_surfaces_build_each_lag_once(monkeypatch):
+    # each discount solve builds every lag's block once and keeps none
+    # past the solve; the rate mean and the products march their
+    # coefficients and build none, so no plain (tilt-0) block is built,
+    # and no aged evaluation builds one either
     data = load_config(TESTBED)
     data["solver"]["step"] = 0.05
     data["moments"] = {"orders": [1, 2], "lags": [0.0, 0.5]}
     cfg = ExperimentConfig.from_dict(data)
-    built = []
-    build = LatticeWorkspace._build
-
-    def recorded_build(ws, tilt):
-        stack = build(ws, tilt)
-        built.append((tilt, weakref.ref(stack)))
-        return stack
-
-    monkeypatch.setattr(LatticeWorkspace, "_build", recorded_build)
+    built = _record_builds(monkeypatch)
     zcb, rate, products = _surfaces(cfg, cfg.moments["orders"], cfg.moments["lags"],
                                     rate_mean=True)
-    ws = rate.workspace
-    assert [tilt for tilt, _ in built] == [1, 2]
-    assert [ref() is None for _, ref in built] == [True, True]
-    assert ws._held is None
+    kp1 = rate.workspace.thetas.size
+    assert _each_lag_once(built, kp1) == [1, 2]
+    assert len(built) > 2   # the lags past the split come a chunk at a time
+    assert all(ref() is None for *_, ref in built)
     evaluate_product_moment(products[0.5], rate, cfg.kernel, cfg.model, 0, 0.3, 0.03, 1.0)
-    assert len(built) == 2
+    evaluate_zcb_moment(zcb[1], cfg.kernel, cfg.model, 0, 0.3, 0.03, 1.0)
+    assert _each_lag_once(built, kp1) == [1, 2]
 
 
 def test_cmd_simulate_builds_each_stack_once(tmp_path, monkeypatch):
     # targets that alternate discount and rate quantities build each
-    # discount stack once, and the rate quantities build none
+    # discount order's blocks once, and the rate quantities build none
     data = load_config(SINGLE)
     data["solver"].update(step=0.05, horizon=1.0, rate_nodes=21)
     data["simulate"].update(paths=0, targets=[
@@ -632,13 +655,12 @@ def test_cmd_simulate_builds_each_stack_once(tmp_path, monkeypatch):
         {"quantity": "rate_moments", "s": 0.5, "lag": 0.5, "reps": 100},
         {"quantity": "zcb_moment", "order": 1, "s": 0.5, "reps": 100},
     ])
-    tilts = []
-    build = LatticeWorkspace._build
-    monkeypatch.setattr(LatticeWorkspace, "_build",
-                        lambda ws, tilt: tilts.append(tilt) or build(ws, tilt))
+    built = _record_builds(monkeypatch)
     out = tmp_path / "o"
     assert main(["simulate", "--config", str(dump(tmp_path, data)), "--out", str(out)]) == 0
-    assert tilts == [1, 2]
+    # the surfaces march to s = 0.5, the first panel of 16 steps
+    assert _each_lag_once(built, _PANEL + 1) == [1, 2]
+    assert all(ref() is None for *_, ref in built)
     reports = json.loads((out / "estimates.json").read_text())["reports"]
     assert [r["target"]["quantity"] for r in reports] == [
         "rate_mean", "product_moment", "zcb_moment", "rate_mean", "product_moment",

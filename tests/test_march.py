@@ -14,6 +14,7 @@ mean, variance and product mean; it shares no code with the coefficient
 march.  Both agreements are held to the same tolerance.
 """
 
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -39,7 +40,7 @@ from smrates import (
     solve_zcb_moment,
 )
 from smrates import moment_engine
-from smrates.moment_engine import _PANEL, _law_nodes_weights, _march
+from smrates.moment_engine import _PANEL, _SCATTER_CHUNK, _law_nodes_weights, _march
 
 # agreement of the two schemes, relative to the surface's largest value
 PANEL_TOL = 1e-13
@@ -77,15 +78,16 @@ def _lattice_table(ws, f):
 
 def _oracle_zcb(ws, n):
     """The discount moment of order n: the no-switch discount as table
-    and row weight (carried by transfer(n)), V = 1 at s = 0."""
+    and row weight (carried by the tilt-n blocks), V = 1 at s = 0."""
     table = _lattice_table(ws, lambda i, x, t: ws.model.bond_laplace(i, x, n, t))
-    return _oracle_march(ws, ws.transfer(n), table, 1.0)
+    return _oracle_march(ws, ws.transfer(n, 0, ws.thetas.size), table, 1.0)
 
 
 def _lattice_rate_mean(ws):
     """The rate mean on the lattice (table the transition mean, start at
     x, plain law), the oracle of its coefficient march on the core rows."""
-    return _oracle_march(ws, ws.transfer(0), _lattice_table(ws, ws.model.mean), ws.x_nodes)
+    return _oracle_march(ws, ws.transfer(0, 0, ws.thetas.size), _lattice_table(ws, ws.model.mean),
+                         ws.x_nodes)
 
 
 def _oracle_terms(ws, xs, i, k, qd, surv, vals, lag=0, rate=None):
@@ -361,8 +363,8 @@ def test_jensen_floor(data, k_steps):
     except GridCoverageError:
         reject()
     # the discount moment of order 0: every table and row weight is 1
-    mass = _oracle_march(ws, ws.transfer(0), np.ones((ws.m, ws.thetas.size, ws.x_nodes.size)),
-                         1.0)
+    mass = _oracle_march(ws, ws.transfer(0, 0, ws.thetas.size),
+                         np.ones((ws.m, ws.thetas.size, ws.x_nodes.size)), 1.0)
     defect = np.abs(mass - 1.0).max()
     gap = v2.values - v1.values ** 2
     assert gap.min() >= -1e-12 - defect * (v1.values ** 2).max(), (gap.min(), defect)
@@ -388,7 +390,7 @@ def test_lattice_refusal_never_returns_a_number(data, below, above, tilt):
                                                 cfg.quad_order, tilt=tilt)
             off = ((nodes < lo - slack) | (nodes > hi + slack)) * weights
             worst = max(worst, off.sum(axis=1)[ws._core].max(initial=0.0))
-    solve = ((lambda: ws.transfer(0)) if tilt == 0
+    solve = ((lambda: ws.transfer(0, 0, ws.thetas.size)) if tilt == 0
              else (lambda: solve_zcb_moment(tilt, kernel, model, cfg, workspace=ws).values))
     event("refused" if worst > cfg.coverage_tol else "accepted")
     if worst > cfg.coverage_tol:
@@ -448,6 +450,19 @@ def test_short_march_rows_are_the_full_march_rows(kind):
         assert np.array_equal(surface.values, full[label].values[:, :k]), label
 
 
+@pytest.mark.parametrize("kind", ["vasicek", "hull_white", "cir"])
+def test_march_past_the_split_is_the_full_march_prefix(kind):
+    # K = 53 splits at b = 32, so the march holds lags 0..32; one to node
+    # 48 also builds lags 33..48 past the split, in the chunks and panel
+    # products of the full march, and its rows are the full march's
+    kernel, model = _two_regime_kernel(), _two_regime_model(kind)
+    cfg = _config(3 * _PANEL + 5)
+    full = _march(LatticeWorkspace(kernel, model, cfg), 2)
+    short = _march(LatticeWorkspace(kernel, model, cfg, until=3 * _PANEL * STEP), 2)
+    assert short.shape[0] == 3 * _PANEL + 1
+    assert np.array_equal(short, full[:3 * _PANEL + 1])
+
+
 def test_march_ends_at_the_panel_of_the_upper_node():
     kernel, model = _two_regime_kernel(), _two_regime_model("vasicek")
     k_steps = 3 * _PANEL + 5
@@ -469,3 +484,30 @@ def test_march_ends_at_the_panel_of_the_upper_node():
     rate = solve_rate_mean(kernel, model, cfg, workspace=ws)
     with pytest.raises(ValueError, match="beyond the workspace's march"):
         solve_product_moment((2 * _PANEL + 1) * STEP, kernel, model, cfg, rate, workspace=ws)
+
+
+def test_march_holds_the_near_lags_and_one_chunk(monkeypatch):
+    # at K = 200 the split is b = 96: the march holds lags 0..104 and
+    # builds the later ones a chunk at a time, dropping each chunk before
+    # the next, so it never holds more than max(b, K - b) + 1 +
+    # _SCATTER_CHUNK lags, builds each lag once and keeps none
+    kernel, model = _two_regime_kernel(), _two_regime_model("vasicek")
+    ws = LatticeWorkspace(kernel, model, SolverConfig(step=0.0125, horizon=2.5, rate_nodes=11,
+                                                      quad_order=8))
+    built, most = [], []
+    transfer = LatticeWorkspace.transfer
+
+    def recorded(ws, tilt, lo, hi):
+        held = sum(h - l for l, h, ref in built if ref() is not None)
+        most.append(held + hi - lo)
+        blocks = transfer(ws, tilt, lo, hi)
+        built.append((lo, hi, weakref.ref(blocks)))
+        return blocks
+
+    monkeypatch.setattr(LatticeWorkspace, "transfer", recorded)
+    _march(ws, 1)
+    assert max(most) <= max(96, 200 - 96) + 1 + _SCATTER_CHUNK
+    assert [(lo, hi) for lo, hi, _ in built][:2] == [(0, 105), (105, 105 + _SCATTER_CHUNK)]
+    assert [lo for lo, _, _ in built[1:]] == [hi for _, hi, _ in built[:-1]]
+    assert built[-1][1] == 201
+    assert all(ref() is None for *_, ref in built)

@@ -334,8 +334,8 @@ def test_product_moment_needs_companion(kern_single, vas_single, cfg_fast):
 
 def test_aged_evaluations_build_no_transfer_stack(kern_testbed, vas_testbed, monkeypatch):
     # the product surface keeps the coefficients it was marched with, so
-    # an evaluation after a discount solve (which leaves the tilted stack
-    # held) builds no stack and reads the same
+    # an evaluation after a discount solve builds no transfer block and
+    # reads the same
     cfg = SolverConfig(step=0.05, horizon=2.0, rate_nodes=41, reference_rate=0.03)
     ws = LatticeWorkspace(kern_testbed, vas_testbed, cfg)
     r = solve_rate_mean(kern_testbed, vas_testbed, cfg, workspace=ws)
@@ -344,12 +344,11 @@ def test_aged_evaluations_build_no_transfer_stack(kern_testbed, vas_testbed, mon
     at = (kern_testbed, vas_testbed, 0, 0.3, 0.03, 1.02)
     before = evaluate_product_moment(xi, r, *at)
     v1 = solve_zcb_moment(1, kern_testbed, vas_testbed, cfg, workspace=ws)
-    assert ws._held[0] == 1
 
-    def no_build(ws, tilt):
-        raise AssertionError(f"an evaluation built the tilt-{tilt} stack")
+    def no_build(ws, tilt, lo, hi):
+        raise AssertionError(f"an evaluation built tilt-{tilt} blocks")
 
-    monkeypatch.setattr(LatticeWorkspace, "_build", no_build)
+    monkeypatch.setattr(LatticeWorkspace, "transfer", no_build)
     assert evaluate_product_moment(xi, r, *at) == before
     evaluate_rate_mean(r, *at)
     evaluate_zcb_moment(v1, *at)
@@ -479,7 +478,6 @@ def test_rate_moments_read_no_transfer_law(kern_testbed, vas_testbed, monkeypatc
         xi = solve_product_moment(lag, kern_testbed, vas_testbed, cfg, r, workspace=ws)
         covariance_surface(xi, r)
         covariance(xi, r, kern_testbed, vas_testbed, 1, 0.3, 0.03, 1.02, lag)
-    assert ws._held is None
 
 
 def test_covariance_lattice_matches_pointwise(solved_testbed):

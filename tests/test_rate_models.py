@@ -171,6 +171,19 @@ def test_hull_white_short_step_sd_is_exact_to_rounding(dt):
     assert abs(sd / exact - 1.0) <= 1e-14
 
 
+@pytest.mark.parametrize("s", [1e-12, 1e-9, 1e-6, 0.3, 1.0, 2.5])
+def test_vasicek_integrated_variance_is_exact_to_rounding(s):
+    # sigma^2 / a^3 (a s - x - x^2 / 2), x = 1 - e^-(a s): the three terms
+    # cancel to sigma^2 s^3 / 3 on short steps, where a series replaces them
+    a, sigma = 1.0, 0.02
+    vas = RegimeRateModel.vasicek([dict(a=a, b=0.02, sigma=sigma)])
+    with mpmath.workdps(40):
+        z = mpmath.mpf(a) * mpmath.mpf(s)
+        x = -mpmath.expm1(-z)
+        exact = float(mpmath.mpf(sigma) ** 2 / mpmath.mpf(a) ** 3 * (z - x - x * x / 2))
+    assert abs(vas.integrated_variance(0, 0.03, s) / exact - 1.0) <= 1e-14
+
+
 def _oracle_gl_cumulative(fn, knots, t):
     """int_0^t fn(u) du for each t: the nested panel-wise Gauss-Legendre
     that integrated the Hull-White laws from 0 before ``step_integrals``

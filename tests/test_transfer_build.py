@@ -5,7 +5,8 @@ call and scatters them in one pass.  The oracle builds every (state,
 elapsed time) rule in its own call, scatters it with two np.add.at
 passes, stacks the results as (m, K+1, Nx, Nx) and packs them into the
 march layout, folding the no-switch discount (``model.bond_laplace``)
-into the rows of a tilted stack.  The chunked build must give the same bits.
+into the rows of a tilted stack.  The chunked build must give the same
+bits, and so must a build of the same lags split into ranges anywhere.
 
 The plain (tilt-0) rules fetched as a build does (a chunk of elapsed
 times at every lattice rate) and as the aged pass does (one rate, every
@@ -29,6 +30,7 @@ from smrates import (
     SojournDistribution,
     SolverConfig,
     alternating_kernel,
+    solve_zcb_moment,
 )
 from smrates.moment_engine import (
     _SCATTER_CHUNK,
@@ -125,9 +127,26 @@ def test_packed_build_matches_oracle(kernel, name):
     assert CFG.time_grid().n_steps % _SCATTER_CHUNK != 0
     ws = LatticeWorkspace(kernel, _models()[name], CFG)
     for tilt in (0, 1, 2):
-        built = ws.transfer(tilt)
+        built = ws.transfer(tilt, 0, 22)
         assert built.shape == (2, 31, 22 * 31)
         assert np.array_equal(built, _oracle_stack(ws, tilt=tilt)), (name, tilt)
+
+
+@pytest.mark.parametrize("name", sorted(_models()))
+def test_range_builds_are_the_whole_build(kernel, name):
+    # the march builds its held lags in one call and the later ones a
+    # chunk at a time; any split of [0, K+1) into ranges gives the bits of
+    # the one call, at every tilt
+    ws = LatticeWorkspace(kernel, _models()[name], CFG)
+    nx, kp1 = ws.x_nodes.size, ws.thetas.size
+    for tilt in (0, 1, 2):
+        whole = ws.transfer(tilt, 0, kp1)
+        for cuts in ([1], [5, 17], [16, 17, 18], [2, 3, 9, 20, 21]):
+            edges = [0, *cuts, kp1]
+            parts = [ws.transfer(tilt, lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+            for (lo, hi), part in zip(zip(edges[:-1], edges[1:]), parts):
+                assert part.shape == (ws.m, nx, (hi - lo) * nx)
+            assert np.array_equal(np.concatenate(parts, axis=2), whole), (name, tilt, cuts)
 
 
 @pytest.mark.parametrize("name", ["vasicek", "hull_white", "cir_feller"])
@@ -190,7 +209,7 @@ def test_extreme_attainable_regime_refusal_matches_oracle(kernel):
         _oracle_stack(ws)
     assert "at state 0, elapsed" in str(oracle.value)
     with pytest.raises(GridCoverageError) as built:
-        ws.transfer()
+        ws.transfer(0, 0, ws.thetas.size)
     assert str(built.value) == str(oracle.value)
 
 
@@ -210,5 +229,32 @@ def test_narrow_lattice_refusal_matches_oracle():
         _oracle_stack(ws)
     assert "at state 1, elapsed 0.425;" in str(oracle.value)
     with pytest.raises(GridCoverageError) as built:
-        ws.transfer()
+        ws.transfer(0, 0, ws.thetas.size)
     assert str(built.value) == str(oracle.value)
+    # the march holds lags 0..16 (K = 21 splits at b = 16) and refuses the
+    # escape from the chunk it builds past the split
+    with pytest.raises(GridCoverageError, match="at state 1, elapsed 0.425;"):
+        solve_zcb_moment(1, kern, model, cfg, workspace=ws)
+
+
+def test_hull_white_chunk_reads_one_step_integrals_call(kernel, monkeypatch):
+    # every law a chunk needs (tilted mean, variance; the affine maps; the
+    # discount row weight) comes from one six-sum pass over its times
+    calls = []
+    step_integrals = HullWhiteParams.step_integrals
+    monkeypatch.setattr(HullWhiteParams, "step_integrals",
+                        lambda p, t0, dt: calls.append(np.shape(dt)) or step_integrals(p, t0, dt))
+    ws = LatticeWorkspace(kernel, _models()["hull_white"], CFG)
+    chunk = ws.thetas[1:1 + _SCATTER_CHUNK, None]
+    for tilt in (0, 1, 2):
+        calls.clear()
+        _law_nodes_weights(ws.model, 0, ws.x_nodes, chunk, CFG.quad_order, tilt=tilt)
+        assert calls == [(_SCATTER_CHUNK, 1)], tilt
+        calls.clear()
+        ws.transfer(tilt, 0, ws.thetas.size)
+        chunks = -(-(ws.thetas.size - 1) // _SCATTER_CHUNK)
+        assert len(calls) == ws.m * (chunks + (tilt > 0)), tilt
+    calls.clear()
+    _law_maps(ws.model, 0, ws.thetas)
+    ws.model.bond_laplace(0, ws.x_nodes[:, None], 1, ws.thetas)
+    assert calls == [ws.thetas.shape] * 2
